@@ -128,13 +128,18 @@ def common_refinement_m(W1: StepGraphon, W2: StepGraphon, cap: int = DEFAULT_M_C
 # norms of permuted differences
 
 
-def _difference_norm(D: np.ndarray, metric: str, cut_mode: str, restarts: int, seed: int) -> float:
+def _cut_mode(m: int) -> str:
+    """How the cut norm of an m x m difference is taken: exactly up to EXACT_CUT_M."""
+    return "exact" if m <= EXACT_CUT_M else "heuristic"
+
+
+def _difference_norm(D: np.ndarray, metric: str, restarts: int, seed: int) -> float:
     m = D.shape[0]
     if metric == "l1":
         return float(np.abs(D).mean())
     if metric == "l2":
         return float(np.sqrt((D**2).mean()))
-    if cut_mode == "exact":
+    if _cut_mode(m) == "exact":
         raw, _, _ = _max_rectangle_sum(D, m)
     else:
         raw, _, _ = _max_rectangle_sum_heuristic(D, restarts, seed)
@@ -156,9 +161,7 @@ def permuted_difference_norm(
     p = np.asarray(perm, dtype=int)
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
-    D = D1 - D2[np.ix_(p, p)]
-    mode = "exact" if m <= EXACT_CUT_M else "heuristic"
-    return _difference_norm(D, metric, mode, restarts, seed)
+    return _difference_norm(D1 - D2[np.ix_(p, p)], metric, restarts, seed)
 
 
 def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
@@ -167,7 +170,7 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
     best_val, best_perm = np.inf, None
     for p in itertools.permutations(range(m)):
         perm = np.array(p, dtype=int)
-        val = _difference_norm(D1 - D2[np.ix_(perm, perm)], metric, "exact", 0, 0)
+        val = _difference_norm(D1 - D2[np.ix_(perm, perm)], metric, 0, 0)
         if val < best_val - 1e-18:
             best_val, best_perm = val, perm
     return best_perm, best_val
@@ -177,18 +180,16 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
 # permutation search
 
 
-def _greedy_match(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
-    """Greedy assignment of D2-rows to D1-rows by entrywise row distance."""
-    m = D1.shape[0]
-    cost = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
+def _greedy_match(cost: np.ndarray) -> np.ndarray:
+    """Greedy assignment perm[i] = j, cheapest free pair first; first minimum wins ties."""
+    m = cost.shape[0]
     perm = np.empty(m, dtype=int)
     usable = cost.copy()
-    big = np.inf
     for _ in range(m):
         i, j = np.unravel_index(int(np.argmin(usable)), usable.shape)
         perm[i] = j
-        usable[i, :] = big
-        usable[:, j] = big
+        usable[i, :] = np.inf
+        usable[:, j] = np.inf
     return perm
 
 
@@ -236,17 +237,18 @@ def _swap_descent(D1, D2, perm, objective, full_sweep_limit=16, proposal_budget=
     return perm, best
 
 
-def _search(D1, D2, metric: str, cut_mode: str, restarts: int, seed: int):
+def _search(D1, D2, metric: str, restarts: int, seed: int):
     """Candidate alignments, swap descent on the best, then a full-quality final value."""
     m = D1.shape[0]
     rng = stream(seed, "delta-upper")
 
-    def objective(D, _n=[0]):
-        _n[0] += 1
-        return _difference_norm(D, metric, cut_mode, restarts=4, seed=seed)
+    def objective(D):
+        return _difference_norm(D, metric, restarts=4, seed=seed)
 
-    cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(D1, D2)]
-    back = _greedy_match(D2, D1)
+    # |a - b| == |b - a| exactly, so cost.T is the backward (D2-rows first) cost
+    cost = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
+    cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(cost)]
+    back = _greedy_match(cost.T)
     inv = np.empty(m, dtype=int)
     inv[back] = np.arange(m)
     cands.append(inv)
@@ -267,9 +269,9 @@ def _search(D1, D2, metric: str, cut_mode: str, restarts: int, seed: int):
                 best_perm, best_val = q, val
     # final value at full quality (more heuristic restarts for big m)
     final = _difference_norm(
-        D1 - D2[np.ix_(best_perm, best_perm)], metric, cut_mode, restarts=max(restarts, 16), seed=seed
+        D1 - D2[np.ix_(best_perm, best_perm)], metric, restarts=max(restarts, 16), seed=seed
     )
-    best_val = min(best_val, final) if cut_mode == "heuristic" else final
+    best_val = min(best_val, final) if _cut_mode(m) == "heuristic" else final
     return best_perm, best_val
 
 
@@ -278,9 +280,12 @@ class DistanceEstimate:
     """Upper/lower bracket for a rearrangement distance.
 
     ``permutation`` maps refined steps of the second argument into the
-    first argument's frame; replaying it through
-    `permuted_difference_norm` reproduces ``upper`` (within 1e-9 for
-    exact norms, bit-for-bit with the same seed for heuristic ones).
+    first argument's frame.  Replaying it through `permuted_difference_norm`
+    with the same ``m``, ``metric`` and ``seed`` reproduces ``upper`` bit for
+    bit, at any ``restarts`` for l1, l2 and the exact cut (m <= EXACT_CUT_M).
+    With the heuristic cut, ``upper`` is the smaller of the replays at
+    ``restarts=4`` (how the search scores candidates) and at
+    ``restarts=max(restarts, 16)`` (its final evaluation).
     """
 
     upper: float
@@ -299,7 +304,6 @@ def delta_upper(
     m: Optional[int] = None,
     restarts: int = 32,
     seed: int = 0,
-    m_cap: int = DEFAULT_M_CAP,
 ) -> DistanceEstimate:
     """Search upper bound on delta_metric via blow-up + permutation search.
 
@@ -318,137 +322,38 @@ def delta_upper(
         raise ValidationError("restarts must be >= 0")
     exact_m = None
     if m is None:
-        m, exact_m = common_refinement_m(W1, W2, cap=m_cap)
+        m, exact_m = common_refinement_m(W1, W2)
     if m < max(W1.k, W2.k):
         raise ValidationError(f"m={m} below max step count {max(W1.k, W2.k)}")
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
-    cut_mode = "exact" if m <= EXACT_CUT_M else "heuristic"
     detail = {"exact_refinement": exact_m} if exact_m is not None else {}
     if m <= ENUMERATE_M:
         best_perm, best_val = _min_over_permutations(D1, D2, metric)
         detail["enumerated"] = True
     else:
-        best_perm, best_val = _search(D1, D2, metric, cut_mode, restarts, seed)
-    method = f"search-{cut_mode}-cut" if metric == "cut" else "search"
+        best_perm, best_val = _search(D1, D2, metric, restarts, seed)
+    method = f"search-{_cut_mode(m)}-cut" if metric == "cut" else "search"
     return DistanceEstimate(float(best_val), 0.0, metric, best_perm, m, method, detail)
 
 
-def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut", m_cap: int = 8) -> DistanceEstimate:
-    """Exact distance by enumerating all permutations of an exact refinement.
+def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> DistanceEstimate:
+    """Enumerate all m! permutations of the smallest exact common refinement.
 
     Requires both weight vectors to refine exactly into m <= 8 equal steps.
+    ``upper`` is the exact minimum over permutations of that refinement,
+    which bounds delta_metric from above; a finer refinement can pair parts
+    of steps and go lower, so ``lower`` is 0.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    if m_cap > 8:
-        raise ValidationError("delta_exact_tiny is capped at m=8")
-    m, exact = common_refinement_m(W1, W2, cap=m_cap)
+    m, exact = common_refinement_m(W1, W2, cap=8)
     if not exact:
-        raise ValidationError(
-            f"weights do not refine exactly into m <= {m_cap} equal steps"
-        )
+        raise ValidationError("weights do not refine exactly into m <= 8 equal steps")
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
     best_perm, best_val = _min_over_permutations(D1, D2, metric)
-    return DistanceEstimate(best_val, best_val, metric, best_perm, m, "exact-enumeration")
-
-
-def _northwest_plan(w1: np.ndarray, w2: np.ndarray, order1, order2):
-    """Transport plan pairing masses front-to-back along the given orders.
-
-    Returns a list of (a, b, mass) pieces; with identity orders this is the
-    monotone (boundary-sliding) coupling of the two weight vectors.
-    """
-    pieces = []
-    i = j = 0
-    r1 = w1[order1].astype(float).copy()
-    r2 = w2[order2].astype(float).copy()
-    while i < len(r1) and j < len(r2):
-        m = min(r1[i], r2[j])
-        if m > 1e-15:
-            pieces.append((int(order1[i]), int(order2[j]), float(m)))
-        r1[i] -= m
-        r2[j] -= m
-        if r1[i] <= 1e-15:
-            i += 1
-        if j < len(r2) and r2[j] <= 1e-15:
-            j += 1
-    return pieces
-
-
-def _diagonal_plan(w1: np.ndarray, w2: np.ndarray, order1, order2):
-    """Keep the overlapping mass in place; transport only the surplus."""
-    k = len(w1)
-    common = np.minimum(w1, w2)
-    pieces = [(a, a, float(common[a])) for a in range(k) if common[a] > 1e-15]
-    s1 = w1 - common
-    s2 = w2 - common
-    pieces.extend(_northwest_plan(s1, s2, order1, order2))
-    return pieces
-
-
-def coupled_weights_upper(
-    values: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    metric: str = "cut",
-    seed: int = 0,
-    restarts: int = 8,
-    extra_plans: int = 4,
-    exact_pieces: int = 15,
-) -> DistanceEstimate:
-    """Upper bound on delta between two step kernels sharing `values`.
-
-    Any transport plan between the weight vectors induces a refinement on
-    which both kernels are step functions, so the norm of the coupled
-    difference bounds the rearrangement distance.  Tries the monotone
-    plan, the keep-in-place plan, and a few randomized surplus matchings;
-    returns the smallest bound.  Zero weights are allowed (empty steps
-    simply carry no mass).
-    """
-    if metric not in METRICS:
-        raise ValidationError(f"unknown metric {metric!r}")
-    Q = np.asarray(values, dtype=float)
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    k = Q.shape[0]
-    if Q.shape != (k, k):
-        raise ValidationError("values must be square")
-    if w1.shape != (k,) or w2.shape != (k,):
-        raise ValidationError("weight vectors must match the value matrix")
-    if w1.min() < -1e-12 or w2.min() < -1e-12:
-        raise ValidationError("weights must be nonnegative")
-    for w in (w1, w2):
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValidationError("weights must sum to 1")
-    ident = np.arange(k)
-    plans = [_northwest_plan(w1, w2, ident, ident), _diagonal_plan(w1, w2, ident, ident)]
-    for t in range(extra_plans):
-        rng = stream(seed, "coupling", t)
-        plans.append(_diagonal_plan(w1, w2, rng.permutation(k), rng.permutation(k)))
-    best, best_pieces = np.inf, 0
-    for plan in plans:
-        a_idx = np.array([p[0] for p in plan], dtype=int)
-        b_idx = np.array([p[1] for p in plan], dtype=int)
-        wp = np.array([p[2] for p in plan])
-        D = Q[np.ix_(a_idx, a_idx)] - Q[np.ix_(b_idx, b_idx)]
-        if metric == "l1":
-            val = float(np.einsum("p,q,pq->", wp, wp, np.abs(D)))
-        elif metric == "l2":
-            val = float(np.sqrt(np.einsum("p,q,pq->", wp, wp, D**2)))
-        else:
-            M = wp[:, None] * D * wp[None, :]
-            if len(plan) <= exact_pieces:
-                raw, _, _ = _max_rectangle_sum(M, exact_pieces)
-            else:
-                raw, _, _ = _max_rectangle_sum_heuristic(M, restarts, seed)
-            val = float(raw)
-        if val < best:
-            best, best_pieces = val, len(plan)
-    return DistanceEstimate(
-        best, 0.0, metric, None, best_pieces, "coupling", {"plans": len(plans)}
-    )
+    return DistanceEstimate(best_val, 0.0, metric, best_perm, m, "exact-enumeration")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ class ExperimentConfig:
     seed: int = 0
     level: str = "matrix"        # comparison level: matrix | graphon
     restarts: int = 0            # permutation-search restarts for graphon metrics
-    m: Optional[int] = None      # blow-up size for graphon metrics (None -> n)
     outdir: str = "."
 
     def __post_init__(self):
@@ -100,9 +99,8 @@ class ExperimentConfig:
                                   f"choose from {METRICS}")
 
 
-_INT_KEYS = {"reps", "seed", "restarts", "m"}
+_INT_KEYS = {"reps", "seed", "restarts"}
 _STR_KEYS = {"outdir", "level"}
-_GRID_KEYS = {"n", "k", "rho", "estimator", "metric"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -246,8 +244,7 @@ def _risk(metric: str, phat, theta, truth: StepGraphon, cfg: ExperimentConfig,
             return float(matrix_cut_norm_heuristic(
                 D, restarts=max(cfg.restarts, 8), seed=seed).value)
         return float(np.linalg.norm(D) / n)           # l2 at matrix level
-    m = cfg.m if cfg.m is not None else n
-    est = delta_upper(_lift(phat.values), truth, metric, m=m,
+    est = delta_upper(_lift(phat.values), truth, metric, m=n,
                       restarts=cfg.restarts, seed=seed)
     return float(est.upper)
 

@@ -318,7 +318,8 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0,
     lower bounds instead.
 
     k=2 is the two-element special case (values [[1,1],[1,0]], weights
-    1/2 +- eps with eps=1/8) whose cut separation is computed exactly.
+    1/2 +- eps with eps=1/8) whose cut separation is the `delta_exact_tiny`
+    minimum over permutations of the m=8 common refinement.
     """
     if not (0.0 < rho <= 1.0):
         raise ValidationError(f"rho must be in (0, 1], got {rho}")

@@ -89,14 +89,9 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
     return ProbMatrix(T)
 
 
-def sample_theta(spec: ModelSpec, latents: LatentSample) -> ProbMatrix:
-    """Theta for the given latent draw; errors if rho*max(W) > 1."""
-    return theta_from_labels(spec, step_labels(spec.graphon, latents.positions))
-
-
-def sample_theta_clipped(spec: ModelSpec, latents: LatentSample) -> ProbMatrix:
-    """Same as `sample_theta` but truncates probabilities at 1."""
-    return theta_from_labels(spec, step_labels(spec.graphon, latents.positions), clip=True)
+def sample_theta(spec: ModelSpec, latents: LatentSample, clip: bool = False) -> ProbMatrix:
+    """Theta for the given latent draw; errors if rho*max(W) > 1 unless `clip` truncates at 1."""
+    return theta_from_labels(spec, step_labels(spec.graphon, latents.positions), clip=clip)
 
 
 def sample_adjacency(theta: ProbMatrix, seed: int = 0) -> AdjacencyMatrix:
@@ -112,5 +107,5 @@ def sample_adjacency(theta: ProbMatrix, seed: int = 0) -> AdjacencyMatrix:
 def sample_graph(spec: ModelSpec, n: int, seed: int = 0, clip: bool = False):
     """One-call convenience: returns (latents, theta, adjacency)."""
     lat = sample_latents(n, seed)
-    theta = sample_theta_clipped(spec, lat) if clip else sample_theta(spec, lat)
+    theta = sample_theta(spec, lat, clip)
     return lat, theta, sample_adjacency(theta, seed)

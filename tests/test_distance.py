@@ -14,6 +14,7 @@ from cutgraphon.distance import (
     SQUARE,
     TRIANGLE,
     Motif,
+    _greedy_match,
     _search,
     common_refinement_m,
     delta_cut_lower,
@@ -202,7 +203,7 @@ class TestDistances:
             D1, D2 = blowup(A, m).values, blowup(B, m).values
             for metric in ("cut", "l1", "l2"):
                 ex = delta_exact_tiny(A, B, metric=metric)
-                _, up = _search(D1, D2, metric, "exact", restarts=16, seed=trial)
+                _, up = _search(D1, D2, metric, restarts=16, seed=trial)
                 assert up >= ex.upper - 1e-12
                 assert up == pytest.approx(ex.upper, abs=1e-6)
 
@@ -236,6 +237,35 @@ class TestDistances:
         assert up.method == "search-exact-cut" and up.detail["enumerated"]
         assert up.upper == ex.upper
         assert permuted_difference_norm(pair[0], pair[1], up.permutation, up.m) == up.upper
+
+    def test_backward_greedy_on_transposed_cost(self):
+        # the search builds one cost and matches backwards on its transpose;
+        # m = 40 is a size only the search reaches, and repeated rows make ties
+        rng = np.random.default_rng(19)
+        for _ in range(4):
+            A = random_refinable(rng, m=40)
+            B = random_refinable(rng, m=40)
+            D1, D2 = blowup(A, 40).values, blowup(B, 40).values
+            cost = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
+            fresh = np.abs(D2[:, None, :] - D1[None, :, :]).sum(axis=2)
+            assert np.array_equal(_greedy_match(cost.T), _greedy_match(fresh))
+
+    def test_exact_tiny_lower_holds_under_refinement(self):
+        # the 31st random symmetric 3-step pair: splitting each step in two
+        # lets the enumeration pair half-steps and go below the 3-step optimum
+        rng = np.random.default_rng(0)
+        for _ in range(31):
+            pair = []
+            for _ in range(2):
+                V = rng.uniform(0, 1, (3, 3))
+                pair.append(StepGraphon((V + V.T) / 2, np.full(3, 1 / 3)))
+        coarse = delta_exact_tiny(pair[0], pair[1], "cut")
+        halves = [StepGraphon(blowup(W, 6).values, np.full(6, 1 / 6)) for W in pair]
+        fine = delta_exact_tiny(halves[0], halves[1], "cut")
+        assert (coarse.m, fine.m) == (3, 6)
+        assert coarse.upper == pytest.approx(0.06839, abs=1e-5)
+        assert fine.upper == pytest.approx(0.04926, abs=1e-5)
+        assert coarse.lower <= fine.upper and fine.lower <= fine.upper
 
     def test_exact_tiny_matches_oracle(self):
         rng = np.random.default_rng(9)
@@ -274,8 +304,6 @@ class TestDistances:
         B = StepGraphon(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
             delta_exact_tiny(A, B)
-        with pytest.raises(ValidationError):
-            delta_exact_tiny(B, B, m_cap=9)
 
 
 # ---------------------------------------------------------------------------

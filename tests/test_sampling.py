@@ -11,7 +11,6 @@ from cutgraphon.sampling import (
     sample_graph,
     sample_latents,
     sample_theta,
-    sample_theta_clipped,
     sbm_spec,
     step_labels,
     theta_from_labels,
@@ -86,7 +85,7 @@ class TestTheta:
         lat = sample_latents(5, seed=1)
         with pytest.raises(ValidationError):
             sample_theta(spec, lat)
-        theta = sample_theta_clipped(spec, lat)
+        theta = sample_theta(spec, lat, clip=True)
         assert theta.values.max() == 1.0
 
     def test_labels_out_of_range(self):
