@@ -33,6 +33,8 @@ METRICS = ("cut", "l1", "l2")
 DEFAULT_M_CAP = 64
 EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
+COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
+_COST_BLOCK = 2**22  # elements per temporary while the row cost is filled
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,33 @@ def _greedy_match(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _row_runs(D: np.ndarray):
+    """Runs of adjacent equal rows: one representative row per run, and each row's run."""
+    new_run = np.any(D[1:] != D[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new_run)))
+    return D[starts], np.cumsum(np.concatenate(([0], new_run)))
+
+
+def _row_cost(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
+    """cost[i, j] = sum_c |D1[i, c] - D2[j, c]|, evaluated once per pair of row runs.
+
+    Each entry is the same sum over the same values in the same order as in
+    the full m x m x m tensor, so the result is bit-identical to it.
+    """
+    R1, l1 = _row_runs(D1)
+    R2, l2 = _row_runs(D2)
+    u1, u2, m = len(R1), len(R2), D1.shape[1]
+    if u1 * u2 * m > COST_BUDGET:
+        raise BudgetError(
+            f"alignment cost: {u1} x {u2} distinct rows of length {m} exceed budget {COST_BUDGET}"
+        )
+    cu = np.empty((u1, u2))
+    step = max(1, _COST_BLOCK // (u2 * m))
+    for a in range(0, u1, step):
+        cu[a : a + step] = np.abs(R1[a : a + step, None, :] - R2[None, :, :]).sum(axis=2)
+    return cu[np.ix_(l1, l2)]
+
+
 def _rank_match(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
     """Match rows after sorting both by row mean (degree ordering)."""
     r1 = np.lexsort((np.arange(D1.shape[0]), D1.mean(axis=1)))
@@ -245,8 +274,10 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
     def objective(D):
         return _difference_norm(D, metric, restarts=4, seed=seed)
 
-    # |a - b| == |b - a| exactly, so cost.T is the backward (D2-rows first) cost
-    cost = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
+    # the row cost is built on runs of equal rows and is bit-identical to the
+    # full m x m x m tensor; |a - b| == |b - a| exactly, so cost.T is the
+    # backward (D2-rows first) cost
+    cost = _row_cost(D1, D2)
     cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(cost)]
     back = _greedy_match(cost.T)
     inv = np.empty(m, dtype=int)
@@ -314,7 +345,10 @@ def delta_upper(
     parts of steps and go below the optimum over permutations.  Otherwise the
     candidate alignments are: identity, row-mean rank matching, greedy row
     matching (both directions), plus `restarts` random permutations; the
-    most promising candidates then get pairwise-swap local descent.
+    most promising candidates then get pairwise-swap local descent.  The
+    greedy matching's row cost raises BudgetError when the runs of equal
+    rows in the two blow-ups, u1 and u2 of them, give u1 * u2 * m >
+    COST_BUDGET.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")

@@ -23,8 +23,8 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cutgraphon import distance
 from cutgraphon.cli import main
 from cutgraphon.core import (
     StepGraphon,
@@ -118,6 +119,17 @@ class TestDistance:
                            "--metric", "l1")
         assert code == 0
         assert float(out.split("upper=")[1].split()[0]) == pytest.approx(0.4, abs=1e-12)
+
+    def test_alignment_cost_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        p1, p2 = tmp_path / "w1.txt", tmp_path / "w2.txt"
+        save_stepgraphon(StepGraphon(np.array([[0.8, 0.2], [0.2, 0.8]]),
+                                     np.array([0.5, 0.5])), p1)
+        save_stepgraphon(StepGraphon(np.full((1, 1), 0.5), np.ones(1)), p2)
+        # 2 x 1 distinct rows of length 16 is 32 elements
+        monkeypatch.setattr(distance, "COST_BUDGET", 31)
+        code, _, err = run(capsys, "distance", "--a", str(p1), "--b", str(p2),
+                           "--m", "16", "--restarts", "0")
+        assert code == 3 and "budget" in err
 
 
 class TestRegularity:

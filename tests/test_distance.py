@@ -1,11 +1,16 @@
 """Tests for rearrangement distances and homomorphism densities."""
 
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cutgraphon.core import StepGraphon, blowup
+from cutgraphon import distance
+from cutgraphon.core import StepGraphon, blowup, empirical_graphon
 from cutgraphon.distance import (
     CHERRY,
     DEFAULT_MOTIFS,
@@ -15,6 +20,7 @@ from cutgraphon.distance import (
     TRIANGLE,
     Motif,
     _greedy_match,
+    _row_cost,
     _search,
     common_refinement_m,
     delta_cut_lower,
@@ -25,6 +31,8 @@ from cutgraphon.distance import (
 )
 from cutgraphon.cutnorm import inf1_norm
 from cutgraphon.errors import BudgetError, ValidationError
+from cutgraphon.experiments import default_model
+from cutgraphon.sampling import sample_graph
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +100,24 @@ def random_refinable(rng, m=6):
     cuts = sorted(rng.choice(np.arange(1, m), size=k - 1, replace=False)) if k > 1 else []
     counts = np.diff([0] + list(cuts) + [m])
     return StepGraphon(V, counts / m)
+
+
+def uneven_blowup(rng, k, m, layout):
+    """m x m blow-up of a random k-step graphon with weights that do not refine.
+
+    Small Dirichlet weights give runs of uneven length and, now and then,
+    steps that get no slot at all.  ``distinct`` draws a matrix with no
+    repeated rows; ``shuffled`` permutes the blow-up so equal rows are not
+    adjacent.
+    """
+    if layout == "distinct":
+        return rng.uniform(0, 1, (m, m))
+    V = rng.uniform(0, 1, (k, k))
+    D = blowup(StepGraphon((V + V.T) / 2, rng.dirichlet(np.full(k, 0.3))), m).values
+    if layout == "shuffled":
+        p = rng.permutation(m)
+        D = D[np.ix_(p, p)]
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +272,61 @@ class TestDistances:
             A = random_refinable(rng, m=40)
             B = random_refinable(rng, m=40)
             D1, D2 = blowup(A, 40).values, blowup(B, 40).values
-            cost = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
+            cost = _row_cost(D1, D2)
             fresh = np.abs(D2[:, None, :] - D1[None, :, :]).sum(axis=2)
             assert np.array_equal(_greedy_match(cost.T), _greedy_match(fresh))
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(6, 40),
+        st.integers(0, 10_000),
+        st.sampled_from(["runs", "distinct", "shuffled"]),
+        st.sampled_from(["runs", "distinct", "shuffled"]),
+        st.sampled_from([1, 97, 2**22]),
+    )
+    @example(6, 5, 7, 3, "runs", "runs", 1)  # two zero-slot steps on the first side
+    @settings(max_examples=60, deadline=None)
+    def test_row_cost_matches_full_tensor(self, k1, k2, m, seed, layout1, layout2, block):
+        # block = 1 and 97 fill the cost a few representative rows at a time
+        rng = np.random.default_rng(seed)
+        D1 = uneven_blowup(rng, k1, m, layout1)
+        D2 = uneven_blowup(rng, k2, m, layout2)
+        full = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
+        with mock.patch.object(distance, "_COST_BLOCK", block):
+            assert np.array_equal(_row_cost(D1, D2), full)
+
+    @pytest.mark.parametrize(
+        "metric, seed, digest, upper",
+        [
+            ("cut", 32, "fa95ab211bb512211ea1a0a300c7ed4be903c68369d5173dcf97d68da8e14567",
+             "0.10458984374999993"),
+            ("l1", 6, "7a4644928f3a08db905254fd7e5e53ef19a46d932a2ecd372b45462413a82619",
+             "0.50234375"),
+        ],
+        ids=["cut", "l1"],
+    )
+    def test_search_wiring_is_pinned(self, metric, seed, digest, upper):
+        # the risk harness's call at restarts=0 and a heuristic size; on these
+        # two draws matching backward on `cost` instead of `cost.T` changes
+        # the answer, as does any change to how the row cost is expanded
+        spec = default_model(4)
+        _, _, A = sample_graph(spec, 64, seed)
+        est = delta_upper(empirical_graphon(A), spec.graphon, metric, m=64, restarts=0, seed=seed)
+        perm = np.asarray(est.permutation, dtype=np.int64)
+        assert hashlib.sha256(perm.tobytes()).hexdigest() == digest
+        assert repr(est.upper) == upper
+
+    def test_row_cost_budget(self, monkeypatch):
+        # 16 x 1 distinct rows of length 16 is 256 elements
+        rng = np.random.default_rng(29)
+        A = StepGraphon(np.diag(rng.uniform(0.2, 0.8, 16)), np.full(16, 1 / 16))
+        B = StepGraphon(np.array([[0.5]]), np.array([1.0]))
+        monkeypatch.setattr(distance, "COST_BUDGET", 255)
+        with pytest.raises(BudgetError):
+            delta_upper(A, B, "l1", m=16, restarts=0)
+        monkeypatch.setattr(distance, "COST_BUDGET", 256)
+        assert delta_upper(A, B, "l1", m=16, restarts=0).m == 16
 
     def test_exact_tiny_lower_holds_under_refinement(self):
         # the 31st random symmetric 3-step pair: splitting each step in two
