@@ -163,6 +163,9 @@ def _cmd_packing(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    if not args.config:
+        print("risk requires --config", file=sys.stderr)
+        return 2
     cfg = parse_config(Path(args.config).read_text())
     if args.out:
         cfg = dataclasses.replace(cfg, outdir=args.out)
@@ -188,17 +191,13 @@ def _cmd_slope(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="output file or directory")
-    common.add_argument("--config", default=None, help="key=value config file")
-
     p = argparse.ArgumentParser(prog="cutgraphon", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("sample", parents=[common],
-                       help="draw a graph from a step-graphon model")
+    s = sub.add_parser("sample", help="draw a graph from a step-graphon model")
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out", help="adjacency record; stdout if omitted")
     s.add_argument("--graphon", help="step-graphon record to sample from")
     s.add_argument("--k", type=int, default=2, help="built-in banded model size")
     s.add_argument("--n", type=int, required=True)
@@ -208,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", help="also save the edge-probability matrix here")
     s.set_defaults(func=_cmd_sample)
 
-    s = sub.add_parser("estimate", parents=[common],
-                       help="fit a probability matrix to an adjacency record")
+    s = sub.add_parser("estimate", help="fit a probability matrix to an adjacency record")
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out", help="probability-matrix record; stdout if omitted")
     s.add_argument("--input", required=True, help="adjacency matrix record")
     s.add_argument("--estimator", choices=ESTIMATORS, default="svt")
     s.add_argument("--k", type=int, default=2, help="block count for rls")
@@ -217,16 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--restarts", type=int, default=4)
     s.set_defaults(func=_cmd_estimate)
 
-    s = sub.add_parser("cutnorm", parents=[common],
-                       help="cut norm of a matrix record")
+    s = sub.add_parser("cutnorm", help="cut norm of a matrix record")
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--input", required=True)
     s.add_argument("--mode", choices=("exact", "heuristic", "sandwich"),
                    default="heuristic")
     s.add_argument("--restarts", type=int, default=32)
     s.set_defaults(func=_cmd_cutnorm)
 
-    s = sub.add_parser("distance", parents=[common],
-                       help="rearrangement distance between two step graphons")
+    s = sub.add_parser("distance", help="rearrangement distance between two step graphons")
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--metric", choices=DISTANCE_METRICS, default="cut")
@@ -236,27 +236,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all alignments (tiny inputs only)")
     s.set_defaults(func=_cmd_distance)
 
-    s = sub.add_parser("regularity", parents=[common],
-                       help="greedy weak-regularity decomposition")
+    s = sub.add_parser("regularity", help="greedy weak-regularity decomposition")
+    s.add_argument("--out", help="also save the approximant's values here")
     s.add_argument("--input", required=True)
     s.add_argument("--q0", type=int, required=True,
                    help="target class count; allows floor(log2 q0) terms")
     s.set_defaults(func=_cmd_regularity)
 
-    s = sub.add_parser("packing", parents=[common],
-                       help="well-separated family with KL certificates")
+    s = sub.add_parser("packing", help="well-separated family with KL certificates")
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out", help="directory to save the family in")
     s.add_argument("--kind", choices=("matrix", "graphon"), required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, default=64, help="block count (graphon kind)")
     s.add_argument("--rho", type=float, default=1.0)
     s.set_defaults(func=_cmd_packing)
 
-    s = sub.add_parser("risk", parents=[common],
-                       help="Monte Carlo risk experiment from a config file")
+    s = sub.add_parser("risk", help="Monte Carlo risk experiment from a config file")
+    s.add_argument("--config", help="key=value config file (required)")
+    s.add_argument("--out", help="output directory; overrides the config's outdir")
     s.set_defaults(func=_cmd_risk)
 
-    s = sub.add_parser("slope", parents=[common],
-                       help="log-log rate slope from a risk CSV")
+    s = sub.add_parser("slope", help="log-log rate slope from a risk CSV")
     s.add_argument("--input", required=True)
     s.add_argument("--varying", choices=("n", "k", "rho"), required=True)
     s.add_argument("--transform", choices=sorted(TRANSFORMS), default="identity")
@@ -269,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.func is _cmd_risk and not args.config:
-        print("risk requires --config", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValidationError as exc:

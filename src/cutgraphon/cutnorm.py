@@ -32,7 +32,9 @@ from .core import Kernel, l1_norm
 from .errors import BudgetError, ValidationError
 
 EXACT_BUDGET = 24  # largest enumerated side for exact cut norms
-INF1_EXACT_BUDGET = 12
+INF1_EXACT_BUDGET = 12  # largest n for the exact infinity-to-one norm
+HEURISTIC_ITERS = 100  # cap on alternating sweeps per heuristic restart
+Q_SUBSET_PAIR_BUDGET = 4_000_000  # row-subset x column-subset pairs in q_subset_upper_bound
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def kernel_witness_value(K: Kernel, S, T) -> float:
 # exact enumeration
 
 
-def _max_rectangle_sum(M: np.ndarray, budget: int):
+def _max_rectangle_sum(M: np.ndarray):
     """max_{S,T} |sum M[S,T]| by enumerating the smaller side, greedy other side.
 
     Returns (raw_value, rows, cols). O(2^min(m,n) * m * n), chunked.
@@ -93,8 +95,8 @@ def _max_rectangle_sum(M: np.ndarray, budget: int):
     transposed = M.shape[0] > M.shape[1]
     A = M.T if transposed else M
     m = A.shape[0]
-    if m > budget:
-        raise BudgetError(f"exact cut norm: enumerated side {m} exceeds budget {budget}")
+    if m > EXACT_BUDGET:
+        raise BudgetError(f"exact cut norm: enumerated side {m} exceeds budget {EXACT_BUDGET}")
     bits = np.arange(m)
     best_val = 0.0
     best_subset = 0
@@ -123,18 +125,18 @@ def _max_rectangle_sum(M: np.ndarray, budget: int):
     return best_val, rows, other
 
 
-def matrix_cut_norm_exact(B, budget_n: int = EXACT_BUDGET) -> CutNormResult:
-    """Exact matrix cut norm by subset enumeration (feasible up to n ~ 24)."""
+def matrix_cut_norm_exact(B) -> CutNormResult:
+    """Exact matrix cut norm by subset enumeration (n <= EXACT_BUDGET)."""
     a = _as_array(B)
     n = a.shape[0]
-    raw, rows, cols = _max_rectangle_sum(a, budget_n)
+    raw, rows, cols = _max_rectangle_sum(a)
     return CutNormResult(raw / n**2, rows, cols, "exact", True)
 
 
-def step_kernel_cut_norm_exact(K: Kernel, budget: int = EXACT_BUDGET) -> CutNormResult:
+def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
     """Exact cut norm of a step kernel (weighted-integral convention)."""
     M = K.row_weights[:, None] * K.values * K.col_weights[None, :]
-    raw, rows, cols = _max_rectangle_sum(M, budget)
+    raw, rows, cols = _max_rectangle_sum(M)
     return CutNormResult(raw, rows, cols, "exact", True)
 
 
@@ -151,7 +153,7 @@ def _heuristic_starts(n_cols: int, restarts: int, seed: int, tag: str):
     return np.array(cols, dtype=float).T
 
 
-def _alternate_max(M: np.ndarray, T0: np.ndarray, max_iters: int):
+def _alternate_max(M: np.ndarray, T0: np.ndarray):
     """Maximize s^T M t over {0,1} vectors by alternating greedy updates.
 
     T0 holds starting t-vectors as columns; all restarts are advanced in
@@ -159,7 +161,7 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray, max_iters: int):
     """
     T = T0
     S = np.zeros((M.shape[0], T.shape[1]))
-    for _ in range(max_iters):
+    for _ in range(HEURISTIC_ITERS):
         S_new = (M @ T > 0).astype(float)
         T_new = (M.T @ S_new > 0).astype(float)
         if np.array_equal(S_new, S) and np.array_equal(T_new, T):
@@ -169,7 +171,7 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray, max_iters: int):
     return vals, S, T
 
 
-def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int, max_iters: int = 100):
+def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     """Certificate lower bound on max |sum M[S,T]|: alternating ascent on M and -M."""
     k2 = M.shape[1]
     rand = _heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
@@ -178,7 +180,7 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int, max_it
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
     best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
     for sign in (1.0, -1.0):
-        vals, S, T = _alternate_max(sign * M, T0, max_iters)
+        vals, S, T = _alternate_max(sign * M, T0)
         r = int(np.argmax(vals))
         if vals[r] > best[0]:
             best = (float(vals[r]), np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
@@ -210,22 +212,21 @@ def inf1_norm(
     method: str = "auto",
     restarts: int = 32,
     seed: int = 0,
-    budget_n: int = INF1_EXACT_BUDGET,
 ) -> CutNormResult:
     """||B||_{inf->1} / n^2 = max_{f,g in {-1,1}^n} f^T B g / n^2.
 
     Exact by enumerating g (with g_1 fixed: f^T B g is even in (f,g)) for
-    n <= budget, else alternating signs heuristic. Witnesses are the sign
-    vectors (f, g).
+    n <= INF1_EXACT_BUDGET, else alternating signs heuristic, which needs
+    restarts >= 1. Witnesses are the sign vectors (f, g).
     """
     a = _as_array(B)
     n = a.shape[0]
     if method not in ("auto", "exact", "heuristic"):
         raise ValidationError(f"unknown inf1 method {method!r}")
-    use_exact = method == "exact" or (method == "auto" and n <= budget_n)
+    use_exact = method == "exact" or (method == "auto" and n <= INF1_EXACT_BUDGET)
     if use_exact:
-        if n > budget_n:
-            raise BudgetError(f"inf1_norm exact: n={n} exceeds budget {budget_n}")
+        if n > INF1_EXACT_BUDGET:
+            raise BudgetError(f"inf1_norm exact: n={n} exceeds budget {INF1_EXACT_BUDGET}")
         idx = np.arange(1 << max(n - 1, 0), dtype=np.int64)
         G = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1)) & 1)
         G = np.hstack([np.ones((G.shape[0], 1)), G]) if n > 1 else np.ones((1, 1))
@@ -234,11 +235,13 @@ def inf1_norm(
         g = G[j]
         f = np.where(a @ g >= 0, 1.0, -1.0)
         return CutNormResult(float(rowvals[j]) / n**2, f, g, "exact", True)
+    if restarts < 1:
+        raise ValidationError("restarts must be >= 1")
     best_val, best_f, best_g = -np.inf, None, None
     for r in range(restarts):
         rng = stream(seed, "inf1", r)
         g = 1.0 - 2.0 * rng.integers(0, 2, size=n)
-        for _ in range(100):
+        for _ in range(HEURISTIC_ITERS):
             f = np.where(a @ g >= 0, 1.0, -1.0)
             g_new = np.where(a.T @ f >= 0, 1.0, -1.0)
             if np.array_equal(g_new, g):
@@ -266,11 +269,12 @@ def cut_norm_sandwich_check(B, seed: int = 0, restarts: int = 32) -> SandwichRes
     """
     a = _as_array(B)
     n = a.shape[0]
+    # first, so that restarts=0 on the heuristic route fails before any enumeration
+    inf1 = inf1_norm(a, seed=seed, restarts=restarts)
     if n <= EXACT_BUDGET:
         cut = matrix_cut_norm_exact(a)
     else:
         cut = matrix_cut_norm_heuristic(a, restarts=restarts, seed=seed)
-    inf1 = inf1_norm(a, seed=seed, restarts=restarts)
     tol = 1e-12 * max(1.0, abs(inf1.value))
     ok = (cut.value <= inf1.value + tol) and (inf1.value <= 4.0 * cut.value + tol)
     return SandwichResult(cut, inf1, bool(ok))
@@ -290,7 +294,7 @@ def _subset_masks(k: int, qmax: int) -> np.ndarray:
     return np.array(rows)
 
 
-def q_subset_upper_bound(K: Kernel, q: int, pair_budget: int = 4_000_000) -> CutNormResult:
+def q_subset_upper_bound(K: Kernel, q: int) -> CutNormResult:
     """Upper bound on the kernel cut norm from q-element index subsets.
 
     For each sign of K, takes the max of K[R2->rows, R1->cols] over subsets
@@ -307,7 +311,7 @@ def q_subset_upper_bound(K: Kernel, q: int, pair_budget: int = 4_000_000) -> Cut
     u, v = float(alpha.sum()), float(beta.sum())
     M1 = _subset_masks(K.q1, q)
     M2 = _subset_masks(K.q2, q)
-    if M1.shape[0] * M2.shape[0] > pair_budget:
+    if M1.shape[0] * M2.shape[0] > Q_SUBSET_PAIR_BUDGET:
         raise BudgetError(
             f"q_subset_upper_bound: {M1.shape[0]} x {M2.shape[0]} subset pairs exceed budget"
         )

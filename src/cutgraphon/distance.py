@@ -35,6 +35,17 @@ EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
 _COST_BLOCK = 2**22  # elements per temporary while the row cost is filled
+# Swap descent picks its branch by size.  Up to FULL_SWEEP_M steps it makes at
+# most FULL_SWEEPS lexicographic sweeps over all pairs and stops after a sweep
+# that improves nothing: at most 12*C(16,2) = 1440 objective calls, 336 at
+# m = 8.  Above that it tries SWAP_PROPOSALS random pairs, and always all of
+# them.  Lexicographic sweeps capped at the same 2000 calls give the same
+# values at m <= 16 but lose to random proposals at m = 96 and 128 (l1,
+# restarts=32, 12 random pairs of 4- to 12-step graphons each): worse on 10
+# and 12 of 12 pairs, better on 1 and 0, by +4.0 % and +8.1 % on average.
+FULL_SWEEP_M = 16
+FULL_SWEEPS = 12
+SWAP_PROPOSALS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,7 @@ def _difference_norm(D: np.ndarray, metric: str, restarts: int, seed: int) -> fl
     if metric == "l2":
         return float(np.sqrt((D**2).mean()))
     if _cut_mode(m) == "exact":
-        raw, _, _ = _max_rectangle_sum(D, m)
+        raw, _, _ = _max_rectangle_sum(D)
     else:
         raw, _, _ = _max_rectangle_sum_heuristic(D, restarts, seed)
     return float(raw) / m**2
@@ -231,15 +242,15 @@ def _rank_match(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _swap_descent(D1, D2, perm, objective, full_sweep_limit=16, proposal_budget=2000, rng=None):
+def _swap_descent(D1, D2, perm, objective, rng):
     """First-improvement pairwise-swap descent on the permutation."""
     m = len(perm)
     perm = np.array(perm, dtype=int)
     best = objective(D1 - D2[np.ix_(perm, perm)])
-    if m <= full_sweep_limit:
+    if m <= FULL_SWEEP_M:
         improved = True
         sweeps = 0
-        while improved and sweeps < 12:
+        while improved and sweeps < FULL_SWEEPS:
             improved = False
             sweeps += 1
             for i in range(m - 1):
@@ -253,7 +264,7 @@ def _swap_descent(D1, D2, perm, objective, full_sweep_limit=16, proposal_budget=
                         perm[i], perm[j] = perm[j], perm[i]
         return perm, best
     # large m: bounded random swap proposals
-    for _ in range(proposal_budget):
+    for _ in range(SWAP_PROPOSALS):
         i, j = rng.integers(0, m, size=2)
         if i == j:
             continue
@@ -295,14 +306,13 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
         descend = [cands[idx] for _, idx in scored[: (len(cands) if m <= 8 else 3)]]
         best_perm, best_val = None, np.inf
         for p in descend:
-            q, val = _swap_descent(D1, D2, p, objective, rng=rng)
+            q, val = _swap_descent(D1, D2, p, objective, rng)
             if val < best_val:
                 best_perm, best_val = q, val
-    # final value at full quality (more heuristic restarts for big m)
-    final = _difference_norm(
-        D1 - D2[np.ix_(best_perm, best_perm)], metric, restarts=max(restarts, 16), seed=seed
-    )
-    best_val = min(best_val, final) if _cut_mode(m) == "heuristic" else final
+    if metric == "cut" and _cut_mode(m) == "heuristic":
+        # only the heuristic cut depends on restarts: re-score at full quality
+        best_val = min(best_val, _difference_norm(
+            D1 - D2[np.ix_(best_perm, best_perm)], metric, restarts=max(restarts, 16), seed=seed))
     return best_perm, best_val
 
 
@@ -344,9 +354,10 @@ def delta_upper(
     then play no part.  ``lower`` stays 0: a finer refinement can pair
     parts of steps and go below the optimum over permutations.  Otherwise the
     candidate alignments are: identity, row-mean rank matching, greedy row
-    matching (both directions), plus `restarts` random permutations; the
-    most promising candidates then get pairwise-swap local descent.  The
-    greedy matching's row cost raises BudgetError when the runs of equal
+    matching (both directions), plus `restarts` random permutations; when
+    ``restarts > 0`` the most promising candidates then get pairwise-swap
+    local descent, and ``restarts=0`` returns the best candidate as it is.
+    The greedy matching's row cost raises BudgetError when the runs of equal
     rows in the two blow-ups, u1 and u2 of them, give u1 * u2 * m >
     COST_BUDGET.
     """

@@ -23,6 +23,7 @@ from .core import AdjacencyMatrix, ProbMatrix, StepGraphon
 from .errors import BudgetError, ValidationError
 
 ENUM_BUDGET = 2_000_000
+RLS_MAX_SWEEPS = 50  # label sweeps per restart of the alternating fit
 
 
 def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
@@ -32,11 +33,7 @@ def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
 
 def estimate_mean(A: AdjacencyMatrix) -> ProbMatrix:
     """Constant off-diagonal estimate at the empirical edge density."""
-    n = A.n
-    if n < 2:
-        return ProbMatrix(np.zeros((n, n)))
-    dens = A.values.sum() / (n * (n - 1))
-    T = np.full((n, n), dens)
+    T = np.full((A.n, A.n), edge_density(A))
     np.fill_diagonal(T, 0.0)
     return ProbMatrix(T)
 
@@ -174,7 +171,6 @@ def estimate_restricted_ls(
     rho: float = 1.0,
     restarts: int = 16,
     seed: int = 0,
-    max_sweeps: int = 50,
 ) -> BlockFit:
     """Alternating minimization over labels and block values.
 
@@ -198,7 +194,7 @@ def estimate_restricted_ls(
     for r in range(restarts):
         z = stream(seed, "rls", r).integers(0, k, size=n)
         Q = _block_means(M, z, k, rho)
-        for _ in range(max_sweeps):
+        for _ in range(RLS_MAX_SWEEPS):
             moved = _label_sweep(M, z, Q)
             Q = _block_means(M, z, k, rho)
             if not moved:

@@ -11,7 +11,12 @@ chosen by the config's ``level``:
   adjacency estimator this is exactly the empirical graphon) and compared
   to the scaled truth with a permutation-search distance upper bound;
   ``restarts=0`` keeps only the deterministic alignment candidates.
-  ``frobenius`` stays a matrix quantity.
+  ``frobenius`` and ``l1`` stay matrix quantities: the graphon-level
+  ``l1`` row is |Phat - Theta| with the matrix ``L1`` envelope.  delta_1
+  through `delta_upper` at ``restarts=0`` mostly measures how weak those
+  candidates are (0.459 against 0.180 for |Phat - Theta| at n=32, k=4,
+  seed 3), so wiring it and the ``L1graphon`` envelope waits on certified
+  brackets (ROADMAP item 4).
 
 The model behind every grid cell is a fixed banded two-value kernel
 (contrast 0.8, equal weights); k=1 degenerates to the constant 1/2.
@@ -28,7 +33,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import StepGraphon
+from .core import StepGraphon, empirical_graphon
 from .cutnorm import matrix_cut_norm_heuristic
 from .distance import delta_upper
 from .errors import ValidationError
@@ -213,11 +218,6 @@ def _subseed(seed: int, n: int, k: int, rho: float, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _lift(values: np.ndarray) -> StepGraphon:
-    n = values.shape[0]
-    return StepGraphon(values, np.full(n, 1.0 / n))
-
-
 def _run_estimator(name: str, A, k: int, rho: float, seed: int):
     if name == "adjacency":
         return estimate_adjacency(A)
@@ -244,7 +244,7 @@ def _risk(metric: str, phat, theta, truth: StepGraphon, cfg: ExperimentConfig,
             return float(matrix_cut_norm_heuristic(
                 D, restarts=max(cfg.restarts, 8), seed=seed).value)
         return float(np.linalg.norm(D) / n)           # l2 at matrix level
-    est = delta_upper(_lift(phat.values), truth, metric, m=n,
+    est = delta_upper(empirical_graphon(phat), truth, metric, m=n,
                       restarts=cfg.restarts, seed=seed)
     return float(est.upper)
 
@@ -394,10 +394,12 @@ def _svg_series(report: RiskReport):
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#e377c2", "#17becf")
+SVG_WIDTH, SVG_HEIGHT = 640, 440
 
 
-def format_svg(report: RiskReport, width: int = 640, height: int = 440) -> str:
+def format_svg(report: RiskReport) -> str:
     """Log-log risk curves (solid) with theory envelopes (dashed)."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']

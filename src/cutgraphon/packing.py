@@ -33,6 +33,8 @@ from .errors import BudgetError, ValidationError
 
 ETA0 = 1.0 / 16.0   # matched-row fraction in the block-matrix spot check
 ETA1 = 7.0 / 8.0    # column-subset fraction in the block-matrix spot check
+BLOCK_TRIES = 64    # sign-matrix draws before rademacher_block_matrix gives up
+MATRIX_PAIRS_TO_CHECK = 20  # element pairs whose cut norm matrix_packing spot-checks
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,7 @@ class VgCode:
 
     vectors: np.ndarray          # M x k1, entries +-1
     k1: int
-    separation: int              # certified min pairwise Hamming distance - 1
+    separation: int              # certified min pairwise Hamming distance
     target: int
     reached: bool
     two_sided: bool
@@ -151,7 +153,7 @@ def spot_check_property_ii(B: np.ndarray, samples: int, seed: int = 0) -> Tuple[
     return passed, samples
 
 
-def rademacher_block_matrix(k1: int, mk: int, seed: int = 0, max_tries: int = 64,
+def rademacher_block_matrix(k1: int, mk: int, seed: int = 0,
                             samples: int = 100) -> RademacherBlockMatrix:
     """Draw iid sign matrices until all row pairs satisfy |<B_a,B_b>| <= mk/4."""
     if mk < 8:
@@ -159,7 +161,7 @@ def rademacher_block_matrix(k1: int, mk: int, seed: int = 0, max_tries: int = 64
     if k1 < 1:
         raise ValidationError(f"need k1 >= 1, got {k1}")
     rng = stream(seed, "hadamard", k1, mk)
-    for t in range(1, max_tries + 1):
+    for t in range(1, BLOCK_TRIES + 1):
         B = np.where(rng.random((k1, mk)) < 0.5, -1.0, 1.0)
         if k1 == 1:
             break
@@ -168,7 +170,7 @@ def rademacher_block_matrix(k1: int, mk: int, seed: int = 0, max_tries: int = 64
         if np.abs(G).max() <= mk / 4.0:
             break
     else:
-        raise BudgetError(f"no row-orthogonal sign matrix in {max_tries} tries")
+        raise BudgetError(f"no row-orthogonal sign matrix in {BLOCK_TRIES} tries")
     passed, total = spot_check_property_ii(B, samples, seed) if samples > 0 else (0, 0)
     return RademacherBlockMatrix(B, k1, mk, True, t, passed, total)
 
@@ -215,7 +217,6 @@ class PackingFamily:
 
 
 def matrix_packing(n: int, rho: float, seed: int = 0,
-                   pairs_to_check: int = 20,
                    eps: Optional[float] = None) -> PackingFamily:
     """Two-valued probability matrices rho/2 + eps*u_i*u_j with a VG code.
 
@@ -246,7 +247,7 @@ def matrix_packing(n: int, rho: float, seed: int = 0,
     rng = stream(seed, "matrix-pack-check")
     checked = []
     pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    take = min(pairs_to_check, len(pairs))
+    take = min(MATRIX_PAIRS_TO_CHECK, len(pairs))
     idx = rng.choice(len(pairs), size=take, replace=False)
     for t in idx:
         i, j = pairs[t]

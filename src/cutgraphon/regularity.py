@@ -85,12 +85,13 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
         R[np.ix_(S, T)] -= a
         e1 = _energy(R, w)
         terms.append(RegularityTerm(a, S, T, res.value, e0, e1))
-    final = step_kernel_cut_norm_exact(Kernel(R, w, w, check_range=False))
+    else:
+        res = step_kernel_cut_norm_exact(Kernel(R, w, w, check_range=False))
     approx_vals = W.values - R
     approx = Kernel(approx_vals, w, w, check_range=False)
     decomp = RegularityDecomposition(
         q0, k0, float(target), tuple(terms), approx,
-        Kernel(R, w, w, check_range=False), float(final.value), stopped,
+        Kernel(R, w, w, check_range=False), float(res.value), stopped,
     )
     return approx, decomp
 

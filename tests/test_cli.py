@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from cutgraphon import distance
-from cutgraphon.cli import main
+from cutgraphon import cli, distance
+from cutgraphon.cli import build_parser, main
 from cutgraphon.core import (
     StepGraphon,
     load_matrix,
@@ -17,6 +21,57 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def option_reads(handler):
+    """Names of ``args.<name>`` read by a handler and by the cli helpers it passes args to."""
+    tree = ast.parse(inspect.getsource(cli))
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reads, seen, todo = set(), set(), [handler.__name__]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in funcs
+                  and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                todo.append(node.func.id)
+    return reads
+
+
+def unread_options(parser):
+    """(subcommand, option) pairs that the subcommand's handler never reads."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, p in sub.choices.items():
+        reads = option_reads(p.get_default("func"))
+        unread += [(command, a.option_strings[0]) for a in p._actions
+                   if a.dest != "help" and a.dest not in reads]
+    return unread
+
+
+class TestOptions:
+    def test_checker_flags_an_unread_option(self):
+        p = argparse.ArgumentParser()
+        s = p.add_subparsers().add_parser("slope")
+        s.add_argument("--input")
+        s.add_argument("--seed")
+        s.set_defaults(func=cli._cmd_slope)
+        assert unread_options(p) == [("slope", "--seed")]
+
+    def test_every_option_is_read(self):
+        assert unread_options(build_parser()) == []
+
+    def test_unread_option_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["risk", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -92,6 +147,12 @@ class TestCutnorm:
         code, out, _ = run(capsys, "cutnorm", "--input", str(graph_file),
                            "--mode", "sandwich")
         assert code == 0 and "satisfied=True" in out
+
+    def test_sandwich_without_restarts_exits_2(self, graph_file, capsys):
+        # n=20 takes the heuristic infinity-to-one route, which needs a restart
+        code, out, err = run(capsys, "cutnorm", "--input", str(graph_file),
+                             "--mode", "sandwich", "--restarts", "0")
+        assert code == 2 and "restarts" in err and out == ""
 
     def test_exact_over_budget_exits_3(self, tmp_path, capsys):
         path = tmp_path / "big.txt"

@@ -14,6 +14,7 @@ from cutgraphon import (
     Kernel,
     ValidationError,
     cut_norm_sandwich_check,
+    cutnorm,
     inf1_norm,
     khintchine_lower_bound,
     matrix_cut_norm_exact,
@@ -207,6 +208,15 @@ class TestInf1:
             h = inf1_norm(b, method="heuristic", restarts=16, seed=i).value
             assert h <= e + 1e-12
 
+    def test_heuristic_needs_a_restart(self):
+        b = np.random.default_rng(8).uniform(-1, 1, (13, 13))
+        for method in ("auto", "heuristic"):
+            with pytest.raises(ValidationError):
+                inf1_norm(b, method=method, restarts=0)
+        # the exact route does not restart, so 0 is accepted there
+        small = b[:12, :12]
+        assert inf1_norm(small, restarts=0).value == inf1_norm(small).value
+
     def test_exact_budget(self):
         with pytest.raises(BudgetError):
             inf1_norm(np.zeros((13, 13)), method="exact")
@@ -266,6 +276,15 @@ class TestKernelBounds:
         r = q_subset_upper_bound(k, 2)
         additive = (1.0 * np.sqrt(2 * 0.5) + 1.0 * np.sqrt(2 * 0.5)) / np.sqrt(2)
         assert r.value == pytest.approx(0.25 + additive, abs=1e-12)
+
+    def test_q_subset_pair_budget(self, monkeypatch):
+        # q=2 on a 4 x 4 kernel: 11 row subsets x 11 column subsets
+        k = Kernel(np.full((4, 4), 0.5), np.full(4, 0.25), np.full(4, 0.25))
+        monkeypatch.setattr(cutnorm, "Q_SUBSET_PAIR_BUDGET", 120)
+        with pytest.raises(BudgetError):
+            q_subset_upper_bound(k, 2)
+        monkeypatch.setattr(cutnorm, "Q_SUBSET_PAIR_BUDGET", 121)
+        assert q_subset_upper_bound(k, 2).is_upper_bound
 
     def test_q_subset_validates_q(self):
         k = Kernel([[0.5]], [1.0], [1.0])

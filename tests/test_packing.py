@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cutgraphon import packing
 from cutgraphon.distance import delta_cut_lower
-from cutgraphon.errors import ValidationError
+from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.packing import (
     PackingFamily,
     graphon_packing,
@@ -72,6 +73,12 @@ class TestRademacherBlock:
         assert blk.property_ii_passed == blk.property_ii_total == 25
         passed, total = spot_check_property_ii(blk.values, 10, seed=7)
         assert (passed, total) == (10, 10)
+
+    def test_try_budget(self, monkeypatch):
+        assert rademacher_block_matrix(8, 32, seed=0, samples=0).tries == 13
+        monkeypatch.setattr(packing, "BLOCK_TRIES", 12)
+        with pytest.raises(BudgetError):
+            rademacher_block_matrix(8, 32, seed=0, samples=0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
