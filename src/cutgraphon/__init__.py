@@ -9,7 +9,6 @@ from .core import (
     blowup,
     empirical_graphon,
     l1_norm,
-    l2_norm,
     load_matrix,
     load_stepgraphon,
     save_matrix,
@@ -24,7 +23,6 @@ from .cutnorm import (
     matrix_cut_norm_heuristic,
     q_subset_upper_bound,
     step_kernel_cut_norm_exact,
-    step_kernel_cut_norm_heuristic,
 )
 from .distance import (
     DistanceEstimate,
@@ -46,7 +44,6 @@ from .estimate import (
     estimate_svt,
     exact_restricted_ls,
     fit_to_prob_matrix,
-    lift_to_graphon,
 )
 from .experiments import (
     ExperimentConfig,

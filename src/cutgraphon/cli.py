@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 invalid input, 3 exhausted compute budget.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,6 +57,24 @@ from .regularity import weak_regularity_approx
 from .sampling import AdjacencyMatrix, ModelSpec, sample_graph
 
 
+class _Given(argparse.Action):
+    """Store the value and record the option in ``args.given``.
+
+    For options that one branch of a handler reads and another ignores:
+    the handler rejects them on the branch that would ignore them.
+    """
+
+    def __call__(self, parser, namespace, values, option_string):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
+
+
+def _reject_given(args, branch: str) -> None:
+    given = sorted(getattr(args, "given", ()))
+    if given:
+        raise ValidationError(f"options used only with {branch}: {', '.join(given)}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -67,6 +84,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _load_model(args) -> ModelSpec:
     if args.graphon:
+        _reject_given(args, "the built-in model (no --graphon)")
         return ModelSpec(load_stepgraphon(args.graphon), args.rho)
     return default_model(args.k, args.rho)
 
@@ -83,6 +101,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.estimator != "rls":
+        _reject_given(args, "--estimator rls")
     A = AdjacencyMatrix(load_matrix(args.input))
     if args.estimator == "adjacency":
         phat = estimate_adjacency(A)
@@ -108,6 +128,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_cutnorm(args) -> int:
     B = load_matrix(args.input)
     if args.mode == "exact":
+        _reject_given(args, "--mode heuristic or sandwich")
         res = matrix_cut_norm_exact(B)
     elif args.mode == "heuristic":
         res = matrix_cut_norm_heuristic(B, restarts=args.restarts, seed=args.seed)
@@ -124,6 +145,7 @@ def _cmd_distance(args) -> int:
     W1 = load_stepgraphon(args.a)
     W2 = load_stepgraphon(args.b)
     if args.exact:
+        _reject_given(args, "the alignment search (no --exact)")
         est = delta_exact_tiny(W1, W2, metric=args.metric)
     else:
         est = delta_upper(W1, W2, metric=args.metric, m=args.m,
@@ -150,6 +172,7 @@ def _cmd_regularity(args) -> int:
 
 def _cmd_packing(args) -> int:
     if args.kind == "matrix":
+        _reject_given(args, "--kind graphon")
         fam = matrix_packing(args.n, args.rho, seed=args.seed)
     else:
         fam = graphon_packing(args.k, args.n, rho=args.rho, seed=args.seed)
@@ -167,10 +190,8 @@ def _cmd_risk(args) -> int:
         print("risk requires --config", file=sys.stderr)
         return 2
     cfg = parse_config(Path(args.config).read_text())
-    if args.out:
-        cfg = dataclasses.replace(cfg, outdir=args.out)
     report = run_risk_experiment(cfg)
-    outdir = Path(cfg.outdir)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     emit(report, "csv", outdir / "risk.csv")
     emit(report, "svg", outdir / "risk.svg")
@@ -199,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="adjacency record; stdout if omitted")
     s.add_argument("--graphon", help="step-graphon record to sample from")
-    s.add_argument("--k", type=int, default=2, help="built-in banded model size")
+    s.add_argument("--k", type=int, default=2, action=_Given,
+                   help="built-in banded model size")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--rho", type=float, default=1.0)
     s.add_argument("--clip", action="store_true",
@@ -208,30 +230,30 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sample)
 
     s = sub.add_parser("estimate", help="fit a probability matrix to an adjacency record")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, action=_Given)
     s.add_argument("--out", help="probability-matrix record; stdout if omitted")
     s.add_argument("--input", required=True, help="adjacency matrix record")
     s.add_argument("--estimator", choices=ESTIMATORS, default="svt")
-    s.add_argument("--k", type=int, default=2, help="block count for rls")
-    s.add_argument("--rho", type=float, default=1.0)
-    s.add_argument("--restarts", type=int, default=4)
+    s.add_argument("--k", type=int, default=2, action=_Given, help="block count for rls")
+    s.add_argument("--rho", type=float, default=1.0, action=_Given)
+    s.add_argument("--restarts", type=int, default=4, action=_Given)
     s.set_defaults(func=_cmd_estimate)
 
     s = sub.add_parser("cutnorm", help="cut norm of a matrix record")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, action=_Given)
     s.add_argument("--input", required=True)
     s.add_argument("--mode", choices=("exact", "heuristic", "sandwich"),
                    default="heuristic")
-    s.add_argument("--restarts", type=int, default=32)
+    s.add_argument("--restarts", type=int, default=32, action=_Given)
     s.set_defaults(func=_cmd_cutnorm)
 
     s = sub.add_parser("distance", help="rearrangement distance between two step graphons")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, action=_Given)
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--metric", choices=DISTANCE_METRICS, default="cut")
-    s.add_argument("--m", type=int, default=None, help="common blow-up size")
-    s.add_argument("--restarts", type=int, default=32)
+    s.add_argument("--m", type=int, default=None, action=_Given, help="common blow-up size")
+    s.add_argument("--restarts", type=int, default=32, action=_Given)
     s.add_argument("--exact", action="store_true",
                    help="enumerate all alignments (tiny inputs only)")
     s.set_defaults(func=_cmd_distance)
@@ -248,13 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="directory to save the family in")
     s.add_argument("--kind", choices=("matrix", "graphon"), required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, default=64, help="block count (graphon kind)")
+    s.add_argument("--k", type=int, default=64, action=_Given,
+                   help="block count (graphon kind)")
     s.add_argument("--rho", type=float, default=1.0)
     s.set_defaults(func=_cmd_packing)
 
     s = sub.add_parser("risk", help="Monte Carlo risk experiment from a config file")
     s.add_argument("--config", help="key=value config file (required)")
-    s.add_argument("--out", help="output directory; overrides the config's outdir")
+    s.add_argument("--out", default=".", help="output directory (default: the current one)")
     s.set_defaults(func=_cmd_risk)
 
     s = sub.add_parser("slope", help="log-log rate slope from a risk CSV")

@@ -3,11 +3,11 @@
 Two families of objects live here:
 
 * matrices on n vertices — edge-probability matrices and adjacency
-  matrices, with matrix norms normalized so they agree with the kernel
-  picture: ``l1_norm(B) = sum|B_ij| / n^2`` and ``l2_norm(B) = ||B||_F / n``;
+  matrices, with the L1 norm normalized so it agrees with the kernel
+  picture: ``l1_norm(B) = sum|B_ij| / n^2``;
 * step kernels on [0,1] — symmetric step graphons (values in [0,1]) and
-  general rectangular step kernels (values in [-1,1]), whose norms are the
-  weighted integrals sum(w_a w_b |K_ab|) and sqrt(sum(w_a w_b K_ab^2)).
+  general rectangular step kernels (values in [-1,1]), whose L1 norm is the
+  weighted integral sum(w_a w_b |K_ab|).
 
 Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
@@ -120,14 +120,13 @@ class StepGraphon:
     ``values`` is the k x k symmetric block-value matrix, ``weights`` the
     step lengths (positive, summing to 1 — see WEIGHT_SUM_TOL /
     WEIGHT_RENORM_TOL for the accept/renormalize/reject rule). Values must
-    lie in [0,1] unless ``unbounded=True``, which lifts only the upper
-    bound (for models of the form rho*W with rho > 1 before clipping);
-    negative values are never allowed.
+    lie in [0,1]. A scaled model rho*W is a `ModelSpec`; sampling rejects
+    rho*W > 1 unless asked to clip it (``clip=True``).
     """
 
-    __slots__ = ("values", "weights", "k", "unbounded")
+    __slots__ = ("values", "weights", "k")
 
-    def __init__(self, values, weights, unbounded: bool = False):
+    def __init__(self, values, weights):
         q = np.asarray(values, dtype=float)
         _check_finite(q, "StepGraphon values")
         _check_symmetric(q, "StepGraphon values")
@@ -138,14 +137,11 @@ class StepGraphon:
             )
         if q.size and q.min() < 0:
             raise ValidationError("StepGraphon values must be nonnegative")
-        if not unbounded and q.size and q.max() > 1 + 1e-12:
-            raise ValidationError(
-                f"StepGraphon values exceed 1 (max {q.max()}); pass unbounded=True if intended"
-            )
+        if q.size and q.max() > 1 + 1e-12:
+            raise ValidationError(f"StepGraphon values exceed 1 (max {q.max()})")
         self.values = _frozen(q)
         self.weights = _frozen(w)
         self.k = q.shape[0]
-        self.unbounded = bool(unbounded)
 
     def boundaries(self) -> np.ndarray:
         """Cumulative step boundaries F(0)=0 < F(1) < ... < F(k)=1."""
@@ -251,19 +247,6 @@ def l1_norm(obj) -> float:
     return float(rw @ np.abs(v) @ cw)
 
 
-def l2_norm(obj) -> float:
-    """Normalized L2 norm: ||B||_F / n for matrices, weighted-integral form otherwise."""
-    a = _as_matrix(obj)
-    if a is not None:
-        n = a.shape[0]
-        return float(np.sqrt((a**2).sum()) / n)
-    parts = _kernel_parts(obj)
-    if parts is None:
-        raise ValidationError(f"l2_norm: unsupported type {type(obj)!r}")
-    v, rw, cw = parts
-    return float(np.sqrt(rw @ v**2 @ cw))
-
-
 # ---------------------------------------------------------------------------
 # empirical graphon and blow-up
 
@@ -276,7 +259,7 @@ def empirical_graphon(mat) -> StepGraphon:
     n = a.shape[0]
     if n == 0:
         raise ValidationError("empirical_graphon: empty matrix")
-    return StepGraphon(a, np.full(n, 1.0 / n), unbounded=bool(a.max(initial=0.0) > 1))
+    return StepGraphon(a, np.full(n, 1.0 / n))
 
 
 def blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:
@@ -314,7 +297,7 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     counts = blowup_counts(W.weights, m)
     idx = np.repeat(np.arange(W.k), counts)
     q = W.values[np.ix_(idx, idx)]
-    return StepGraphon(q, np.full(m, 1.0 / m), unbounded=W.unbounded)
+    return StepGraphon(q, np.full(m, 1.0 / m))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +331,7 @@ def parse_stepgraphon(text: str) -> StepGraphon:
         raise ValidationError(f"bad float in stepgraphon record: {e}") from None
     w = np.array(nums[:k])
     q = np.array(nums[k:]).reshape(k, k)
-    return StepGraphon(q, w, unbounded=bool(q.max() > 1))
+    return StepGraphon(q, w)
 
 
 def format_matrix(mat) -> str:

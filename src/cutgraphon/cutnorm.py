@@ -197,12 +197,6 @@ def matrix_cut_norm_heuristic(B, restarts: int = 16, seed: int = 0) -> CutNormRe
     return CutNormResult(raw / n**2, rows, cols, "heuristic", False)
 
 
-def step_kernel_cut_norm_heuristic(K: Kernel, restarts: int = 16, seed: int = 0) -> CutNormResult:
-    M = K.row_weights[:, None] * K.values * K.col_weights[None, :]
-    raw, rows, cols = _max_rectangle_sum_heuristic(M, restarts, seed)
-    return CutNormResult(raw, rows, cols, "heuristic", False)
-
-
 # ---------------------------------------------------------------------------
 # infinity-to-one norm and the factor-4 sandwich
 

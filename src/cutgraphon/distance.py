@@ -408,18 +408,14 @@ class MotifLowerBound:
     densities: dict
 
 
-def delta_cut_lower(
-    W1: StepGraphon, W2: StepGraphon, motifs: Sequence[Motif] = DEFAULT_MOTIFS
-) -> MotifLowerBound:
-    """Best counting-lemma bound: max_F |t(F,W1)-t(F,W2)| / (4 e(F))."""
+def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> MotifLowerBound:
+    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / (4 e(F))."""
     best = MotifLowerBound(0.0, None, {})
     dens = {}
-    for f in motifs:
-        if f.edge_count == 0:
-            raise ValidationError("motifs for lower bounds need at least one edge")
+    for f in DEFAULT_MOTIFS:
         t1 = homomorphism_density(f, W1)
         t2 = homomorphism_density(f, W2)
-        dens[f.name or repr(f)] = (t1, t2)
+        dens[f.name] = (t1, t2)
         val = abs(t1 - t2) / (4.0 * f.edge_count)
         if val > best.value:
             best = MotifLowerBound(val, f, {})

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import AdjacencyMatrix, ProbMatrix, StepGraphon
+from .core import AdjacencyMatrix, ProbMatrix
 from .errors import BudgetError, ValidationError
 
 ENUM_BUDGET = 2_000_000
@@ -186,10 +186,6 @@ def estimate_restricted_ls(
         raise ValidationError("restarts must be >= 1")
     M = A.values
     n = A.n
-    if k == 1:
-        Q = _block_means(M, np.zeros(n, dtype=int), 1, rho)
-        z = np.zeros(n, dtype=int)
-        return BlockFit(z, Q, _objective(M, z, Q), "closed-form")
     best = None
     for r in range(restarts):
         z = stream(seed, "rls", r).integers(0, k, size=n)
@@ -231,11 +227,3 @@ def fit_to_prob_matrix(fit: BlockFit) -> ProbMatrix:
     np.fill_diagonal(T, 0.0)
     return ProbMatrix(T)
 
-
-def lift_to_graphon(fit: BlockFit) -> StepGraphon:
-    """Step graphon with weights n_a/n over the non-empty blocks."""
-    n = fit.labels.size
-    counts = np.bincount(fit.labels, minlength=fit.k)
-    keep = counts > 0
-    Q = fit.block_values[np.ix_(keep, keep)]
-    return StepGraphon(Q, counts[keep] / n)

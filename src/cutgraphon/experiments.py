@@ -5,21 +5,23 @@ chosen by the config's ``level``:
 
 * ``matrix`` (default) — entrywise comparison to Theta:
   ``frobenius`` = ||Phat - Theta||_F / n, ``l1`` = ||Phat - Theta||_1 / n^2,
-  ``cut`` = heuristic cut norm of (Phat - Theta), ``l2`` an alias of
-  ``frobenius``.
+  ``cut`` = heuristic cut norm of (Phat - Theta) from CUT_RESTARTS
+  restarts, ``l2`` an alias of ``frobenius``.
 * ``graphon`` — Phat is lifted to an n-step equal-weight graphon (for the
   adjacency estimator this is exactly the empirical graphon) and compared
-  to the scaled truth with a permutation-search distance upper bound;
-  ``restarts=0`` keeps only the deterministic alignment candidates.
-  ``frobenius`` and ``l1`` stay matrix quantities: the graphon-level
-  ``l1`` row is |Phat - Theta| with the matrix ``L1`` envelope.  delta_1
-  through `delta_upper` at ``restarts=0`` mostly measures how weak those
-  candidates are (0.459 against 0.180 for |Phat - Theta| at n=32, k=4,
-  seed 3), so wiring it and the ``L1graphon`` envelope waits on certified
-  brackets (ROADMAP item 4).
+  to the scaled truth with a permutation-search distance upper bound at
+  m = n; SEARCH_RESTARTS = 0 keeps only the deterministic alignment
+  candidates.  ``frobenius`` and ``l1`` stay matrix quantities: the
+  graphon-level ``l1`` row is |Phat - Theta| with the matrix ``L1``
+  envelope.  delta_1 through `delta_upper` at ``restarts=0`` mostly
+  measures how weak those candidates are (0.459 against 0.180 for
+  |Phat - Theta| at n=32, k=4, seed 3), so wiring it and the ``L1graphon``
+  envelope waits on certified brackets (ROADMAP item 2).
 
 The model behind every grid cell is a fixed banded two-value kernel
 (contrast 0.8, equal weights); k=1 degenerates to the constant 1/2.
+The harness returns a report and writes nothing; `emit` writes it to the
+path its caller chooses (``cutgraphon risk --out``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .sampling import ModelSpec, sample_graph
 
 ESTIMATORS = ("adjacency", "mean", "svt", "rls")
 METRICS = ("cut", "l1", "l2", "frobenius")
+CUT_RESTARTS = 8     # heuristic cut-norm restarts for matrix-level cut risk
+SEARCH_RESTARTS = 0  # random alignment restarts for graphon-level risk
 
 def _theory_regime(metric: str, level: str) -> str:
     if metric == "cut":
@@ -76,8 +80,6 @@ class ExperimentConfig:
     reps: int = 10
     seed: int = 0
     level: str = "matrix"        # comparison level: matrix | graphon
-    restarts: int = 0            # permutation-search restarts for graphon metrics
-    outdir: str = "."
 
     def __post_init__(self):
         if self.level not in ("matrix", "graphon"):
@@ -92,8 +94,6 @@ class ExperimentConfig:
             raise ValidationError("every rho must lie in (0, 1]")
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
-        if self.restarts < 0:
-            raise ValidationError("restarts must be >= 0")
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad or not self.estimators:
             raise ValidationError(f"unknown estimators {sorted(bad)}; "
@@ -104,8 +104,8 @@ class ExperimentConfig:
                                   f"choose from {METRICS}")
 
 
-_INT_KEYS = {"reps", "seed", "restarts"}
-_STR_KEYS = {"outdir", "level"}
+_INT_KEYS = {"reps", "seed"}
+_STR_KEYS = {"level"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -242,10 +242,10 @@ def _risk(metric: str, phat, theta, truth: StepGraphon, cfg: ExperimentConfig,
         D = phat.values - theta.values
         if metric == "cut":
             return float(matrix_cut_norm_heuristic(
-                D, restarts=max(cfg.restarts, 8), seed=seed).value)
+                D, restarts=CUT_RESTARTS, seed=seed).value)
         return float(np.linalg.norm(D) / n)           # l2 at matrix level
     est = delta_upper(empirical_graphon(phat), truth, metric, m=n,
-                      restarts=cfg.restarts, seed=seed)
+                      restarts=SEARCH_RESTARTS, seed=seed)
     return float(est.upper)
 
 

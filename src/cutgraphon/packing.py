@@ -35,6 +35,10 @@ ETA0 = 1.0 / 16.0   # matched-row fraction in the block-matrix spot check
 ETA1 = 7.0 / 8.0    # column-subset fraction in the block-matrix spot check
 BLOCK_TRIES = 64    # sign-matrix draws before rademacher_block_matrix gives up
 MATRIX_PAIRS_TO_CHECK = 20  # element pairs whose cut norm matrix_packing spot-checks
+# Largest Varshamov-Gilbert code size: admits k1 = 128 (2981 vectors) and
+# rejects k1 = 144 (8104), whose matrix family would hold 8104 dense
+# 144 x 144 elements.
+VG_TARGET_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -70,39 +74,35 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, target: Optional[int] = None,
     negation produce the same downstream object).  Stops at ``target``
     elements (default ceil(exp(k1/16))) or when the draw budget runs out;
     in the latter case the achieved code is returned with ``reached``
-    unset.
+    unset.  A target above VG_TARGET_BUDGET raises BudgetError.
     """
     if k1 < 8 or k1 % 2 != 0:
         raise ValidationError(f"need even k1 >= 8, got {k1}")
     if target is None:
-        target = int(np.ceil(np.exp(k1 / 16.0)))
-    target = max(target, 2)
+        target = np.ceil(np.exp(k1 / 16.0))
+    if target > VG_TARGET_BUDGET:
+        raise BudgetError(f"code target {target:.0f} exceeds budget {VG_TARGET_BUDGET}")
+    target = max(int(target), 2)
     if max_draws is None:
         max_draws = 200 * target
     rng = stream(seed, "vg", k1)
     base = np.array([1] * (k1 // 2) + [-1] * (k1 // 2))
-    kept = []
+    kept = np.empty((target, k1), dtype=int)
+    size = sep = 0
     lo, hi = k1 // 4, 3 * k1 // 4
     for _ in range(max_draws):
         v = rng.permutation(base)
-        ok = True
-        for u in kept:
-            d = int(np.sum(u != v))
-            if d <= lo or (two_sided and d >= hi):
-                ok = False
-                break
-        if ok:
-            kept.append(v)
-            if len(kept) >= target:
-                break
-    vecs = np.array(kept, dtype=int)
-    if vecs.shape[0] >= 2:
-        dists = [int(np.sum(vecs[i] != vecs[j]))
-                 for i in range(len(kept)) for j in range(i + 1, len(kept))]
-        sep = min(dists)
-    else:
-        sep = 0
-    return VgCode(vecs, k1, sep, target, vecs.shape[0] >= target, two_sided)
+        if size:
+            d = np.count_nonzero(kept[:size] != v, axis=1)
+            if d.min() <= lo or (two_sided and d.max() >= hi):
+                continue
+            # every pair meets here once, when its later vector is kept
+            sep = int(d.min()) if size == 1 else min(sep, int(d.min()))
+        kept[size] = v
+        size += 1
+        if size >= target:
+            break
+    return VgCode(kept[:size].copy(), k1, sep, target, size >= target, two_sided)
 
 
 # ---------------------------------------------------------------------------

@@ -103,16 +103,3 @@ def reconstruct_from_terms(decomp: RegularityDecomposition, k: int) -> np.ndarra
         out[np.ix_(t.rows, t.cols)] += t.coefficient
     return out
 
-
-def symmetrize_kernel(K: Kernel) -> Kernel:
-    """Average a square kernel with its transpose.
-
-    For a symmetric input graphon the rectangle terms need not be
-    symmetric; averaging the approximant (equivalently the residual) with
-    its transpose restores symmetry without increasing the residual cut
-    norm, since transposing swaps the witness sides.
-    """
-    if K.values.shape[0] != K.values.shape[1]:
-        raise ValidationError("symmetrize_kernel needs a square kernel")
-    return Kernel((K.values + K.values.T) / 2.0, K.row_weights, K.col_weights,
-                  check_range=False)

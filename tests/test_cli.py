@@ -73,6 +73,25 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, rejected", [
+        ("estimate --input {A} --estimator svt --k 9 --rho 0.3 --restarts 7 --seed 5",
+         ["--k", "--rho", "--restarts", "--seed"]),
+        ("distance --a {W} --b {W} --exact --m 4 --restarts 3 --seed 1",
+         ["--m", "--restarts", "--seed"]),
+        ("sample --graphon {W} --k 3 --n 5", ["--k"]),
+        ("packing --kind matrix --n 16 --k 64", ["--k"]),
+        ("cutnorm --input {A} --mode exact --restarts 3 --seed 1", ["--restarts", "--seed"]),
+    ], ids=["estimate-svt", "distance-exact", "sample-graphon", "packing-matrix",
+            "cutnorm-exact"])
+    def test_option_read_only_on_another_branch_exits_2(self, argv, rejected,
+                                                        tmp_path, capsys):
+        A, W = tmp_path / "a.txt", tmp_path / "w.txt"
+        save_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), A)
+        save_stepgraphon(StepGraphon(np.full((1, 1), 0.5), np.ones(1)), W)
+        code, out, err = run(capsys, *(arg.format(A=A, W=W) for arg in argv.split()))
+        assert code == 2 and out == ""
+        assert all(opt in err for opt in rejected)
+
 
 @pytest.fixture
 def graph_file(tmp_path, capsys):
@@ -119,8 +138,9 @@ class TestEstimate:
     def test_each_estimator_writes_prob_matrix(self, estimator, graph_file,
                                                tmp_path, capsys):
         out = tmp_path / f"{estimator}.txt"
+        k = ["--k", "2"] if estimator == "rls" else []
         code, _, _ = run(capsys, "estimate", "--input", str(graph_file),
-                         "--estimator", estimator, "--k", "2", "--out", str(out))
+                         "--estimator", estimator, *k, "--out", str(out))
         assert code == 0
         P = load_matrix(out)
         assert P.shape == (20, 20)
@@ -224,6 +244,11 @@ class TestPacking:
         code, _, _ = run(capsys, "packing", "--kind", "matrix", "--n", "7")
         assert code == 2
 
+    def test_code_over_budget_exits_3(self, capsys):
+        # the code would need ceil(e^16) vectors
+        code, out, err = run(capsys, "packing", "--kind", "matrix", "--n", "256")
+        assert code == 3 and "budget" in err and out == ""
+
 
 class TestRiskAndSlope:
     CONFIG = """
@@ -274,6 +299,13 @@ class TestRiskAndSlope:
         path = tmp_path / "bad.cfg"
         path.write_text("n=16\nk=2\nrho=2.5\n")
         assert run(capsys, "risk", "--config", str(path))[0] == 2
+
+    def test_outdir_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"n=16\nk=2\nrho=1.0\noutdir={tmp_path / 'x'}\n")
+        code, _, err = run(capsys, "risk", "--config", str(path))
+        assert code == 2 and "outdir" in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "slope", "--input", str(tmp_path / "nope.csv"),

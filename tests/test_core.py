@@ -13,7 +13,6 @@ from cutgraphon import (
     blowup,
     empirical_graphon,
     l1_norm,
-    l2_norm,
 )
 from cutgraphon.core import (
     blowup_counts,
@@ -62,11 +61,13 @@ class TestTypes:
         with pytest.raises(ValidationError):
             StepGraphon([[-0.1, 0.2], [0.2, 0.3]], [0.5, 0.5])
 
-    def test_stepgraphon_unbounded_flag(self):
+    def test_stepgraphon_rejects_values_above_one(self):
         with pytest.raises(ValidationError):
             StepGraphon([[1.5, 0.2], [0.2, 0.3]], [0.5, 0.5])
-        w = StepGraphon([[1.5, 0.2], [0.2, 0.3]], [0.5, 0.5], unbounded=True)
-        assert w.unbounded
+        with pytest.raises(ValidationError):
+            parse_stepgraphon("stepgraphon 1\n1.0\n1.5\n")
+        with pytest.raises(ValidationError):
+            empirical_graphon(np.array([[0.0, 2.0], [2.0, 0.0]]))
 
     def test_kernel_range_check_relaxable(self):
         with pytest.raises(ValidationError):
@@ -111,15 +112,9 @@ class TestNorms:
         w = StepGraphon([[0.8, 0.2], [0.2, 0.6]], [0.25, 0.75])
         assert l1_norm(w) == pytest.approx(0.4625, abs=1e-12)
 
-    def test_two_step_l2_value(self):
-        w = StepGraphon([[0.8, 0.2], [0.2, 0.6]], [0.25, 0.75])
-        # sqrt(0.64/16 + 2*0.04*3/16 + 0.36*9/16)
-        assert l2_norm(w) == pytest.approx(np.sqrt(0.2575), abs=1e-12)
-
     def test_matrix_norm_normalization(self):
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert l1_norm(b) == pytest.approx(0.5)
-        assert l2_norm(b) == pytest.approx(np.sqrt(2.0) / 2)
 
     @given(
         st.integers(2, 5),
@@ -134,18 +129,6 @@ class TestNorms:
         w /= w.sum()
         g = StepGraphon(q, w)
         assert l1_norm(g) == pytest.approx(brute_weighted_l1(q, w), rel=1e-12)
-
-    @given(st.integers(2, 6), st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_l2_dominates_l1_for_bounded_kernels(self, k, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.uniform(-1, 1, (k, k))
-        w = rng.uniform(0.1, 1.0, k)
-        w /= w.sum()
-        kern = Kernel(v, w, w)
-        # |v| <= 1 so integral of v^2 <= integral of |v|; also l1 <= l2 by Cauchy-Schwarz
-        assert l1_norm(kern) <= l2_norm(kern) + 1e-12
-        assert l2_norm(kern) <= np.sqrt(l1_norm(kern)) + 1e-12
 
 
 class TestEmpiricalAndBlowup:

@@ -408,9 +408,3 @@ class TestCountingLowerBound:
             lb = delta_cut_lower(A, B)
             ex = delta_exact_tiny(A, B, metric="cut")
             assert lb.value <= ex.upper + 1e-12
-
-    def test_rejects_edgeless_motif(self):
-        W = StepGraphon(np.array([[0.5]]), np.array([1.0]))
-        lone = Motif(1, ())
-        with pytest.raises(ValidationError):
-            delta_cut_lower(W, W, motifs=(lone,))

@@ -8,7 +8,6 @@ import pytest
 from cutgraphon.core import AdjacencyMatrix
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.estimate import (
-    BlockFit,
     SvtConfig,
     edge_density,
     estimate_adjacency,
@@ -17,7 +16,6 @@ from cutgraphon.estimate import (
     estimate_svt,
     exact_restricted_ls,
     fit_to_prob_matrix,
-    lift_to_graphon,
 )
 from cutgraphon.sampling import sample_graph, sbm_spec
 
@@ -140,7 +138,10 @@ class TestRestrictedLs:
         rng = np.random.default_rng(7)
         A = random_graph(rng, 15)
         fit = estimate_restricted_ls(A, 1)
-        assert fit.method == "closed-form"
+        exact = exact_restricted_ls(A, 1)
+        assert np.array_equal(fit.labels, exact.labels)
+        assert np.array_equal(fit.block_values, exact.block_values)
+        assert fit.objective == exact.objective
         assert fit.block_values[0, 0] == pytest.approx(edge_density(A), abs=1e-12)
 
     def test_rho_clips_block_values(self):
@@ -179,25 +180,3 @@ class TestLifting:
         P = fit_to_prob_matrix(fit)
         i, j = 0, 1
         assert P.values[i, j] == fit.block_values[fit.labels[i], fit.labels[j]]
-
-    def test_lift_weights_and_values(self):
-        fit = BlockFit(
-            np.array([0, 0, 1, 1, 1]),
-            np.array([[0.9, 0.2], [0.2, 0.7]]),
-            0.0,
-            "manual",
-        )
-        W = lift_to_graphon(fit)
-        assert np.allclose(W.weights, [0.4, 0.6])
-        assert np.allclose(W.values, fit.block_values)
-
-    def test_lift_drops_empty_blocks(self):
-        fit = BlockFit(
-            np.array([0, 0, 2, 2]),
-            np.array([[0.8, 0.5, 0.2], [0.5, 0.5, 0.5], [0.2, 0.5, 0.6]]),
-            0.0,
-            "manual",
-        )
-        W = lift_to_graphon(fit)
-        assert W.k == 2
-        assert np.allclose(W.values, [[0.8, 0.2], [0.2, 0.6]])

@@ -57,17 +57,14 @@ class TestConfig:
             reps=5
             seed=11
             level=graphon
-            restarts=2
-            outdir=/tmp/out
         """)
         assert cfg.ns == (32, 64)
         assert cfg.ks == (2,)
         assert cfg.rhos == (0.5, 1.0)
         assert cfg.estimators == ("svt",)
         assert cfg.metrics == ("frobenius", "l1")
-        assert (cfg.reps, cfg.seed, cfg.restarts) == (5, 11, 2)
+        assert (cfg.reps, cfg.seed) == (5, 11)
         assert cfg.level == "graphon"
-        assert cfg.outdir == "/tmp/out"
 
     def test_parse_errors(self):
         with pytest.raises(ValidationError):
@@ -78,6 +75,12 @@ class TestConfig:
             parse_config("n=thirty\nk=2\nrho=1\n")
         with pytest.raises(ValidationError):
             parse_config("n 32\nk=2\nrho=1\n")
+
+    @pytest.mark.parametrize("line", ["restarts=2", "outdir=/tmp/out"])
+    def test_retired_keys_rejected(self, line):
+        # search restarts are module constants; `risk --out` sets the directory
+        with pytest.raises(ValidationError, match="unknown key"):
+            parse_config(f"n=32\nk=2\nrho=1\n{line}\n")
 
 
 class TestRateFormula:

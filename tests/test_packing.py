@@ -1,5 +1,7 @@
 """Tests for the packing families and their certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,10 @@ class TestVgCode:
         assert code.size >= 3                      # ceil(e) target
         for v in code.vectors:
             assert v.sum() == 0
-        for i in range(code.size):
-            for j in range(i + 1, code.size):
-                d = int(np.sum(code.vectors[i] != code.vectors[j]))
-                assert d > 4
-                assert d >= code.separation
+        dists = [int(np.sum(code.vectors[i] != code.vectors[j]))
+                 for i in range(code.size) for j in range(i + 1, code.size)]
+        assert min(dists) > 4
+        assert code.separation == min(dists)
 
     def test_minimum_size_instance(self):
         code = varshamov_gilbert_code(8, seed=0)
@@ -51,9 +52,32 @@ class TestVgCode:
                 assert 4 < d < 12
 
     def test_budget_reports_partial_code(self):
-        code = varshamov_gilbert_code(8, seed=0, target=10_000, max_draws=50)
+        code = varshamov_gilbert_code(8, seed=0, target=1000, max_draws=50)
         assert not code.reached
         assert code.size >= 1
+
+    def test_code_pinned(self):
+        # recorded before the pairwise loop became one comparison per draw
+        code = varshamov_gilbert_code(96, seed=0, two_sided=True)
+        digest = hashlib.sha256(np.ascontiguousarray(code.vectors, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "bd1377fcda1b7c2eb3d47805c496ef934926399a203413f6f752ba140f445321")
+        assert (code.size, code.separation, code.reached) == (404, 28, True)
+
+    def test_target_budget(self, monkeypatch):
+        # k1=32 aims at ceil(e^2) = 8 vectors
+        monkeypatch.setattr(packing, "VG_TARGET_BUDGET", 7)
+        with pytest.raises(BudgetError):
+            varshamov_gilbert_code(32)
+        with pytest.raises(BudgetError):
+            varshamov_gilbert_code(16, target=8)
+        monkeypatch.setattr(packing, "VG_TARGET_BUDGET", 8)
+        assert varshamov_gilbert_code(32).size == 8
+
+    def test_default_budget_admits_n128_only(self):
+        assert np.ceil(np.exp(128 / 16)) <= packing.VG_TARGET_BUDGET
+        with pytest.raises(BudgetError):
+            varshamov_gilbert_code(144)
 
 
 class TestRademacherBlock:

@@ -6,11 +6,7 @@ import pytest
 from cutgraphon.core import StepGraphon
 from cutgraphon.cutnorm import step_kernel_cut_norm_exact
 from cutgraphon.errors import BudgetError, ValidationError
-from cutgraphon.regularity import (
-    reconstruct_from_terms,
-    symmetrize_kernel,
-    weak_regularity_approx,
-)
+from cutgraphon.regularity import reconstruct_from_terms, weak_regularity_approx
 
 
 def random_graphon(rng, k, equal=False):
@@ -71,8 +67,7 @@ class TestSmallCases:
         assert dec.terms == ()
         assert dec.stopped_early
         np.testing.assert_allclose(approx.values, 0.0, atol=1e-15)
-        first = step_kernel_cut_norm_exact(
-            symmetrize_kernel(dec.residual)).value
+        first = step_kernel_cut_norm_exact(dec.residual).value
         assert dec.final_cut == pytest.approx(first, abs=1e-12)
 
 
@@ -124,18 +119,3 @@ class TestReconstruction:
         approx, dec = weak_regularity_approx(W, 16)
         distinct = np.unique(np.round(approx.values, 9))
         assert distinct.size <= 2 ** len(dec.terms)
-
-    def test_symmetrizing_never_worsens_residual(self):
-        rng = np.random.default_rng(7)
-        for _ in range(8):
-            W = random_graphon(rng, 7)
-            _, dec = weak_regularity_approx(W, 16)
-            sym = step_kernel_cut_norm_exact(symmetrize_kernel(dec.residual))
-            assert sym.value <= dec.final_cut + 1e-12
-
-    def test_symmetrize_rejects_rectangular(self):
-        from cutgraphon.core import Kernel
-        K = Kernel(np.zeros((2, 3)), np.ones(2), np.ones(3),
-                   check_range=False)
-        with pytest.raises(ValidationError):
-            symmetrize_kernel(K)
