@@ -31,6 +31,7 @@ from .errors import BudgetError, ValidationError
 
 METRICS = ("cut", "l1", "l2")
 DEFAULT_M_CAP = 64
+REFINE_TOL = 1e-9  # how far m * weight may sit from an integer and still refine
 EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
@@ -119,10 +120,10 @@ def homomorphism_density(motif: Motif, W: StepGraphon) -> float:
 # common refinement
 
 
-def _exactly_refinable(W: StepGraphon, m: int, tol: float = 1e-9) -> bool:
+def _exactly_refinable(W: StepGraphon, m: int) -> bool:
     r = W.weights * m
     rounded = np.rint(r)
-    return bool(np.all(np.abs(r - rounded) <= tol) and np.all(rounded >= 1))
+    return bool(np.all(np.abs(r - rounded) <= REFINE_TOL) and np.all(rounded >= 1))
 
 
 def common_refinement_m(W1: StepGraphon, W2: StepGraphon, cap: int = DEFAULT_M_CAP):

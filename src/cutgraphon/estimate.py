@@ -8,6 +8,13 @@ Three estimators, in increasing order of structure:
 * restricted least squares over k-block matrices with entries in
   [0, rho], fitted by alternating minimization with restarts, plus an
   exact enumerator for tiny instances to validate against.
+
+The label sweep of the alternating fit screens SWEEP_BLOCK nodes at a time
+with one matrix product and skips the nodes that the screen proves cannot
+move; every other node gets the same per-node cost and move rule as a plain
+node-by-node sweep.  The screen only decides which nodes to skip, and skips
+only what a rounding bound certifies, so the labels, block values and
+objective of every fit are bit-identical to the plain sweep's.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .errors import BudgetError, ValidationError
 
 ENUM_BUDGET = 2_000_000
 RLS_MAX_SWEEPS = 50  # label sweeps per restart of the alternating fit
+SWEEP_BLOCK = 64  # nodes screened by one product in a label sweep
 
 
 def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
@@ -138,30 +146,106 @@ def _objective(A: np.ndarray, z: np.ndarray, Q: np.ndarray) -> float:
     return float((R**2).sum())
 
 
+def _sweep_margin(n: int, k: int) -> float:
+    """How far above a node's own screened cost every other label must screen
+    for the node to be skipped: a proven rounding bound, with headroom.
+
+    With u = 2**-53 and gamma_m = m*u / (1 - m*u), a length-m dot product in
+    any summation order, with or without FMA, is off by at most gamma_m times
+    the sum of the absolute products.  Q lies in [0, rho] within [0, 1], so
+    |-2Q| <= 2 and Q**2 <= 1 entrywise; a column of the block sums sT sums to
+    the node's degree <= n - 1 and `counts` sums to n.  So for each label a
+    the absolute products of both dot products add up to at most
+    2(n - 1) + n <= 3n.
+      exact:  (Qm2 @ sT[:, p]) + (Q2 @ cex), two products and one add:
+              error <= gamma_(k+1) * 3n;
+      screen: (Qm2 @ sT[:, p]) + (Q2 @ counts) - Q2[a, cur], two
+              products, one add and one subtract of a term <= 1:
+              error <= gamma_(k+2) * (3n + 1).
+    So the routes differ by d <= 2 * gamma_(k+2) * (3n + 1).  The skip test
+    C[a] >= fl(C[cur] + (margin - 1e-12)) and the move test
+    cost[a] < fl(cost[cur] - 1e-12) each round once more, by at most
+    u * (3n + 1) (plus u * 1e-11 for the constant).  A skipped node thus has
+    cost[a] >= fl(cost[cur] - 1e-12) for every a whenever
+    margin >= 2d + 2u(3n + 1) + tiny, i.e. about (4.1(k + 2) + 2.1)u(3n + 1).
+    The margin below is 16(k + 2)u(3n + 1): at least three times that.
+    """
+    return 16.0 * (k + 2) * 2.0**-53 * (3 * n + 1)
+
+
+def _screen_costs(Qm2, Q2, sT, counts, z, i: int, j: int) -> np.ndarray:
+    """k x (j - i) costs of nodes i..j-1, every label at once, up to rounding.
+
+    Column p - i is node p's exact cost with cex = counts - e_{z[p]} expanded:
+    Q2 @ cex = Q2 @ counts - Q2[:, z[p]].
+    """
+    return Qm2 @ sT[:, i:j] + (Q2 @ counts)[:, None] - Q2[:, z[i:j]]
+
+
+def _node_cost(Qm2, Q2, sT, counts, p: int, cur: int) -> np.ndarray:
+    """Node p's relabel cost for every label, as the plain sweep rounds it."""
+    cex = counts.copy()
+    cex[cur] -= 1.0  # exclude node p itself from its own block count
+    # cost(a) = -2 <Q[a], s_p> + <Q[a]^2, counts-without-p>, doubled by
+    # symmetry; constant terms dropped.  The copy hands BLAS a contiguous
+    # vector whatever the stride of sT.
+    return Qm2 @ sT[:, p].copy() + Q2 @ cex
+
+
 def _label_sweep(A: np.ndarray, z: np.ndarray, Q: np.ndarray) -> bool:
-    """One sequential pass of single-node relabel moves; True if any changed."""
+    """One sequential pass of single-node relabel moves; True if any changed.
+
+    Nodes are visited in order 0..n-1 and a node moves to the argmin of its
+    exact cost when that beats its current label by more than 1e-12.  To
+    skip that work, each block of SWEEP_BLOCK unvisited nodes is screened
+    with one product (`_screen_costs`); a node whose every other label
+    screens at least `_sweep_margin` above its own cannot move and is
+    skipped.  The rest take the exact cost and move rule.  A move changes
+    the block sums, so the screen certifies nothing after it: a run of
+    consecutive nodes that the screen left unsure is visited exactly while
+    they keep moving (the dense moves of the first sweeps), and the screen
+    restarts at the first node past that run.  Any node may be visited
+    exactly, and only certified nodes are skipped, so the labels match the
+    node-by-node sweep bit for bit.  A must be symmetric (sT keeps A's rows
+    as its columns).
+    """
     n = A.shape[0]
     k = Q.shape[0]
+    Qm2 = -2.0 * Q
+    Q2 = Q**2
     Z = np.zeros((n, k))
     Z[np.arange(n), z] = 1.0
     counts = Z.sum(axis=0)
-    s = A @ Z  # s[i, b] = sum of A_ij over j with z_j = b (diag of A is 0)
+    sT = Z.T @ A  # sT[b, i] = sum of A_ij over j with z_j = b (diag of A is 0)
+    slack = _sweep_margin(n, k) - 1e-12
     changed = False
-    for i in range(n):
-        cur = z[i]
-        cex = counts.copy()
-        cex[cur] -= 1.0  # exclude node i itself from its own block count
-        # cost(a) = -2 <Q[a], s_i> + <Q[a]^2, counts-without-i>, doubled by
-        # symmetry; constant terms dropped
-        cost = -2.0 * Q @ s[i] + (Q**2) @ cex
-        a = int(np.argmin(cost))
-        if cost[a] < cost[cur] - 1e-12:
-            z[i] = a
-            counts[cur] -= 1.0
-            counts[a] += 1.0
-            s[:, cur] -= A[:, i]
-            s[:, a] += A[:, i]
-            changed = True
+    i = 0
+    while i < n:
+        j = min(i + SWEEP_BLOCK, n)
+        C = _screen_costs(Qm2, Q2, sT, counts, z, i, j)
+        cols = np.arange(j - i)
+        own = C[z[i:j], cols]
+        C[z[i:j], cols] = np.inf
+        unsure = (C.min(axis=0) < own + slack).nonzero()[0]
+        start, i = i, j
+        stale = False  # a move since the screen: it certifies nothing more
+        for p in (start + unsure).tolist():
+            if stale and p != i:
+                break  # a node the stale screen passed: screen again from i
+            cur = z[p]
+            cost = _node_cost(Qm2, Q2, sT, counts, p, cur)
+            a = int(cost.argmin())
+            if cost[a] < cost[cur] - 1e-12:
+                z[p] = a
+                counts[cur] -= 1.0
+                counts[a] += 1.0
+                sT[cur] -= A[p]
+                sT[a] += A[p]
+                changed = stale = True
+                i = p + 1
+            elif stale:
+                i = p + 1
+                break
     return changed
 
 

@@ -1,10 +1,15 @@
 """Tests for the probability-matrix estimators."""
 
+import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cutgraphon import estimate
 from cutgraphon.core import AdjacencyMatrix
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.estimate import (
@@ -17,6 +22,7 @@ from cutgraphon.estimate import (
     exact_restricted_ls,
     fit_to_prob_matrix,
 )
+from cutgraphon.experiments import default_model
 from cutgraphon.sampling import sample_graph, sbm_spec
 
 
@@ -46,6 +52,59 @@ def oracle_rls(M, k, rho):
         if best is None or obj < best:
             best = obj
     return best
+
+
+def reference_label_sweep(A, z, Q):
+    """The node-by-node sweep that the screened sweep must reproduce bit for bit."""
+    n = A.shape[0]
+    k = Q.shape[0]
+    Z = np.zeros((n, k))
+    Z[np.arange(n), z] = 1.0
+    counts = Z.sum(axis=0)
+    s = A @ Z  # s[i, b] = sum of A_ij over j with z_j = b (diag of A is 0)
+    changed = False
+    for i in range(n):
+        cur = z[i]
+        cex = counts.copy()
+        cex[cur] -= 1.0  # exclude node i itself from its own block count
+        # cost(a) = -2 <Q[a], s_i> + <Q[a]^2, counts-without-i>, doubled by
+        # symmetry; constant terms dropped
+        cost = -2.0 * Q @ s[i] + (Q**2) @ cex
+        a = int(np.argmin(cost))
+        if cost[a] < cost[cur] - 1e-12:
+            z[i] = a
+            counts[cur] -= 1.0
+            counts[a] += 1.0
+            s[:, cur] -= A[:, i]
+            s[:, a] += A[:, i]
+            changed = True
+    return changed
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(A, z, Q, rho): labels may leave blocks empty; Q may repeat rows
+    exactly, take tied grid values or be clipped at rho = 0.25."""
+    n = draw(st.integers(1, 150))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    A = random_graph(rng, n, p).values
+    z = rng.integers(0, draw(st.integers(1, k)), size=n)
+    rho = draw(st.sampled_from([1.0, 0.25]))
+    kind = draw(st.sampled_from(["fit", "uniform", "grid", "duplicate"]))
+    if kind == "fit":
+        Q = estimate._block_means(A, z, k, rho)
+    else:
+        distinct = draw(st.integers(1, k)) if kind == "duplicate" else k
+        if kind == "grid":
+            B = rng.choice([0.0, 0.25, 0.5, 1.0], size=(distinct, distinct))
+        else:
+            B = rng.uniform(0, 1, (distinct, distinct))
+        rows = rng.integers(0, distinct, size=k) if kind == "duplicate" else np.arange(k)
+        B = np.triu(B) + np.triu(B, 1).T
+        Q = np.clip(B[np.ix_(rows, rows)], 0.0, rho)
+    return A, z, Q, rho
 
 
 class TestSimpleEstimators:
@@ -134,6 +193,25 @@ class TestRestrictedLs:
             hits += abs(am.objective - ex.objective) < 1e-9
         assert hits >= 18
 
+    def test_exact_matches_oracle_below_rho_one(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            A = random_graph(rng, 4)
+            got = exact_restricted_ls(A, 2, rho=0.25).objective
+            assert got == pytest.approx(oracle_rls(A.values, 2, 0.25), abs=1e-10)
+
+    def test_alternating_vs_exact_below_rho_one(self):
+        rng = np.random.default_rng(6)
+        hits = 0
+        for t in range(20):
+            A = random_graph(rng, 5)
+            ex = exact_restricted_ls(A, 2, rho=0.25)
+            assert ex.objective == pytest.approx(oracle_rls(A.values, 2, 0.25), abs=1e-10)
+            am = estimate_restricted_ls(A, 2, rho=0.25, restarts=16, seed=t)
+            assert am.objective >= ex.objective - 1e-9
+            hits += abs(am.objective - ex.objective) < 1e-9
+        assert hits >= 18
+
     def test_k1_closed_form(self):
         rng = np.random.default_rng(7)
         A = random_graph(rng, 15)
@@ -170,6 +248,73 @@ class TestRestrictedLs:
             estimate_restricted_ls(A, 2, rho=1.5)
         with pytest.raises(ValidationError):
             estimate_restricted_ls(A, 2, restarts=0)
+
+
+class TestLabelSweep:
+    @pytest.mark.parametrize("block", [None, 1, 7, "n+1"])
+    @given(case=sweep_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_node_by_node_sweep(self, block, case):
+        A, z, Q, rho = case
+        k = Q.shape[0]
+        size = {None: estimate.SWEEP_BLOCK, "n+1": A.shape[0] + 1}.get(block, block)
+        z_ref = z.copy()
+        with mock.patch.object(estimate, "SWEEP_BLOCK", size):
+            # a few sweeps with block means in between, as the fit runs them
+            for _ in range(3):
+                moved_ref = reference_label_sweep(A, z_ref, Q)
+                moved = estimate._label_sweep(A, z, Q)
+                assert moved == moved_ref
+                assert np.array_equal(z, z_ref)
+                if not moved:
+                    break
+                Q = estimate._block_means(A, z, k, rho)
+
+    @pytest.mark.parametrize(
+        "n, k, p, rho", [(2048, 16, 0.5, 1.0), (2048, 2, 0.95, 1.0), (1024, 8, 0.3, 0.25),
+                         (512, 5, 0.9, 1.0), (64, 16, 0.5, 1.0), (7, 3, 0.5, 0.25)]
+    )
+    def test_screen_error_is_far_inside_margin(self, n, k, p, rho):
+        # every label's screened cost against the exact one, on whole sweeps'
+        # worth of nodes; the margin is a proven bound, this is its headroom
+        rng = np.random.default_rng(n + k)
+        A = random_graph(rng, n, p).values
+        z = rng.integers(0, k, size=n)
+        Q = rng.uniform(0, rho, (k, k))
+        Q = np.triu(Q) + np.triu(Q, 1).T
+        Qm2, Q2 = -2.0 * Q, Q**2
+        Z = np.zeros((n, k))
+        Z[np.arange(n), z] = 1.0
+        counts = Z.sum(axis=0)
+        sT = Z.T @ A
+        worst = 0.0
+        for i in range(0, n, estimate.SWEEP_BLOCK):
+            j = min(i + estimate.SWEEP_BLOCK, n)
+            C = estimate._screen_costs(Qm2, Q2, sT, counts, z, i, j)
+            for p_ in range(i, j):
+                exact = estimate._node_cost(Qm2, Q2, sT, counts, p_, z[p_])
+                worst = max(worst, float(np.abs(C[:, p_ - i] - exact).max()))
+        assert worst <= estimate._sweep_margin(n, k) / 16
+
+    @pytest.mark.parametrize(
+        "k, rho, digest, objective",
+        [
+            (2, 1.0, "78225f1b7db95dd7ed366a8802fe8f385d0527940c6583527eac4fbddaaa6293",
+             "65305.06643615011"),
+            (8, 0.25, "aef6aeebe6843ba0c988f237f79909e0085a351afcdf96f5478d92def92f7e96",
+             "27504.049876591285"),
+        ],
+        ids=["k2-rho1", "k8-rho0.25"],
+    )
+    def test_benchmark_size_fits_are_pinned(self, k, rho, digest, objective):
+        # the risk harness's rls call at the benchmark's n = 512, many blocks
+        # per sweep; recorded with the node-by-node sweep
+        _, _, A = sample_graph(default_model(k, rho), 512, 0)
+        fit = estimate_restricted_ls(A, k, rho=rho, restarts=4, seed=0)
+        labels = np.asarray(fit.labels, dtype=np.int64)
+        got = hashlib.sha256(labels.tobytes() + fit.block_values.tobytes()).hexdigest()
+        assert got == digest
+        assert repr(fit.objective) == objective
 
 
 class TestLifting:
