@@ -14,11 +14,19 @@ where rearrangements become permutations of [m]:
   refine exactly) — the oracle the search is validated against.
 * `delta_cut_lower` turns homomorphism-density gaps into lower bounds via
   the counting inequality |t(F,W1) - t(F,W2)| <= 4 e(F) delta_cut.
+
+Both enumerations are screened (`_min_over_permutations`): one permutation
+per distinct arrangement of the second graphon's equal steps, every value
+screened in one batched pass, and the scalar norm taken only where the
+screen, less a proven rounding margin, could beat the running best.  The
+first optimum in lexicographic order is returned, and the permutation and
+value are bit-identical to scoring all m! permutations one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,6 +44,7 @@ EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
 _COST_BLOCK = 2**22  # elements per temporary while the row cost is filled
+_SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened
 # Swap descent picks its branch by size.  Up to FULL_SWEEP_M steps it makes at
 # most FULL_SWEEPS lexicographic sweeps over all pairs and stops after a sweep
 # that improves nothing: at most 12*C(16,2) = 1440 objective calls, 336 at
@@ -178,16 +187,111 @@ def permuted_difference_norm(
     return _difference_norm(D1 - D2[np.ix_(p, p)], metric, restarts, seed)
 
 
-def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
-    """Exact min over all m! permutations of ||D1 - P D2 P^T||; first optimum wins."""
+def _arrangements(D2: np.ndarray) -> np.ndarray:
+    """The lexicographically first permutation of each distinct arrangement of D2's steps.
+
+    Indices in one run of equal rows and equal columns of D2 are
+    interchangeable: permutations that differ only within runs give a
+    bit-identical D2[p][:, p].  Among them the lexicographically first keeps
+    each run's indices in increasing order.  Returns a table with one
+    permutation per row, in lexicographic order.
+    """
+    m = D2.shape[0]
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(m))),
+        dtype=np.int8, count=math.factorial(m) * m,
+    ).reshape(-1, m)
+    _, runs = _row_runs(np.hstack((D2, D2.T)))
+    keep = np.ones(len(table), dtype=bool)
+    for i in np.flatnonzero(runs[1:] == runs[:-1]).tolist():
+        keep &= (table == i).argmax(axis=1) < (table == i + 1).argmax(axis=1)
+    return table[keep]
+
+
+def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str) -> np.ndarray:
+    """Every permutation's ||D1 - P D2 P^T|| up to rounding, in one batched pass.
+
+    The permuted differences are bit-identical to the scalar path's; only the
+    order of the sums differs (see `_screen_margin`).  For cut, one product of
+    the 2^m subset masks against the stacked differences gives every subset's
+    column sums; temporaries stay within _SCREEN_BLOCK elements.
+    """
     m = D1.shape[0]
+    out = np.empty(len(perms))
+    if metric == "cut":
+        masks = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+        step = max(1, _SCREEN_BLOCK // ((1 << m) * m))
+    else:
+        step = max(1, _SCREEN_BLOCK // (m * m))
+    for a in range(0, len(perms), step):
+        P = perms[a : a + step]
+        D = D1 - D2[P[:, :, None], P[:, None, :]]
+        if metric == "l1":
+            out[a : a + step] = np.abs(D).mean(axis=(1, 2))
+        elif metric == "l2":
+            out[a : a + step] = np.sqrt((D**2).mean(axis=(1, 2)))
+        else:
+            # C[s, j, q]: column j's sum over subset s of permutation q's rows
+            C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(1 << m, m, len(P))
+            pos = np.maximum(C, 0.0).sum(axis=1)
+            neg = -np.minimum(C, 0.0).sum(axis=1)
+            out[a : a + step] = np.maximum(pos, neg).max(axis=0) / m**2
+    return out
+
+
+def _screen_margin(m: int) -> float:
+    """How far below the running best a screened value must reach for its
+    permutation to be scored: a proven rounding bound, with headroom.
+
+    With u = 2**-53 and gamma_n = n*u / (1 - n*u), a sum of n terms in any
+    order, with or without FMA, is off by at most gamma_n times the sum of
+    their absolute values.  Entries of StepGraphon values lie in
+    [0, 1 + 1e-12], so |D| <= d = 1 + 1e-12.  The screen and the scalar path
+    (`_difference_norm`) take the same D and differ only in summation order:
+      cut: a subset's column sums have at most m terms (the 0/1 mask
+           products are exact): error <= gamma_m * m * d each.  The positive
+           and the negative part are 1-Lipschitz in those sums and add m
+           terms of size <= m * d, so each is off by <= 2 gamma_m m^2 d, and
+           taking maxima adds nothing.  Dividing by m^2 rounds once more:
+           each route is within (2m + 1) u d of the exact value, to first
+           order.
+      l1:  a mean of m^2 terms <= d: within (m^2 + 1) u d.
+      l2:  squares, a mean and a square root: within ((m^2 + 1)/2 + 1) u d.
+    So the two routes differ by at most 2 max(2m + 1, m^2 + 1) u d, and the
+    skip test fl(screen - margin) >= best rounds once more, by at most
+    u (d + margin).  A skipped permutation's scalar value is then at least
+    fl(screen - margin) >= best >= fl(best - 1e-18), so it could not have
+    replaced the best, whenever margin >= (2m^2 + 4m + 5) * 1.01 u.  The
+    margin below is 8 (m + 2)^2 u: at least three times that for every m.
+    """
+    return 8.0 * (m + 2) ** 2 * 2.0**-53
+
+
+def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
+    """Exact min over all m! permutations of ||D1 - P D2 P^T||; first optimum wins.
+
+    Screened enumeration: the permutations are visited in lexicographic
+    order, one per distinct arrangement of D2's equal steps (`_arrangements`;
+    a later duplicate has a bit-identical value and could never win).  All
+    of them are screened at once (`_screen`), and the scalar norm is taken
+    only where the screen, less `_screen_margin`, lies below the running
+    best; any other permutation is certified not to beat it.  The returned
+    permutation and value are bit-identical to scoring every permutation.
+    """
+    m = D1.shape[0]
+    perms = _arrangements(D2)
+    lo = _screen(D1, D2, perms, metric) - _screen_margin(m)
     best_val, best_perm = np.inf, None
-    for p in itertools.permutations(range(m)):
-        perm = np.array(p, dtype=int)
-        val = _difference_norm(D1 - D2[np.ix_(perm, perm)], metric, 0, 0)
-        if val < best_val - 1e-18:
-            best_val, best_perm = val, perm
-    return best_perm, best_val
+    start = 0
+    while True:
+        for i in (start + np.flatnonzero(lo[start:] < best_val)).tolist():
+            perm = perms[i].astype(int)
+            val = _difference_norm(D1 - D2[np.ix_(perm, perm)], metric, 0, 0)
+            if val < best_val - 1e-18:
+                best_val, best_perm, start = val, perm, i + 1
+                break  # a lower best: screen the rest against it
+        else:
+            return best_perm, best_val
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +453,11 @@ def delta_upper(
 ) -> DistanceEstimate:
     """Search upper bound on delta_metric via blow-up + permutation search.
 
-    With m <= ENUMERATE_M every permutation is tried and the first optimum
-    is returned, so ``upper`` equals `delta_exact_tiny` on the same
-    blow-ups and ``detail["enumerated"]`` is True; `restarts` and `seed`
-    then play no part.  ``lower`` stays 0: a finer refinement can pair
+    With m <= ENUMERATE_M the enumeration is exact (screened enumeration,
+    first optimum, bit-identical to trying every permutation), so ``upper``
+    equals `delta_exact_tiny` on the same blow-ups and
+    ``detail["enumerated"]`` is True; `restarts` and `seed` then play no
+    part.  ``lower`` stays 0: a finer refinement can pair
     parts of steps and go below the optimum over permutations.  Otherwise the
     candidate alignments are: identity, row-mean rank matching, greedy row
     matching (both directions), plus `restarts` random permutations; when
@@ -387,6 +492,9 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     """Enumerate all m! permutations of the smallest exact common refinement.
 
     Requires both weight vectors to refine exactly into m <= 8 equal steps.
+    Screened enumeration, first optimum, bit-identical: only one
+    permutation per distinct arrangement of W2's equal steps is scored, and
+    only where a batched screen says it could win (`_min_over_permutations`).
     ``upper`` is the exact minimum over permutations of that refinement,
     which bounds delta_metric from above; a finer refinement can pair parts
     of steps and go lower, so ``lower`` is 0.

@@ -275,10 +275,9 @@ def estimate_restricted_ls(
         z = stream(seed, "rls", r).integers(0, k, size=n)
         Q = _block_means(M, z, k, rho)
         for _ in range(RLS_MAX_SWEEPS):
-            moved = _label_sweep(M, z, Q)
+            if not _label_sweep(M, z, Q):
+                break  # z is unchanged, so Q already holds its block means
             Q = _block_means(M, z, k, rho)
-            if not moved:
-                break
         obj = _objective(M, z, Q)
         if best is None or obj < best.objective - 1e-12:
             best = BlockFit(z.copy(), Q, obj, "alternating")

@@ -86,6 +86,18 @@ def oracle_delta(W1, W2, metric, m):
     return best
 
 
+def reference_min_over_permutations(D1, D2, metric):
+    """The plain enumeration loop: every permutation scored, first optimum wins."""
+    m = D1.shape[0]
+    best_val, best_perm = np.inf, None
+    for p in itertools.permutations(range(m)):
+        perm = np.array(p, dtype=int)
+        val = distance._difference_norm(D1 - D2[np.ix_(perm, perm)], metric, 0, 0)
+        if val < best_val - 1e-18:
+            best_val, best_perm = val, perm
+    return best_perm, best_val
+
+
 def _counts(W, m):
     c = np.rint(W.weights * m).astype(int)
     assert c.sum() == m
@@ -100,6 +112,38 @@ def random_refinable(rng, m=6):
     cuts = sorted(rng.choice(np.arange(1, m), size=k - 1, replace=False)) if k > 1 else []
     counts = np.diff([0] + list(cuts) + [m])
     return StepGraphon(V, counts / m)
+
+
+def step_matrix(rng, m, values, steps):
+    """Symmetric m x m blow-up with entries in [0, 1].
+
+    ``values`` is "uniform" or "grid" ({0, 1/4, 1/2, 1}, where many
+    permutations tie); ``steps`` is "distinct" (m steps) or "repeated"
+    (one to three steps of random lengths, as in the k=2 packing).
+    """
+    k = m if steps == "distinct" else int(rng.integers(1, min(3, m) + 1))
+    cuts = sorted(rng.choice(np.arange(1, m), size=k - 1, replace=False)) if k > 1 else []
+    counts = np.diff([0] + list(cuts) + [m])
+    if values == "grid":
+        V = rng.choice([0.0, 0.25, 0.5, 1.0], (k, k))
+    else:
+        V = rng.uniform(0, 1, (k, k))
+    V = np.triu(V) + np.triu(V, 1).T
+    idx = np.repeat(np.arange(k), counts)
+    return V[np.ix_(idx, idx)]
+
+
+@st.composite
+def enumeration_cases(draw):
+    m = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["uniform", "grid"]))
+    D1 = step_matrix(rng, m, values, draw(st.sampled_from(["distinct", "repeated"])))
+    if draw(st.booleans()):
+        D2 = D1.copy()  # W1 == W2: every automorphism ties with the identity
+    else:
+        D2 = step_matrix(rng, m, values, draw(st.sampled_from(["distinct", "repeated"])))
+    return D1, D2
 
 
 def uneven_blowup(rng, k, m, layout):
@@ -382,6 +426,81 @@ class TestDistances:
         B = StepGraphon(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
             delta_exact_tiny(A, B)
+
+
+# ---------------------------------------------------------------------------
+# screened enumeration
+
+
+class TestScreenedEnumeration:
+    @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
+    @given(case=enumeration_cases(), block=st.sampled_from([None, 1, 1001]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_plain_enumeration(self, metric, case, block):
+        # block = 1 screens one permutation per product, 1001 an odd number
+        D1, D2 = case
+        with mock.patch.object(distance, "_SCREEN_BLOCK", block or distance._SCREEN_BLOCK):
+            perm, val = distance._min_over_permutations(D1, D2, metric)
+        ref_perm, ref_val = reference_min_over_permutations(D1, D2, metric)
+        assert np.array_equal(perm, ref_perm) and perm.dtype == ref_perm.dtype
+        assert val == ref_val
+
+    @pytest.mark.parametrize(
+        "metric, values, steps1, steps2",
+        [("l1", "uniform", "distinct", "distinct"), ("l2", "grid", "distinct", "repeated")],
+    )
+    def test_matches_plain_enumeration_at_eight_steps(self, metric, values, steps1, steps2):
+        rng = np.random.default_rng(8)
+        D1 = step_matrix(rng, 8, values, steps1)
+        D2 = step_matrix(rng, 8, values, steps2)
+        perm, val = distance._min_over_permutations(D1, D2, metric)
+        ref_perm, ref_val = reference_min_over_permutations(D1, D2, metric)
+        assert np.array_equal(perm, ref_perm)
+        assert val == ref_val
+
+    @pytest.mark.parametrize(
+        "steps1, perm, val",
+        [("repeated", [2, 3, 1, 0, 5, 6, 7, 4], "0.086153345792497"),
+         ("distinct", [1, 0, 3, 5, 2, 7, 4, 6], "0.10678516906401478")],
+    )
+    def test_cut_at_eight_steps_is_pinned(self, steps1, perm, val):
+        # recorded from the plain loop, which takes 4-7 s per pair at m = 8
+        rng = np.random.default_rng(8)
+        D1 = step_matrix(rng, 8, "uniform", steps1)
+        D2 = step_matrix(rng, 8, "uniform", "distinct")
+        got_perm, got_val = distance._min_over_permutations(D1, D2, "cut")
+        assert got_perm.tolist() == perm
+        assert repr(got_val) == val
+
+    @given(st.integers(1, 7), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_arrangements_keep_the_first_of_each(self, m, seed):
+        rng = np.random.default_rng(seed)
+        D2 = step_matrix(rng, m, "grid", "repeated")
+        _, runs = distance._row_runs(D2)
+        first = {}
+        for p in itertools.permutations(range(m)):
+            first.setdefault(tuple(runs[list(p)]), p)
+        want = sorted(first.values())
+        assert distance._arrangements(D2).tolist() == [list(p) for p in want]
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
+    def test_screen_error_is_far_inside_margin(self, metric, m):
+        # every screened value against the scalar one; the margin is a proven
+        # bound, this is its headroom
+        rng = np.random.default_rng(m)
+        D1 = step_matrix(rng, m, "uniform", "distinct")
+        D2 = step_matrix(rng, m, "uniform", "distinct")
+        perms = distance._arrangements(D2)
+        if len(perms) > 2000:
+            perms = perms[rng.choice(len(perms), 2000, replace=False)]
+        screen = distance._screen(D1, D2, perms, metric)
+        worst = 0.0
+        for p, s in zip(perms.astype(int), screen):
+            exact = distance._difference_norm(D1 - D2[np.ix_(p, p)], metric, 0, 0)
+            worst = max(worst, abs(s - exact))
+        assert worst <= distance._screen_margin(m) / 16
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cutgraphon import packing
-from cutgraphon.distance import delta_cut_lower
+from cutgraphon import distance, packing
+from cutgraphon.core import blowup
+from cutgraphon.distance import delta_cut_lower, delta_exact_tiny
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.packing import (
     PackingFamily,
@@ -204,6 +205,15 @@ class TestGraphonPacking:
         np.testing.assert_allclose(fam.elements[0].weights, [5 / 8, 3 / 8])
         np.testing.assert_allclose(fam.elements[1].weights, [3 / 8, 5 / 8])
         np.testing.assert_allclose(fam.elements[0].values, [[1, 1], [1, 0]])
+
+    def test_two_step_separation_is_pinned(self):
+        # m = 8 with steps of 5 and 3 slots: 56 distinct arrangements of the
+        # 40320 permutations; the first optimum in lexicographic order wins
+        fam = graphon_packing(2, 256)
+        assert repr(fam.separation_lower) == "0.25"
+        est = delta_exact_tiny(fam.elements[0], fam.elements[1], "cut")
+        assert est.permutation.tolist() == list(range(8))
+        assert len(distance._arrangements(blowup(fam.elements[1], 8).values)) == 56
 
     def test_full_construction_bookkeeping(self):
         fam = graphon_packing(64, 64, seed=0, samples=5, pairs_to_check=3)
