@@ -201,26 +201,17 @@ def matrix_cut_norm_heuristic(B, restarts: int = 16, seed: int = 0) -> CutNormRe
 # infinity-to-one norm and the factor-4 sandwich
 
 
-def inf1_norm(
-    B,
-    method: str = "auto",
-    restarts: int = 32,
-    seed: int = 0,
-) -> CutNormResult:
+def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
     """||B||_{inf->1} / n^2 = max_{f,g in {-1,1}^n} f^T B g / n^2.
 
-    Exact by enumerating g (with g_1 fixed: f^T B g is even in (f,g)) for
-    n <= INF1_EXACT_BUDGET, else alternating signs heuristic, which needs
-    restarts >= 1. Witnesses are the sign vectors (f, g).
+    Exact by enumerating g (with g_1 fixed: f^T B g is even in (f,g)) when
+    n <= INF1_EXACT_BUDGET; above it a lower bound from the alternating
+    signs heuristic, which needs restarts >= 1. Witnesses are the sign
+    vectors (f, g).
     """
     a = _as_array(B)
     n = a.shape[0]
-    if method not in ("auto", "exact", "heuristic"):
-        raise ValidationError(f"unknown inf1 method {method!r}")
-    use_exact = method == "exact" or (method == "auto" and n <= INF1_EXACT_BUDGET)
-    if use_exact:
-        if n > INF1_EXACT_BUDGET:
-            raise BudgetError(f"inf1_norm exact: n={n} exceeds budget {INF1_EXACT_BUDGET}")
+    if n <= INF1_EXACT_BUDGET:
         idx = np.arange(1 << max(n - 1, 0), dtype=np.int64)
         G = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1)) & 1)
         G = np.hstack([np.ones((G.shape[0], 1)), G]) if n > 1 else np.ones((1, 1))

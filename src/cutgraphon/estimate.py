@@ -4,7 +4,8 @@ Three estimators, in increasing order of structure:
 
 * identity (the graph itself) and the global mean,
 * spectral truncation: keep eigenpairs with |eigenvalue| above
-  c * sqrt(n * rho_hat), then clip into [0,1] with a zero diagonal,
+  SVT_C * sqrt(n * edge density), then clip into [0,1] with a zero
+  diagonal,
 * restricted least squares over k-block matrices with entries in
   [0, rho], fitted by alternating minimization with restarts, plus an
   exact enumerator for tiny instances to validate against.
@@ -32,6 +33,7 @@ from .errors import BudgetError, ValidationError
 ENUM_BUDGET = 2_000_000
 RLS_MAX_SWEEPS = 50  # label sweeps per restart of the alternating fit
 SWEEP_BLOCK = 64  # nodes screened by one product in a label sweep
+SVT_C = 2.1  # spectral threshold in units of sqrt(n * edge density)
 
 
 def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
@@ -57,13 +59,11 @@ def edge_density(A: AdjacencyMatrix) -> float:
 
 @dataclass(frozen=True)
 class SvtConfig:
-    """Threshold c*sqrt(n*rho_hat); rho_hat defaults to the edge density.
+    """Threshold SVT_C*sqrt(n*edge_density(A)).
 
     `threshold` overrides the formula entirely (0 keeps every eigenpair).
     """
 
-    c: float = 2.1
-    rho_hat: Optional[float] = None
     threshold: Optional[float] = None
 
 
@@ -80,17 +80,11 @@ class SvtEstimate:
 
 def estimate_svt(A: AdjacencyMatrix, config: SvtConfig = SvtConfig()) -> SvtEstimate:
     """Eigenvalue truncation of the adjacency matrix."""
-    if config.c < 0:
-        raise ValidationError("c must be >= 0")
     M = A.values
-    n = A.n
     if config.threshold is not None:
         lam = float(config.threshold)
     else:
-        rho_hat = edge_density(A) if config.rho_hat is None else float(config.rho_hat)
-        if rho_hat < 0:
-            raise ValidationError("rho_hat must be >= 0")
-        lam = config.c * np.sqrt(n * rho_hat)
+        lam = SVT_C * np.sqrt(A.n * edge_density(A))
     w, V = np.linalg.eigh(M)
     keep = np.abs(w) >= lam
     raw = (V[:, keep] * w[keep]) @ V[:, keep].T
@@ -126,14 +120,23 @@ class BlockFit:
         return self.block_values.shape[0]
 
 
-def _block_means(A: np.ndarray, z: np.ndarray, k: int, rho: float) -> np.ndarray:
+def _block_sums(A: np.ndarray, z: np.ndarray, k: int):
+    """(sT, counts): sT[b, i] is the sum of A_ij over j with z_j = b (the
+    diagonal of A is 0) and counts[b] the size of block b.
+
+    A is 0/1, so every entry is an exact integer, and the in-place updates
+    of a label sweep keep it equal to a fresh computation bit for bit.
+    """
+    Z = np.eye(k)[z]
+    return Z.T @ A, Z.sum(axis=0)
+
+
+def _block_means(sT: np.ndarray, counts: np.ndarray, z: np.ndarray,
+                 rho: float) -> np.ndarray:
     """Least-squares block values for fixed labels, clipped into [0, rho]."""
-    n = A.shape[0]
-    Z = np.zeros((n, k))
-    Z[np.arange(n), z] = 1.0
-    S = Z.T @ A @ Z
-    c = Z.sum(axis=0)
-    pairs = np.outer(c, c) - np.diag(c)
+    k = counts.shape[0]
+    S = sT @ np.eye(k)[z]  # S[a, b] = sum of A_ij over z_i = a, z_j = b
+    pairs = np.outer(counts, counts) - np.diag(counts)
     Q = np.divide(S, pairs, out=np.zeros((k, k)), where=pairs > 0)
     return np.clip(Q, 0.0, rho)
 
@@ -192,7 +195,8 @@ def _node_cost(Qm2, Q2, sT, counts, p: int, cur: int) -> np.ndarray:
     return Qm2 @ sT[:, p].copy() + Q2 @ cex
 
 
-def _label_sweep(A: np.ndarray, z: np.ndarray, Q: np.ndarray) -> bool:
+def _label_sweep(A: np.ndarray, z: np.ndarray, Q: np.ndarray,
+                 sT: np.ndarray, counts: np.ndarray) -> bool:
     """One sequential pass of single-node relabel moves; True if any changed.
 
     Nodes are visited in order 0..n-1 and a node moves to the argmin of its
@@ -206,17 +210,14 @@ def _label_sweep(A: np.ndarray, z: np.ndarray, Q: np.ndarray) -> bool:
     they keep moving (the dense moves of the first sweeps), and the screen
     restarts at the first node past that run.  Any node may be visited
     exactly, and only certified nodes are skipped, so the labels match the
-    node-by-node sweep bit for bit.  A must be symmetric (sT keeps A's rows
-    as its columns).
+    node-by-node sweep bit for bit.  z, sT and counts (`_block_sums` of z)
+    are updated in place.  A must be symmetric (sT keeps A's rows as its
+    columns).
     """
     n = A.shape[0]
     k = Q.shape[0]
     Qm2 = -2.0 * Q
     Q2 = Q**2
-    Z = np.zeros((n, k))
-    Z[np.arange(n), z] = 1.0
-    counts = Z.sum(axis=0)
-    sT = Z.T @ A  # sT[b, i] = sum of A_ij over j with z_j = b (diag of A is 0)
     slack = _sweep_margin(n, k) - 1e-12
     changed = False
     i = 0
@@ -273,11 +274,12 @@ def estimate_restricted_ls(
     best = None
     for r in range(restarts):
         z = stream(seed, "rls", r).integers(0, k, size=n)
-        Q = _block_means(M, z, k, rho)
+        sT, counts = _block_sums(M, z, k)
+        Q = _block_means(sT, counts, z, rho)
         for _ in range(RLS_MAX_SWEEPS):
-            if not _label_sweep(M, z, Q):
+            if not _label_sweep(M, z, Q, sT, counts):
                 break  # z is unchanged, so Q already holds its block means
-            Q = _block_means(M, z, k, rho)
+            Q = _block_means(sT, counts, z, rho)
         obj = _objective(M, z, Q)
         if best is None or obj < best.objective - 1e-12:
             best = BlockFit(z.copy(), Q, obj, "alternating")
@@ -297,7 +299,7 @@ def exact_restricted_ls(A: AdjacencyMatrix, k: int, rho: float = 1.0) -> BlockFi
     best = None
     for zt in itertools.product(range(k), repeat=n):
         z = np.array(zt, dtype=int)
-        Q = _block_means(M, z, k, rho)
+        Q = _block_means(*_block_sums(M, z, k), z, rho)
         obj = _objective(M, z, Q)
         if best is None or obj < best.objective - 1e-12:
             best = BlockFit(z, Q, obj, "enumeration")

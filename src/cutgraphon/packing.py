@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,6 +35,9 @@ ETA0 = 1.0 / 16.0   # matched-row fraction in the block-matrix spot check
 ETA1 = 7.0 / 8.0    # column-subset fraction in the block-matrix spot check
 BLOCK_TRIES = 64    # sign-matrix draws before rademacher_block_matrix gives up
 MATRIX_PAIRS_TO_CHECK = 20  # element pairs whose cut norm matrix_packing spot-checks
+GRAPHON_PAIRS_TO_CHECK = 10  # element pairs whose cut lower bound graphon_packing takes
+PROPERTY_II_SAMPLES = 100  # row-matching tuples in the property (ii) spot check
+VG_DRAWS_PER_TARGET = 200  # sign-vector draws per wanted code vector
 # Largest Varshamov-Gilbert code size: admits k1 = 128 (2981 vectors) and
 # rejects k1 = 144 (8104), whose matrix family would hold 8104 dense
 # 144 x 144 elements.
@@ -64,33 +67,28 @@ class VgCode:
         return self.vectors.shape[0]
 
 
-def varshamov_gilbert_code(k1: int, seed: int = 0, target: Optional[int] = None,
-                           two_sided: bool = False,
-                           max_draws: Optional[int] = None) -> VgCode:
+def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> VgCode:
     """Rejection-sample balanced +-1 vectors with pairwise Hamming > k1/4.
 
     With ``two_sided`` the distance is also required to stay below 3*k1/4,
     which rules out near-complementary pairs (needed when a vector and its
-    negation produce the same downstream object).  Stops at ``target``
-    elements (default ceil(exp(k1/16))) or when the draw budget runs out;
-    in the latter case the achieved code is returned with ``reached``
-    unset.  A target above VG_TARGET_BUDGET raises BudgetError.
+    negation produce the same downstream object).  Stops at the target of
+    max(ceil(exp(k1/16)), 2) vectors or after VG_DRAWS_PER_TARGET draws per
+    target vector; in the latter case the achieved code is returned with
+    ``reached`` unset.  A target above VG_TARGET_BUDGET raises BudgetError.
     """
     if k1 < 8 or k1 % 2 != 0:
         raise ValidationError(f"need even k1 >= 8, got {k1}")
-    if target is None:
-        target = np.ceil(np.exp(k1 / 16.0))
+    target = np.ceil(np.exp(k1 / 16.0))
     if target > VG_TARGET_BUDGET:
         raise BudgetError(f"code target {target:.0f} exceeds budget {VG_TARGET_BUDGET}")
     target = max(int(target), 2)
-    if max_draws is None:
-        max_draws = 200 * target
     rng = stream(seed, "vg", k1)
     base = np.array([1] * (k1 // 2) + [-1] * (k1 // 2))
     kept = np.empty((target, k1), dtype=int)
     size = sep = 0
     lo, hi = k1 // 4, 3 * k1 // 4
-    for _ in range(max_draws):
+    for _ in range(VG_DRAWS_PER_TARGET * target):
         v = rng.permutation(base)
         if size:
             d = np.count_nonzero(kept[:size] != v, axis=1)
@@ -116,7 +114,6 @@ class RademacherBlockMatrix:
     values: np.ndarray           # k1 x mk, entries +-1
     k1: int
     mk: int
-    property_i_certified: bool
     tries: int
     property_ii_passed: int
     property_ii_total: int
@@ -153,9 +150,13 @@ def spot_check_property_ii(B: np.ndarray, samples: int, seed: int = 0) -> Tuple[
     return passed, samples
 
 
-def rademacher_block_matrix(k1: int, mk: int, seed: int = 0,
-                            samples: int = 100) -> RademacherBlockMatrix:
-    """Draw iid sign matrices until all row pairs satisfy |<B_a,B_b>| <= mk/4."""
+def rademacher_block_matrix(k1: int, mk: int, seed: int = 0) -> RademacherBlockMatrix:
+    """Draw iid sign matrices until all row pairs satisfy |<B_a,B_b>| <= mk/4.
+
+    That is property (i), and a returned matrix always has it: after
+    BLOCK_TRIES draws without it, BudgetError is raised instead.  Property
+    (ii) is spot-checked on PROPERTY_II_SAMPLES tuples.
+    """
     if mk < 8:
         raise ValidationError(f"need mk >= 8, got {mk}")
     if k1 < 1:
@@ -163,16 +164,14 @@ def rademacher_block_matrix(k1: int, mk: int, seed: int = 0,
     rng = stream(seed, "hadamard", k1, mk)
     for t in range(1, BLOCK_TRIES + 1):
         B = np.where(rng.random((k1, mk)) < 0.5, -1.0, 1.0)
-        if k1 == 1:
-            break
         G = B @ B.T
         np.fill_diagonal(G, 0.0)
         if np.abs(G).max() <= mk / 4.0:
             break
     else:
         raise BudgetError(f"no row-orthogonal sign matrix in {BLOCK_TRIES} tries")
-    passed, total = spot_check_property_ii(B, samples, seed) if samples > 0 else (0, 0)
-    return RademacherBlockMatrix(B, k1, mk, True, t, passed, total)
+    passed, total = spot_check_property_ii(B, PROPERTY_II_SAMPLES, seed)
+    return RademacherBlockMatrix(B, k1, mk, t, passed, total)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +215,11 @@ class PackingFamily:
         return len(self.elements)
 
 
-def matrix_packing(n: int, rho: float, seed: int = 0,
-                   eps: Optional[float] = None) -> PackingFamily:
+def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
     """Two-valued probability matrices rho/2 + eps*u_i*u_j with a VG code.
 
-    By default eps is set as large as the Fano budget allows against the
-    achieved code size (capped at rho/4 to keep entries inside
+    eps is set as large as the Fano budget allows against the achieved
+    code size (capped at rho/4 to keep entries inside
     [rho/4, 3*rho/4]).  The code is sampled two-sided because u and -u
     give the same matrix.  Pairwise cut norms are spot-checked against
     the proven eps/14 bound.
@@ -234,10 +232,7 @@ def matrix_packing(n: int, rho: float, seed: int = 0,
     M = code.size
     if M < 2:
         raise BudgetError(f"code too small for a packing (got {M} vectors)")
-    if eps is None:
-        eps = min(rho / 4.0, np.sqrt(3.0 * rho * np.log(M) / 512.0) / n)
-    elif not (0.0 <= eps <= rho / 4.0):
-        raise ValidationError(f"need 0 <= eps <= rho/4, got {eps}")
+    eps = min(rho / 4.0, np.sqrt(3.0 * rho * np.log(M) / 512.0) / n)
     kl = 16.0 * n**2 * eps**2 / (3.0 * rho)
     elements = []
     for u in code.vectors:
@@ -306,8 +301,7 @@ def _graphon_member(Q: np.ndarray, u: np.ndarray, eps: float, k1: int, mk: int) 
     return StepGraphon(Q, w)
 
 
-def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0,
-                    pairs_to_check: int = 10, samples: int = 100) -> PackingFamily:
+def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingFamily:
     """Step-graphon family separated in cut distance by weight perturbations.
 
     For k >= 64 (multiple of 32): k1 = k/2 light steps, mk = ceil(128 log k)
@@ -315,8 +309,10 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0,
     and light weights 1/(2*k1) + eps*u_a over a VG code.  eps^2 =
     3/(4096*n*k1) makes the KL budget k1/128 — short of the k1/512 the
     Fano condition wants, so fano_ready stays False at the stated
-    constants; separation is certified pairwise through motif-density
-    lower bounds instead.
+    constants; separation is certified through motif-density lower bounds
+    on GRAPHON_PAIRS_TO_CHECK random pairs (their minimum is
+    separation_lower), and the sign block's property (ii) is spot-checked
+    on PROPERTY_II_SAMPLES tuples.
 
     k=2 is the two-element special case (values [[1,1],[1,0]], weights
     1/2 +- eps with eps=1/8) whose cut separation is the `delta_exact_tiny`
@@ -336,7 +332,7 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0,
     code = varshamov_gilbert_code(k1, seed)
     if code.size < 2:
         raise BudgetError(f"code too small for a packing (got {code.size} vectors)")
-    block = rademacher_block_matrix(k1, mk, seed, samples=samples)
+    block = rademacher_block_matrix(k1, mk, seed)
     Q = np.full((k1 + mk, k1 + mk), 0.5)
     cross = (1.0 + block.values) / 2.0
     Q[:k1, k1:] = cross
@@ -345,7 +341,7 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0,
     kl = kl_bound(eps * code.vectors[0], eps * code.vectors[1], n, eps, k1)
     rng = stream(seed, "graphon-pack-check")
     pairs = [(i, j) for i in range(code.size) for j in range(i + 1, code.size)]
-    take = min(pairs_to_check, len(pairs))
+    take = min(GRAPHON_PAIRS_TO_CHECK, len(pairs))
     idx = rng.choice(len(pairs), size=take, replace=False)
     lowers = [delta_cut_lower(elements[i], elements[j]).value
               for i, j in (pairs[t] for t in idx)]

@@ -35,11 +35,11 @@ class ModelSpec:
         return float(self.rho * self.graphon.values.max())
 
 
-def sbm_spec(k: int, p_in: float, p_out: float, rho: float = 1.0, weights=None) -> ModelSpec:
+def sbm_spec(k: int, p_in: float, p_out: float, rho: float = 1.0) -> ModelSpec:
     """Stochastic block model as a step-graphon spec.
 
-    Q has p_in on the diagonal and p_out off it; equal community weights
-    unless `weights` is given.
+    Q has p_in on the diagonal and p_out off it; communities have equal
+    weights.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -48,8 +48,7 @@ def sbm_spec(k: int, p_in: float, p_out: float, rho: float = 1.0, weights=None) 
             raise ValidationError(f"{name} must lie in [0,1], got {v}")
     Q = np.full((k, k), float(p_out))
     np.fill_diagonal(Q, float(p_in))
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
-    return ModelSpec(StepGraphon(Q, w), rho)
+    return ModelSpec(StepGraphon(Q, np.full(k, 1.0 / k)), rho)
 
 
 def sample_latents(n: int, seed: int = 0) -> LatentSample:

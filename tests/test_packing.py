@@ -46,16 +46,20 @@ class TestVgCode:
         assert code.separation > 2
 
     def test_two_sided_window(self):
-        code = varshamov_gilbert_code(16, seed=1, target=5, two_sided=True)
+        code = varshamov_gilbert_code(32, seed=1, two_sided=True)
+        assert code.size == 8                      # ceil(e^2) target
         for i in range(code.size):
             for j in range(i + 1, code.size):
                 d = int(np.sum(code.vectors[i] != code.vectors[j]))
-                assert 4 < d < 12
+                assert 8 < d < 24
 
-    def test_budget_reports_partial_code(self):
-        code = varshamov_gilbert_code(8, seed=0, target=1000, max_draws=50)
+    def test_budget_reports_partial_code(self, monkeypatch):
+        # k1=16 aims at ceil(e) = 3 vectors; with one draw per target vector
+        # the code reaches it only if no draw is rejected, and seed 4 has one
+        monkeypatch.setattr(packing, "VG_DRAWS_PER_TARGET", 1)
+        code = varshamov_gilbert_code(16, seed=4, two_sided=True)
         assert not code.reached
-        assert code.size >= 1
+        assert 1 <= code.size < code.target == 3
 
     def test_code_pinned(self):
         # recorded before the pairwise loop became one comparison per draw
@@ -70,8 +74,6 @@ class TestVgCode:
         monkeypatch.setattr(packing, "VG_TARGET_BUDGET", 7)
         with pytest.raises(BudgetError):
             varshamov_gilbert_code(32)
-        with pytest.raises(BudgetError):
-            varshamov_gilbert_code(16, target=8)
         monkeypatch.setattr(packing, "VG_TARGET_BUDGET", 8)
         assert varshamov_gilbert_code(32).size == 8
 
@@ -82,9 +84,10 @@ class TestVgCode:
 
 
 class TestRademacherBlock:
-    def test_property_i_recertified_independently(self):
-        blk = rademacher_block_matrix(16, 444, seed=0, samples=0)
-        assert blk.property_i_certified
+    def test_property_i_recertified_independently(self, monkeypatch):
+        monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 0)
+        blk = rademacher_block_matrix(16, 444, seed=0)
+        assert blk.property_ii_total == 0
         assert blk.tries <= 10                     # succeeds fast w.h.p.
         B = blk.values
         for a in range(16):
@@ -93,17 +96,19 @@ class TestRademacherBlock:
         assert np.all(np.abs(B) == 1)
         assert np.max(np.abs(B.sum(axis=1))) <= 444
 
-    def test_spot_check_passes_on_certified_matrix(self):
-        blk = rademacher_block_matrix(32, 128, seed=1, samples=25)
+    def test_spot_check_passes_on_certified_matrix(self, monkeypatch):
+        monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 25)
+        blk = rademacher_block_matrix(32, 128, seed=1)
         assert blk.property_ii_passed == blk.property_ii_total == 25
         passed, total = spot_check_property_ii(blk.values, 10, seed=7)
         assert (passed, total) == (10, 10)
 
     def test_try_budget(self, monkeypatch):
-        assert rademacher_block_matrix(8, 32, seed=0, samples=0).tries == 13
+        monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 0)
+        assert rademacher_block_matrix(8, 32, seed=0).tries == 13
         monkeypatch.setattr(packing, "BLOCK_TRIES", 12)
         with pytest.raises(BudgetError):
-            rademacher_block_matrix(8, 32, seed=0, samples=0)
+            rademacher_block_matrix(8, 32, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -139,12 +144,6 @@ class TestMatrixPacking:
         assert fam.meta["checked_cut_min"] >= fam.separation_lower
         assert fam.separation_lower == pytest.approx(fam.epsilon / 14)
 
-    def test_zero_eps_degenerates(self):
-        fam = matrix_packing(16, 1.0, seed=0, eps=0.0)
-        assert fam.separation_lower == 0.0
-        for el in fam.elements[1:]:
-            np.testing.assert_array_equal(el.values, fam.elements[0].values)
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             matrix_packing(15, 1.0)
@@ -152,8 +151,6 @@ class TestMatrixPacking:
             matrix_packing(6, 1.0)
         with pytest.raises(ValidationError):
             matrix_packing(16, 0.0)
-        with pytest.raises(ValidationError):
-            matrix_packing(16, 1.0, eps=0.5)
 
 
 class TestKlFormulas:
@@ -215,8 +212,12 @@ class TestGraphonPacking:
         assert est.permutation.tolist() == list(range(8))
         assert len(distance._arrangements(blowup(fam.elements[1], 8).values)) == 56
 
-    def test_full_construction_bookkeeping(self):
-        fam = graphon_packing(64, 64, seed=0, samples=5, pairs_to_check=3)
+    def test_full_construction_bookkeeping(self, monkeypatch):
+        monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 5)
+        monkeypatch.setattr(packing, "GRAPHON_PAIRS_TO_CHECK", 3)
+        fam = graphon_packing(64, 64, seed=0)
+        assert fam.meta["checked_pairs"] == 3
+        assert fam.meta["property_ii_total"] == 5
         k1, mk = fam.meta["k1"], fam.meta["mk"]
         assert (k1, mk) == (32, int(np.ceil(128 * np.log(64))))
         assert fam.epsilon == pytest.approx(np.sqrt(3 / (4096 * 64 * 32)))
@@ -231,8 +232,10 @@ class TestGraphonPacking:
             assert np.all(W.values[k1:, k1:] == 0.5)
             assert set(np.unique(W.values[:k1, k1:])) <= {0.0, 1.0}
 
-    def test_kl_budget_and_separation(self):
-        fam = graphon_packing(64, 64, seed=1, samples=0, pairs_to_check=4)
+    def test_kl_budget_and_separation(self, monkeypatch):
+        monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 0)
+        monkeypatch.setattr(packing, "GRAPHON_PAIRS_TO_CHECK", 4)
+        fam = graphon_packing(64, 64, seed=1)
         assert fam.kl_budget == pytest.approx(32 / 128)    # k1/128
         assert not fam.fano_ready                          # short of log(M)/32
         assert fam.separation_lower > 0

@@ -27,10 +27,6 @@ class TestSpecs:
         assert np.allclose(spec.graphon.weights, 1 / 3)
         assert spec.max_scaled_value == pytest.approx(0.45)
 
-    def test_sbm_custom_weights(self):
-        spec = sbm_spec(2, 0.8, 0.2, weights=[0.25, 0.75])
-        assert np.allclose(spec.graphon.weights, [0.25, 0.75])
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             sbm_spec(0, 0.5, 0.5)
