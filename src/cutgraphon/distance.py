@@ -517,15 +517,22 @@ class MotifLowerBound:
     densities: dict
 
 
-def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> MotifLowerBound:
-    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / (4 e(F))."""
-    best = MotifLowerBound(0.0, None, {})
-    dens = {}
-    for f in DEFAULT_MOTIFS:
-        t1 = homomorphism_density(f, W1)
-        t2 = homomorphism_density(f, W2)
+def _motif_densities(W: StepGraphon) -> list[float]:
+    """t(F, W) for each F in DEFAULT_MOTIFS, in that order."""
+    return [homomorphism_density(f, W) for f in DEFAULT_MOTIFS]
+
+
+def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> MotifLowerBound:
+    """Best counting-lemma bound from two density lists in DEFAULT_MOTIFS order."""
+    value, motif, dens = 0.0, None, {}
+    for f, t1, t2 in zip(DEFAULT_MOTIFS, dens1, dens2):
         dens[f.name] = (t1, t2)
         val = abs(t1 - t2) / (4.0 * f.edge_count)
-        if val > best.value:
-            best = MotifLowerBound(val, f, {})
-    return MotifLowerBound(best.value, best.motif, dens)
+        if val > value:
+            value, motif = val, f
+    return MotifLowerBound(value, motif, dens)
+
+
+def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> MotifLowerBound:
+    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / (4 e(F))."""
+    return _motif_bound(_motif_densities(W1), _motif_densities(W2))

@@ -28,7 +28,7 @@ from .core import (
     parse_stepgraphon,
 )
 from .cutnorm import matrix_cut_norm_heuristic
-from .distance import delta_cut_lower, delta_exact_tiny
+from .distance import _motif_bound, _motif_densities, delta_cut_lower, delta_exact_tiny
 from .errors import BudgetError, ValidationError
 
 ETA0 = 1.0 / 16.0   # matched-row fraction in the block-matrix spot check
@@ -122,31 +122,57 @@ class RademacherBlockMatrix:
         self.values.setflags(write=False)
 
 
+def _row_set_size(k1: int) -> int:
+    """Size s = eta0*k1 (at least 1) of the spot check's disjoint row sets."""
+    s = max(1, round(ETA0 * k1))
+    if 2 * s > k1:
+        raise ValidationError(f"k1={k1} too small for disjoint row sets of size {s}")
+    return s
+
+
+def _mixing_deviation(B: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
+                      rng: np.random.Generator) -> float:
+    """T = sum_a sum_{b in Z} |B[X_a, b] - (omega B[Y_a])_b| for one random omega.
+
+    Each row of omega holds 8*mk draws spread uniformly over the mk columns,
+    over the 1/(8*mk) grid.  T sees a row only through B[Y] @ omega_row, so
+    only the draws landing in each class of identical columns of B[Y]
+    matter; merging the cells of a multinomial gives a multinomial over the
+    classes with the summed probabilities, so drawing the class counts
+    directly gives T exactly the law of the per-column draw.
+    """
+    mk = B.shape[1]
+    signs, sizes = np.unique(B[Y], axis=1, return_counts=True)
+    counts = rng.multinomial(8 * mk, sizes / mk, size=len(Z))
+    approx = signs @ counts.T / (8.0 * mk)     # s x |Z|
+    return float(np.abs(B[X][:, Z] - approx).sum())
+
+
 def spot_check_property_ii(B: np.ndarray, samples: int, seed: int = 0) -> Tuple[int, int]:
     """Sample row-matching tuples and test the mixing lower bound.
 
     For disjoint row sets X, Y of size s = eta0*k1, a column subset Z of
     size >= eta1*mk, and a stochastic matrix omega on the 1/(8*mk) grid,
-    the aggregate deviation sum_a sum_{b in Z} |B[X_a, b] - (omega B[Y_a])_b|
-    must exceed s*|Z|/4.  Returns (passed, total).
+    the aggregate deviation T (see `_mixing_deviation`, which draws omega
+    per class of identical columns of B[Y]) must exceed s*|Z|/4.  Returns
+    (passed, total).
+
+    This is a sanity count, not evidence of property (ii): the sampled
+    omega are near-uniform, so omega B[Y_a] is near 0 and T is close to
+    s*|Z|, four times the threshold, for any sign matrix whose rows are
+    balanced, including one whose rows are all equal.
     """
     k1, mk = B.shape
     rng = stream(seed, "hadamard-ii")
-    s = max(1, round(ETA0 * k1))
-    if 2 * s > k1:
-        raise ValidationError(f"k1={k1} too small for disjoint row sets of size {s}")
+    s = _row_set_size(k1)
     zlen = int(np.ceil(ETA1 * mk))
     thr = s * zlen / 4.0
-    p = np.full(mk, 1.0 / mk)
     passed = 0
     for _ in range(samples):
         perm = rng.permutation(k1)
         X, Y = perm[:s], perm[s:2 * s]
         Z = rng.permutation(mk)[:zlen]
-        omega = rng.multinomial(8 * mk, p, size=zlen) / (8.0 * mk)
-        approx = B[Y] @ omega.T                  # s x |Z|
-        T = np.abs(B[X][:, Z] - approx).sum()
-        passed += int(T > thr)
+        passed += int(_mixing_deviation(B, X, Y, Z, rng) > thr)
     return passed, samples
 
 
@@ -155,12 +181,12 @@ def rademacher_block_matrix(k1: int, mk: int, seed: int = 0) -> RademacherBlockM
 
     That is property (i), and a returned matrix always has it: after
     BLOCK_TRIES draws without it, BudgetError is raised instead.  Property
-    (ii) is spot-checked on PROPERTY_II_SAMPLES tuples.
+    (ii) is spot-checked on PROPERTY_II_SAMPLES tuples, so k1 must admit
+    the spot check's two disjoint row sets.
     """
     if mk < 8:
         raise ValidationError(f"need mk >= 8, got {mk}")
-    if k1 < 1:
-        raise ValidationError(f"need k1 >= 1, got {k1}")
+    _row_set_size(k1)
     rng = stream(seed, "hadamard", k1, mk)
     for t in range(1, BLOCK_TRIES + 1):
         B = np.where(rng.random((k1, mk)) < 0.5, -1.0, 1.0)
@@ -311,8 +337,10 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingF
     Fano condition wants, so fano_ready stays False at the stated
     constants; separation is certified through motif-density lower bounds
     on GRAPHON_PAIRS_TO_CHECK random pairs (their minimum is
-    separation_lower), and the sign block's property (ii) is spot-checked
-    on PROPERTY_II_SAMPLES tuples.
+    separation_lower), with each checked element's motif densities taken
+    once.  The sign block's property (ii) is spot-checked on
+    PROPERTY_II_SAMPLES tuples, a sanity count only (see
+    `spot_check_property_ii`).
 
     k=2 is the two-element special case (values [[1,1],[1,0]], weights
     1/2 +- eps with eps=1/8) whose cut separation is the `delta_exact_tiny`
@@ -343,8 +371,18 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingF
     pairs = [(i, j) for i in range(code.size) for j in range(i + 1, code.size)]
     take = min(GRAPHON_PAIRS_TO_CHECK, len(pairs))
     idx = rng.choice(len(pairs), size=take, replace=False)
-    lowers = [delta_cut_lower(elements[i], elements[j]).value
-              for i, j in (pairs[t] for t in idx)]
+    # Each checked element's motif densities are taken once.  A pair of two
+    # new elements still goes through delta_cut_lower, which perfbench/tracer.py
+    # rebinds here by name, and its densities are kept for later pairs.
+    dens, lowers = {}, []
+    for i, j in (pairs[t] for t in idx):
+        if i in dens or j in dens:
+            dens.update({e: _motif_densities(elements[e]) for e in (i, j) if e not in dens})
+            lowers.append(_motif_bound(dens[i], dens[j]).value)
+        else:
+            bound = delta_cut_lower(elements[i], elements[j])
+            dens[i], dens[j] = zip(*bound.densities.values())
+            lowers.append(bound.value)
     meta = {
         "k1": k1, "mk": mk,
         "code_size": code.size,

@@ -89,10 +89,6 @@ def unset(package: Path, callers):
     return sorted(missing)
 
 
-def non_test_callers(root: Path):
-    return [p for p in caller_files(root) if not p.name.startswith("test_")]
-
-
 def test_checker_flags_a_default_only_a_test_sets(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
@@ -112,4 +108,4 @@ def test_checker_flags_a_default_only_a_test_sets(tmp_path):
 
 def test_every_defaulted_parameter_has_a_caller():
     # an allowance that is no longer needed fails here too
-    assert unset(PACKAGE, non_test_callers(ROOT)) == sorted(ALLOWED)
+    assert unset(PACKAGE, caller_files(ROOT)) == sorted(ALLOWED)

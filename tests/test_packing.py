@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cutgraphon import distance, packing
+from cutgraphon._rng import stream
 from cutgraphon.core import blowup
-from cutgraphon.distance import delta_cut_lower, delta_exact_tiny
+from cutgraphon.distance import DEFAULT_MOTIFS, delta_cut_lower, delta_exact_tiny
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.packing import (
     PackingFamily,
@@ -110,11 +111,67 @@ class TestRademacherBlock:
         with pytest.raises(BudgetError):
             rademacher_block_matrix(8, 32, seed=0)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValidationError):
             rademacher_block_matrix(4, 7)
         with pytest.raises(ValidationError):
             rademacher_block_matrix(0, 16)
+        # k1 = 1 leaves no room for the spot check's two disjoint row sets:
+        # rejected with the spot check's own message, before any draw
+        message = "k1=1 too small for disjoint row sets of size 1"
+        with pytest.raises(ValidationError, match=message):
+            spot_check_property_ii(np.ones((1, 16)), 1)
+        monkeypatch.setattr(packing, "stream", lambda *a: pytest.fail("drew a sign matrix"))
+        with pytest.raises(ValidationError, match=message):
+            rademacher_block_matrix(1, 16)
+        with pytest.raises(ValidationError):
+            rademacher_block_matrix(-3, 16)
+        assert packing._row_set_size(2) == 1
+
+
+def _per_column_deviation(B, X, Y, Z, rng):
+    """The spot check's statistic with omega drawn column by column."""
+    mk = B.shape[1]
+    omega = rng.multinomial(8 * mk, np.full(mk, 1.0 / mk), size=len(Z)) / (8.0 * mk)
+    return np.abs(B[X][:, Z] - B[Y] @ omega.T).sum()
+
+
+class TestPropertyIiDraw:
+    def test_class_reduction_is_exact(self):
+        # B[Y] @ C.T only sees C through its sums over classes of identical
+        # columns of B[Y]; the entries are small integers, so equality is exact
+        rng = np.random.default_rng(11)
+        for s, mk in ((1, 9), (2, 533), (3, 64), (6, 40), (8, 16)):
+            BY = np.where(rng.random((s, mk)) < 0.5, -1.0, 1.0)
+            C = rng.integers(0, 60, size=(23, mk))
+            signs, inverse, sizes = np.unique(BY, axis=1, return_inverse=True,
+                                              return_counts=True)
+            assert signs.shape[1] <= min(2**s, mk)
+            assert np.array_equal(signs[:, inverse], BY)
+            assert np.array_equal(sizes, np.bincount(inverse))
+            pooled = C @ (inverse[:, None] == np.arange(signs.shape[1]))
+            assert pooled.sum() == C.sum()
+            assert np.array_equal(BY @ C.T, signs @ pooled.T)
+
+    def test_same_law_as_per_column_draw(self):
+        # X, Y, Z fixed: T/thr from the class draw and from the per-column
+        # draw agree in mean (within 4 standard errors) and spread
+        B = np.where(np.random.default_rng(3).random((32, 128)) < 0.5, -1.0, 1.0)
+        s = packing._row_set_size(32)
+        zlen = int(np.ceil(packing.ETA1 * 128))
+        thr = s * zlen / 4.0
+        pick = np.random.default_rng(4)
+        perm = pick.permutation(32)
+        X, Y, Z = perm[:s], perm[s:2 * s], pick.permutation(128)[:zlen]
+        n = 400
+        old_rng, new_rng = np.random.default_rng(5), np.random.default_rng(6)
+        old = np.array([_per_column_deviation(B, X, Y, Z, old_rng) for _ in range(n)]) / thr
+        new = np.array([packing._mixing_deviation(B, X, Y, Z, new_rng)
+                        for _ in range(n)]) / thr
+        se = np.sqrt((old.var(ddof=1) + new.var(ddof=1)) / n)
+        assert abs(old.mean() - new.mean()) < 4 * se
+        assert 0.8 < new.std(ddof=1) / old.std(ddof=1) < 1.25
+        assert old.min() > 1 and new.min() > 1
 
 
 class TestMatrixPacking:
@@ -235,10 +292,26 @@ class TestGraphonPacking:
     def test_kl_budget_and_separation(self, monkeypatch):
         monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 0)
         monkeypatch.setattr(packing, "GRAPHON_PAIRS_TO_CHECK", 4)
+        density = distance.homomorphism_density
+        calls = []
+        monkeypatch.setattr(distance, "homomorphism_density",
+                            lambda f, W: calls.append(id(W)) or density(f, W))
         fam = graphon_packing(64, 64, seed=1)
+        monkeypatch.undo()
         assert fam.kl_budget == pytest.approx(32 / 128)    # k1/128
         assert not fam.fano_ready                          # short of log(M)/32
         assert fam.separation_lower > 0
+        # the certificate is the minimum of delta_cut_lower over the pairs
+        # drawn from the same stream, bit for bit
+        pairs = [(i, j) for i in range(fam.size) for j in range(i + 1, fam.size)]
+        idx = stream(1, "graphon-pack-check").choice(len(pairs), size=4, replace=False)
+        checked = [pairs[t] for t in idx]
+        assert fam.separation_lower == min(
+            delta_cut_lower(fam.elements[i], fam.elements[j]).value for i, j in checked)
+        # motif densities are taken once per element of the checked pairs
+        members = {id(fam.elements[e]) for pair in checked for e in pair}
+        assert len(calls) == len(DEFAULT_MOTIFS) * len(members)
+        assert set(calls) == members
         same = delta_cut_lower(fam.elements[0], fam.elements[0])
         assert same.value == 0.0
 

@@ -49,10 +49,11 @@ def uncalled(package: Path, callers):
 
 
 def caller_files(root: Path):
-    return ([p for p in sorted((root / "src" / "cutgraphon").glob("*.py"))
-             if p.name != "__init__.py"]
-            + sorted((root / "demos").glob("*.py"))
-            + sorted((root / "perfbench").glob("*.py")))
+    """The package's modules, the demos and the benchmark, without test files."""
+    return [p for p in (sorted((root / "src" / "cutgraphon").glob("*.py"))
+                        + sorted((root / "demos").glob("*.py"))
+                        + sorted((root / "perfbench").glob("*.py")))
+            if p.name != "__init__.py" and not p.name.startswith("test_")]
 
 
 def test_checker_flags_a_name_only_its_own_body_reads(tmp_path):
@@ -67,6 +68,15 @@ def test_checker_flags_a_name_only_its_own_body_reads(tmp_path):
     demo = tmp_path / "demo.py"
     demo.write_text("import pkg\nprint(pkg.used())\n")
     assert uncalled(pkg, [pkg / "m.py", demo]) == ["lonely"]
+
+
+def test_test_files_are_not_callers(tmp_path):
+    for rel in ("src/cutgraphon/__init__.py", "src/cutgraphon/m.py", "demos/d.py",
+                "perfbench/run.py", "perfbench/test_run.py"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text("")
+    assert [p.relative_to(tmp_path).as_posix() for p in caller_files(tmp_path)] == [
+        "src/cutgraphon/m.py", "demos/d.py", "perfbench/run.py"]
 
 
 def test_every_public_name_has_a_caller():
