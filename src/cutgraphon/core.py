@@ -290,10 +290,14 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     """Refine W to m equal-length steps (largest-remainder rounding).
 
     Exact whenever every m*weight is an integer; otherwise the closest
-    equal-partition approximation. Requires m >= k.
+    equal-partition approximation. Requires m >= k. A W that already has m
+    steps of weight exactly 1/m is its own blow-up and comes back as it is
+    (StepGraphon is immutable).
     """
     if m < W.k:
         raise ValidationError(f"blowup target m={m} below step count k={W.k}")
+    if W.k == m and np.all(W.weights == 1.0 / m):
+        return W
     counts = blowup_counts(W.weights, m)
     idx = np.repeat(np.arange(W.k), counts)
     q = W.values[np.ix_(idx, idx)]

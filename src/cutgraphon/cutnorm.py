@@ -13,7 +13,10 @@ greedily: for fixed S, the best T consists of exactly the columns whose
 S-restricted (weighted) sum is strictly positive (resp. negative) —
 zero-sum columns are never included. The heuristic alternates those two
 greedy steps from random starts and returns a replayable certificate, so
-its value is always a lower bound on the true cut norm.
+its value is always a lower bound on the true cut norm. Its restarts' end
+values are screened with one matrix product, and only the rectangles that a
+proven rounding margin leaves in contention are summed exactly, term by
+term in the order einsum takes (`_alternate_max`).
 
 Also here: the infinity-to-one norm (same 1/n^2 normalization) and the
 sandwich check  cut <= inf1 <= 4 * cut  that links the two.
@@ -153,11 +156,63 @@ def _heuristic_starts(n_cols: int, restarts: int, seed: int, tag: str):
     return np.array(cols, dtype=float).T
 
 
+def _rectangle_sum(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """sum M[rows, cols], added one term at a time in M's memory order.
+
+    That is how einsum("ir,ij,jr->r", S, M, T) adds each column's rectangle
+    when there are two or more columns: the restart axis r runs innermost
+    and the terms come in M's memory order, row-major for a C-ordered M and
+    column-major otherwise (the heuristic's M is always C- or F-ordered).
+    The 0/1 factors are exact, and the terms outside the rectangle add
+    zeros, which change no sum.  So this is bit for bit that einsum's value.
+    The terms are gathered once, in that order, and summed in place.
+    """
+    if len(rows) == 0 or len(cols) == 0:
+        return 0.0
+    X = M[np.ix_(rows, cols)] if M.flags.c_contiguous else M.T[np.ix_(cols, rows)]
+    terms = X.reshape(-1)
+    return float(np.cumsum(terms, out=terms)[-1])
+
+
+def _rectangle_margin(n1: int, n2: int, mx: float) -> float:
+    """How far below the largest screened rectangle value a restart's screened
+    value may lie and still be summed exactly: a proven rounding bound.
+
+    With u = 2**-53 and gamma_n = n*u / (1 - n*u), a sum of n terms in any
+    order, with or without FMA, is off by at most gamma_n times the sum of
+    their absolute values.  Let mx = max |M| and N = n1 * n2.
+      exact:  `_rectangle_sum` adds at most N terms: within gamma_N N mx of
+              the real rectangle sum.
+      screen: (S^T M)[r, j] adds at most n1 terms (the 0/1 products are
+              exact): within gamma_n1 n1 mx each.  Masking by T is exact,
+              and the n2 masked column sums, each <= n1 mx (1 + gamma_n1),
+              add within gamma_n2 N mx (1 + gamma_n1).
+    So a restart's screened and exact values differ by at most
+    d = 1.01 (N + n1 + n2 + 1) u N mx.  If r maximises the exact value E,
+    its screen is >= E - d, and the largest screen is <= E + d, so it lies
+    within 2d of the largest screen; fl(largest - margin) rounds once more,
+    by at most u (1.01 N mx + margin).  So every maximiser is summed exactly
+    whenever margin >= (2.02 (N + n1 + n2) + 3.04) u N mx / (1 - u).  The
+    margin below is 4 (N + n1 + n2 + 2) u N mx: more than that for all sizes.
+    """
+    N = n1 * n2
+    return 4.0 * (N + n1 + n2 + 2) * N * mx * 2.0**-53
+
+
 def _alternate_max(M: np.ndarray, T0: np.ndarray):
     """Maximize s^T M t over {0,1} vectors by alternating greedy updates.
 
-    T0 holds starting t-vectors as columns; all restarts are advanced in
-    lock-step. Monotone in the objective, so it terminates at a fixed point.
+    T0 holds starting t-vectors as columns (at least two); all restarts are
+    advanced in lock-step.  Monotone in the objective, so it terminates at a
+    fixed point.  Returns (value, rows, cols) of the first restart whose
+    rectangle sum is largest.
+
+    The ascent's BLAS products decide the signs.  Its end values are
+    screened with one more product, and only the distinct rectangles whose
+    screen lies within `_rectangle_margin` of the largest are summed exactly
+    (`_rectangle_sum`), in the order einsum("ir,ij,jr->r", S, M, T) takes:
+    value and restart are bit-identical to taking that einsum for every
+    restart and the first argmax.
     """
     T = T0
     S = np.zeros((M.shape[0], T.shape[1]))
@@ -167,8 +222,20 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray):
         if np.array_equal(S_new, S) and np.array_equal(T_new, T):
             break
         S, T = S_new, T_new
-    vals = np.einsum("ir,ij,jr->r", S, M, T)
-    return vals, S, T
+    screen = ((S.T @ M) * T.T).sum(axis=1)
+    margin = _rectangle_margin(M.shape[0], M.shape[1], max(M.max(), -M.min()))
+    # written as "not below" so that a nan or an overflowing margin keeps
+    # every restart rather than none
+    keep = np.flatnonzero(~(screen < screen.max() - margin))
+    best, exact = (-np.inf, None, None), {}
+    for r in keep.tolist():
+        rows, cols = np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r])
+        key = (rows.tobytes(), cols.tobytes())
+        if key not in exact:
+            exact[key] = _rectangle_sum(M, rows, cols)
+        if exact[key] > best[0]:
+            best = (exact[key], rows, cols)
+    return best
 
 
 def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
@@ -180,10 +247,9 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
     best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
     for sign in (1.0, -1.0):
-        vals, S, T = _alternate_max(sign * M, T0)
-        r = int(np.argmax(vals))
-        if vals[r] > best[0]:
-            best = (float(vals[r]), np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
+        val, rows, cols = _alternate_max(sign * M, T0)
+        if val > best[0]:
+            best = (val, rows, cols)
     return best
 
 

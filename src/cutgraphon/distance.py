@@ -9,7 +9,10 @@ where rearrangements become permutations of [m]:
   (greedy matching init, pairwise-swap descent, random restarts) — always
   a genuine upper bound for l1/l2 and for cut when m is small enough for
   the exact cut norm; otherwise the cut norm of the aligned difference is
-  itself estimated heuristically.
+  itself estimated heuristically.  The greedy matching never builds the
+  m x m cost: it runs on the u1 x u2 cost between runs of equal rows
+  (`_row_cost`, `_greedy_match`), and matches a whole run pair at a time,
+  with the same permutation as the pair-by-pair greedy on the m x m cost.
 * `delta_exact_tiny` enumerates all m! permutations (m <= 8, weights must
   refine exactly) — the oracle the search is validated against.
 * `delta_cut_lower` turns homomorphism-density gaps into lower bounds via
@@ -43,7 +46,7 @@ REFINE_TOL = 1e-9  # how far m * weight may sit from an integer and still refine
 EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
-_COST_BLOCK = 2**22  # elements per temporary while the row cost is filled
+_COST_BLOCK = 2**15  # elements per temporary while the row cost is filled
 _SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened
 # Swap descent picks its branch by size.  Up to FULL_SWEEP_M steps it makes at
 # most FULL_SWEEPS lexicographic sweeps over all pairs and stops after a sweep
@@ -298,19 +301,6 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
 # permutation search
 
 
-def _greedy_match(cost: np.ndarray) -> np.ndarray:
-    """Greedy assignment perm[i] = j, cheapest free pair first; first minimum wins ties."""
-    m = cost.shape[0]
-    perm = np.empty(m, dtype=int)
-    usable = cost.copy()
-    for _ in range(m):
-        i, j = np.unravel_index(int(np.argmin(usable)), usable.shape)
-        perm[i] = j
-        usable[i, :] = np.inf
-        usable[:, j] = np.inf
-    return perm
-
-
 def _row_runs(D: np.ndarray):
     """Runs of adjacent equal rows: one representative row per run, and each row's run."""
     new_run = np.any(D[1:] != D[:-1], axis=1)
@@ -318,11 +308,14 @@ def _row_runs(D: np.ndarray):
     return D[starts], np.cumsum(np.concatenate(([0], new_run)))
 
 
-def _row_cost(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
-    """cost[i, j] = sum_c |D1[i, c] - D2[j, c]|, evaluated once per pair of row runs.
+def _row_cost(D1: np.ndarray, D2: np.ndarray):
+    """cu[a, b] = sum_c |R1[a, c] - R2[b, c]| over the representatives of the row runs.
 
-    Each entry is the same sum over the same values in the same order as in
-    the full m x m x m tensor, so the result is bit-identical to it.
+    Returns (cu, l1, l2), where l1 and l2 give each row's run: the m x m cost
+    between rows i and j is cu[l1[i], l2[j]].  Each entry is the same sum
+    over the same values in the same order as in the full m x m x m tensor,
+    so the expansion would be bit-identical to it.  cu is filled about
+    _COST_BLOCK elements at a time, through one reused temporary.
     """
     R1, l1 = _row_runs(D1)
     R2, l2 = _row_runs(D2)
@@ -333,9 +326,45 @@ def _row_cost(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
         )
     cu = np.empty((u1, u2))
     step = max(1, _COST_BLOCK // (u2 * m))
+    buf = np.empty((min(step, u1), u2, m))
     for a in range(0, u1, step):
-        cu[a : a + step] = np.abs(R1[a : a + step, None, :] - R2[None, :, :]).sum(axis=2)
-    return cu[np.ix_(l1, l2)]
+        t = buf[: min(step, u1 - a)]
+        np.subtract(R1[a : a + step, None, :], R2[None, :, :], out=t)
+        np.abs(t, out=t).sum(axis=2, out=cu[a : a + step])
+    return cu, l1, l2
+
+
+def _greedy_match(cu: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """Greedy assignment perm[i] = j on the m x m cost cu[l1[i], l2[j]], cheapest
+    free pair first, first minimum in row-major order winning ties.
+
+    Works on the run classes: l1 and l2 are nondecreasing run labels, so each
+    run is a contiguous block of indices.  The first minimum over free (i, j)
+    lies in the first minimal pair of runs (a, b) with free slots, at the
+    next free index of each; that pair stays first until one of its runs is
+    used up.  So t = min(free slots of a, free slots of b) pairs are assigned
+    at once, and the result is the pair-by-pair greedy's, index for index.
+    """
+    u1, u2 = cu.shape
+    next1 = np.searchsorted(l1, np.arange(u1)).tolist()  # next free index of each run
+    next2 = np.searchsorted(l2, np.arange(u2)).tolist()
+    end1 = next1[1:] + [len(l1)]
+    end2 = next2[1:] + [len(l2)]
+    perm = np.empty(len(l1), dtype=int)
+    usable = cu.copy()
+    done = 0
+    while done < len(l1):
+        a, b = divmod(int(np.argmin(usable)), u2)
+        t = min(end1[a] - next1[a], end2[b] - next2[b])
+        perm[next1[a] : next1[a] + t] = np.arange(next2[b], next2[b] + t)
+        next1[a] += t
+        next2[b] += t
+        done += t
+        if next1[a] == end1[a]:
+            usable[a, :] = np.inf
+        if next2[b] == end2[b]:
+            usable[:, b] = np.inf
+    return perm
 
 
 def _rank_match(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
@@ -390,18 +419,26 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
     def objective(D):
         return _difference_norm(D, metric, restarts=4, seed=seed)
 
-    # the row cost is built on runs of equal rows and is bit-identical to the
-    # full m x m x m tensor; |a - b| == |b - a| exactly, so cost.T is the
-    # backward (D2-rows first) cost
-    cost = _row_cost(D1, D2)
-    cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(cost)]
-    back = _greedy_match(cost.T)
+    # the row cost stays on runs of equal rows (u1 x u2, never m x m), and
+    # both greedy matches run on the run classes; |a - b| == |b - a| exactly,
+    # so cu.T with the labels swapped is the backward (D2-rows first) cost
+    cu, l1, l2 = _row_cost(D1, D2)
+    cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(cu, l1, l2)]
+    back = _greedy_match(cu.T, l2, l1)
     inv = np.empty(m, dtype=int)
     inv[back] = np.arange(m)
     cands.append(inv)
     for r in range(restarts):
         cands.append(stream(seed, "delta-restart", r).permutation(m))
-    scored = [(objective(D1 - D2[np.ix_(p, p)]), idx) for idx, p in enumerate(cands)]
+    # candidates can coincide (the forward and backward greedy matches often
+    # do): each distinct permutation is scored once, and `scored` keeps one
+    # entry per candidate, so the descent below sees the same list
+    values = {}
+    for p in cands:
+        key = p.tobytes()
+        if key not in values:
+            values[key] = objective(D1 - D2[np.ix_(p, p)])
+    scored = [(values[p.tobytes()], idx) for idx, p in enumerate(cands)]
     scored.sort(key=lambda t: (t[0], t[1]))
     if restarts == 0:
         # budget mode: deterministic alignment candidates only, no local
@@ -463,9 +500,10 @@ def delta_upper(
     matching (both directions), plus `restarts` random permutations; when
     ``restarts > 0`` the most promising candidates then get pairwise-swap
     local descent, and ``restarts=0`` returns the best candidate as it is.
-    The greedy matching's row cost raises BudgetError when the runs of equal
-    rows in the two blow-ups, u1 and u2 of them, give u1 * u2 * m >
-    COST_BUDGET.
+    The greedy matching runs on the runs of equal rows in the two blow-ups,
+    u1 and u2 of them: a run pair at a time, on their u1 x u2 row cost.  That
+    cost raises BudgetError when u1 * u2 * m > COST_BUDGET.  Candidates that
+    coincide are scored once.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")

@@ -151,6 +151,17 @@ class TestEmpiricalAndBlowup:
         g = StepGraphon([[0.8, 0.2], [0.2, 0.6]], [0.25, 0.75])
         assert l1_norm(blowup(g, 8)) == pytest.approx(l1_norm(g), abs=1e-12)
 
+    def test_blowup_of_equal_steps_is_itself(self):
+        a = AdjacencyMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        g = empirical_graphon(a)
+        assert blowup(g, 3) is g
+        # three steps with unequal weights still get equal ones
+        u = StepGraphon(g.values, [0.2, 0.3, 0.5])
+        b = blowup(u, 3)
+        assert b is not u
+        assert np.array_equal(b.weights, np.full(3, 1 / 3))
+        assert np.array_equal(b.values, u.values)
+
     def test_blowup_rejects_m_below_k(self):
         g = StepGraphon(np.zeros((3, 3)), [1 / 3] * 3)
         with pytest.raises(ValidationError):

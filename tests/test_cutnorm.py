@@ -4,10 +4,13 @@ The oracles here enumerate *both* subset sides (2^n x 2^n pairs), fully
 independent of the library's S-enumeration + greedy-T algorithm.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutgraphon import (
     BudgetError,
@@ -22,7 +25,9 @@ from cutgraphon import (
     q_subset_upper_bound,
     step_kernel_cut_norm_exact,
 )
-from cutgraphon.cutnorm import kernel_witness_value, matrix_witness_value
+from cutgraphon.cutnorm import HEURISTIC_ITERS, kernel_witness_value, matrix_witness_value
+from cutgraphon.experiments import default_model
+from cutgraphon.sampling import sample_graph
 
 
 def oracle_matrix_cut(B):
@@ -62,6 +67,36 @@ def oracle_inf1(B):
         for g in itertools.product([-1, 1], repeat=n):
             best = max(best, float(np.array(f) @ B @ np.array(g)))
     return best / n**2
+
+
+def reference_alternate_max(M, T0):
+    """The ascent with every restart's value taken by einsum."""
+    T = T0
+    S = np.zeros((M.shape[0], T.shape[1]))
+    for _ in range(HEURISTIC_ITERS):
+        S_new = (M @ T > 0).astype(float)
+        T_new = (M.T @ S_new > 0).astype(float)
+        if np.array_equal(S_new, S) and np.array_equal(T_new, T):
+            break
+        S, T = S_new, T_new
+    vals = np.einsum("ir,ij,jr->r", S, M, T)
+    return vals, S, T
+
+
+def reference_rectangle_sum_heuristic(M, restarts, seed):
+    """Ascent on M and -M; the first best restart, then the first sign, wins."""
+    k2 = M.shape[1]
+    rand = cutnorm._heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
+    ones = np.ones((k2, 1))
+    csign = (M.sum(axis=0) > 0).astype(float)[:, None]
+    T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
+    best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
+    for sign in (1.0, -1.0):
+        vals, S, T = reference_alternate_max(sign * M, T0)
+        r = int(np.argmax(vals))
+        if vals[r] > best[0]:
+            best = (float(vals[r]), np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
+    return best
 
 
 def random_kernel(rng, q1, q2):
@@ -179,6 +214,75 @@ class TestHeuristic:
     def test_restart_validation(self):
         with pytest.raises(ValidationError):
             matrix_cut_norm_heuristic(np.zeros((2, 2)), restarts=0)
+
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.integers(2, 16),
+        st.integers(0, 10_000),
+        st.sampled_from(["integer", "tenths", "uniform"]),
+        st.sampled_from(["C", "F"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_einsum_reference(self, n1, n2, restarts, seed, values, order):
+        # integer and tenths grids make ties and restarts that converge
+        # together; uniform values make every summation order count
+        rng = np.random.default_rng(seed)
+        if values == "uniform":
+            M = rng.uniform(-1, 1, (n1, n2))
+        else:
+            M = rng.integers(-2, 3, (n1, n2)) * (1.0 if values == "integer" else 0.1)
+        M = np.asarray(M, order=order)
+        raw, rows, cols = cutnorm._max_rectangle_sum_heuristic(M, restarts, seed)
+        ref_raw, ref_rows, ref_cols = reference_rectangle_sum_heuristic(M, restarts, seed)
+        assert repr(raw) == repr(ref_raw)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    @pytest.mark.parametrize("shape", [(512, 512), (256, 256), (300, 7), (1, 40), (64, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_screen_error_is_far_inside_margin(self, shape, order):
+        # every restart's screened value against its exact sum, on the
+        # ascent's own end points and on random rectangles; the margin is a
+        # proven bound, this is its headroom
+        rng = np.random.default_rng(shape[0] + shape[1])
+        M = np.asarray(rng.uniform(-1, 1, shape), order=order)
+        T0 = (rng.uniform(size=(shape[1], 16)) < 0.5).astype(float)
+        _, S, T = reference_alternate_max(M, T0)
+        S = np.hstack([S, (rng.uniform(size=(shape[0], 16)) < 0.5).astype(float)])
+        T = np.hstack([T, (rng.uniform(size=(shape[1], 16)) < 0.5).astype(float)])
+        screen = ((S.T @ M) * T.T).sum(axis=1)
+        worst = 0.0
+        for r in range(S.shape[1]):
+            exact = cutnorm._rectangle_sum(M, np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
+            worst = max(worst, abs(screen[r] - exact))
+        mx = max(M.max(), -M.min())
+        assert worst <= cutnorm._rectangle_margin(shape[0], shape[1], mx) / 16
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_exact_sum_is_einsum(self, order):
+        # two or more restart columns: einsum adds each rectangle term by
+        # term in M's memory order
+        rng = np.random.default_rng(5)
+        M = np.asarray(rng.uniform(-1, 1, (90, 70)), order=order)
+        S = (rng.uniform(size=(90, 6)) < 0.5).astype(float)
+        T = (rng.uniform(size=(70, 6)) < 0.5).astype(float)
+        want = np.einsum("ir,ij,jr->r", S, M, T)
+        for r in range(6):
+            got = cutnorm._rectangle_sum(M, np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
+            assert repr(got) == repr(float(want[r]))
+
+    def test_risk_matrix_shape_is_pinned(self):
+        # n = 512 and 8 restarts, as in the matrix-level cut risk; recorded
+        # with every restart's value taken by einsum
+        spec = default_model(8)
+        _, theta, A = sample_graph(spec, 512, 3)
+        D = A.values - theta.values
+        r = matrix_cut_norm_heuristic(D, restarts=8, seed=3)
+        assert repr(r.value) == "0.007796096801758601"
+        digests = [hashlib.sha256(np.asarray(w, dtype=np.int64).tobytes()).hexdigest()
+                   for w in (r.witness_s, r.witness_t)]
+        assert digests == ["d06561f59d6c9c6dbea9c78046bb3acdbba221a33a018deddd03fade991958f5",
+                           "4765f4a5fd38667316f3d5f712d43b32c0663df61349d43a913e2376c55712bd"]
 
 
 class TestInf1:

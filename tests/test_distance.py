@@ -98,6 +98,19 @@ def reference_min_over_permutations(D1, D2, metric):
     return best_perm, best_val
 
 
+def reference_greedy_match(cost):
+    """Greedy assignment perm[i] = j, cheapest free pair first; first minimum wins ties."""
+    m = cost.shape[0]
+    perm = np.empty(m, dtype=int)
+    usable = cost.copy()
+    for _ in range(m):
+        i, j = np.unravel_index(int(np.argmin(usable)), usable.shape)
+        perm[i] = j
+        usable[i, :] = np.inf
+        usable[:, j] = np.inf
+    return perm
+
+
 def _counts(W, m):
     c = np.rint(W.weights * m).astype(int)
     assert c.sum() == m
@@ -316,9 +329,10 @@ class TestDistances:
             A = random_refinable(rng, m=40)
             B = random_refinable(rng, m=40)
             D1, D2 = blowup(A, 40).values, blowup(B, 40).values
-            cost = _row_cost(D1, D2)
+            cu, l1, l2 = _row_cost(D1, D2)
             fresh = np.abs(D2[:, None, :] - D1[None, :, :]).sum(axis=2)
-            assert np.array_equal(_greedy_match(cost.T), _greedy_match(fresh))
+            assert np.array_equal(cu[np.ix_(l1, l2)].T, fresh)
+            assert np.array_equal(_greedy_match(cu.T, l2, l1), reference_greedy_match(fresh))
 
     @given(
         st.integers(1, 6),
@@ -327,7 +341,7 @@ class TestDistances:
         st.integers(0, 10_000),
         st.sampled_from(["runs", "distinct", "shuffled"]),
         st.sampled_from(["runs", "distinct", "shuffled"]),
-        st.sampled_from([1, 97, 2**22]),
+        st.sampled_from([1, 97, distance._COST_BLOCK]),
     )
     @example(6, 5, 7, 3, "runs", "runs", 1)  # two zero-slot steps on the first side
     @settings(max_examples=60, deadline=None)
@@ -338,25 +352,53 @@ class TestDistances:
         D2 = uneven_blowup(rng, k2, m, layout2)
         full = np.abs(D1[:, None, :] - D2[None, :, :]).sum(axis=2)
         with mock.patch.object(distance, "_COST_BLOCK", block):
-            assert np.array_equal(_row_cost(D1, D2), full)
+            cu, l1, l2 = _row_cost(D1, D2)
+        assert np.array_equal(cu[np.ix_(l1, l2)], full)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(6, 40),
+        st.integers(0, 10_000),
+        st.sampled_from(["runs", "distinct", "shuffled"]),
+        st.sampled_from(["runs", "distinct", "shuffled"]),
+        st.integers(1, 4),
+    )
+    @example(6, 5, 7, 3, "runs", "runs", 1)  # two zero-slot steps on the first side
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_on_runs_matches_reference(self, k1, k2, m, seed, layout1, layout2, grid):
+        # integer costs on a grid of grid + 1 values: ties are common, inside
+        # a pair of runs and between pairs
+        rng = np.random.default_rng(seed)
+        _, l1 = distance._row_runs(uneven_blowup(rng, k1, m, layout1))
+        _, l2 = distance._row_runs(uneven_blowup(rng, k2, m, layout2))
+        cu = rng.integers(0, grid + 1, (l1[-1] + 1, l2[-1] + 1)).astype(float)
+        cost = cu[np.ix_(l1, l2)]
+        assert np.array_equal(_greedy_match(cu, l1, l2), reference_greedy_match(cost))
+        assert np.array_equal(_greedy_match(cu.T, l2, l1), reference_greedy_match(cost.T))
 
     @pytest.mark.parametrize(
-        "metric, seed, digest, upper",
+        "metric, k, n, seed, digest, upper",
         [
-            ("cut", 32, "fa95ab211bb512211ea1a0a300c7ed4be903c68369d5173dcf97d68da8e14567",
+            ("cut", 4, 64, 32, "fa95ab211bb512211ea1a0a300c7ed4be903c68369d5173dcf97d68da8e14567",
              "0.10458984374999993"),
-            ("l1", 6, "7a4644928f3a08db905254fd7e5e53ef19a46d932a2ecd372b45462413a82619",
+            ("l1", 4, 64, 6, "7a4644928f3a08db905254fd7e5e53ef19a46d932a2ecd372b45462413a82619",
              "0.50234375"),
+            ("cut", 4, 256, 1, "bbd330b12e8159e117376ef24fa106413bc9fc18032a0d43e95c5dae5e47953f",
+             "0.08783721923827129"),
+            ("cut", 32, 256, 2, "c6ffcb9672284d827a1b4bf8b1ed59dd429c7ee7daa54401e1822878daca23f2",
+             "0.06566925048828913"),
         ],
-        ids=["cut", "l1"],
+        ids=["cut", "l1", "cut-k4-n256", "cut-k32-n256"],
     )
-    def test_search_wiring_is_pinned(self, metric, seed, digest, upper):
-        # the risk harness's call at restarts=0 and a heuristic size; on these
-        # two draws matching backward on `cost` instead of `cost.T` changes
-        # the answer, as does any change to how the row cost is expanded
-        spec = default_model(4)
-        _, _, A = sample_graph(spec, 64, seed)
-        est = delta_upper(empirical_graphon(A), spec.graphon, metric, m=64, restarts=0, seed=seed)
+    def test_search_wiring_is_pinned(self, metric, k, n, seed, digest, upper):
+        # the risk harness's call at restarts=0 and a heuristic size; on the
+        # first two draws matching backward on `cost` instead of `cost.T`
+        # changes the answer, as does any change to how the row cost is
+        # indexed.  The n = 256 draws are the benchmark's size.
+        spec = default_model(k)
+        _, _, A = sample_graph(spec, n, seed)
+        est = delta_upper(empirical_graphon(A), spec.graphon, metric, m=n, restarts=0, seed=seed)
         perm = np.asarray(est.permutation, dtype=np.int64)
         assert hashlib.sha256(perm.tobytes()).hexdigest() == digest
         assert repr(est.upper) == upper
