@@ -51,8 +51,8 @@ def main():
     print(f"pairwise motif-density separation floor: {gfam.separation_lower:.2e}")
     u = (gfam.elements[0].weights[:k1] - 1 / (2 * k1))
     v = (gfam.elements[1].weights[:k1] - 1 / (2 * k1))
-    exact = latent_kl_exact(u, v, k1, mk, 4096)
-    bound = kl_bound(u, v, 4096, gfam.epsilon, k1)
+    exact = latent_kl_exact(u, v, 4096)
+    bound = kl_bound(u, v, 4096, gfam.epsilon)
     print(f"first pair: exact latent KL {exact:.4f} <= closed-form bound {bound:.4f}")
     print()
     print("The KL between the latent label distributions is computed exactly")

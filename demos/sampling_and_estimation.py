@@ -7,7 +7,6 @@ four probability-matrix estimators in several error norms.
 import numpy as np
 
 from cutgraphon import (
-    SvtConfig,
     estimate_adjacency,
     estimate_mean,
     estimate_restricted_ls,
@@ -43,7 +42,7 @@ def main():
     print(f"latent class sizes: {counts.tolist()}")
     print()
 
-    svt = estimate_svt(A, SvtConfig())
+    svt = estimate_svt(A)
     rls = estimate_restricted_ls(A, k, restarts=8, seed=1)
     estimators = [
         ("adjacency (A itself)", estimate_adjacency(A).values),

@@ -33,7 +33,7 @@ def main():
               f"(target {decomp.target:.4f}, stopped early: {decomp.stopped_early})")
         # the certificate behind the stopping rule
         recheck = step_kernel_cut_norm_exact(decomp.residual).value
-        recon = reconstruct_from_terms(decomp, 8)
+        recon = reconstruct_from_terms(decomp)
         print(f" residual cut re-verified: {recheck:.4f}; "
               f"approx+residual == W: "
               f"{np.allclose(approx.values + decomp.residual.values, V)}; "

@@ -35,7 +35,6 @@ from .distance import (
 from .errors import BudgetError, ValidationError
 from .estimate import (
     BlockFit,
-    SvtConfig,
     SvtEstimate,
     edge_density,
     estimate_adjacency,

@@ -35,7 +35,6 @@ from .distance import METRICS as DISTANCE_METRICS
 from .distance import delta_exact_tiny, delta_upper
 from .errors import BudgetError, ValidationError
 from .estimate import (
-    SvtConfig,
     estimate_adjacency,
     estimate_mean,
     estimate_restricted_ls,
@@ -69,8 +68,11 @@ class _Given(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
 
 
-def _reject_given(args, branch: str) -> None:
-    given = sorted(getattr(args, "given", ()))
+def _reject_given(args, branch: str, ignored=None) -> None:
+    """Reject the given options (those in `ignored` only, when it is set)
+    as read only on `branch`."""
+    given = set(getattr(args, "given", ()))
+    given = sorted(given if ignored is None else given & ignored)
     if given:
         raise ValidationError(f"options used only with {branch}: {', '.join(given)}")
 
@@ -111,7 +113,7 @@ def _cmd_estimate(args) -> int:
         phat = estimate_mean(A)
         note = f"mean value={phat.values.max():.6g}"
     elif args.estimator == "svt":
-        est = estimate_svt(A, SvtConfig())
+        est = estimate_svt(A)
         phat = est.prob
         note = f"svt kept={est.kept} threshold={est.threshold:.4g}"
     else:
@@ -172,10 +174,11 @@ def _cmd_regularity(args) -> int:
 
 def _cmd_packing(args) -> int:
     if args.kind == "matrix":
-        _reject_given(args, "--kind graphon")
+        _reject_given(args, "--kind graphon", {"--k"})
         fam = matrix_packing(args.n, args.rho, seed=args.seed)
     else:
-        fam = graphon_packing(args.k, args.n, rho=args.rho, seed=args.seed)
+        _reject_given(args, "--kind matrix", {"--rho"})
+        fam = graphon_packing(args.k, args.n, seed=args.seed)
     print(f"kind={fam.kind} count={len(fam.elements)} epsilon={fam.epsilon!r} "
           f"klBudget={fam.kl_budget!r} separationLower={fam.separation_lower!r} "
           f"fanoReady={fam.fano_ready}")
@@ -272,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, default=64, action=_Given,
                    help="block count (graphon kind)")
-    s.add_argument("--rho", type=float, default=1.0)
+    s.add_argument("--rho", type=float, default=1.0, action=_Given,
+                   help="density scale (matrix kind)")
     s.set_defaults(func=_cmd_packing)
 
     s = sub.add_parser("risk", help="Monte Carlo risk experiment from a config file")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 
 # weight vectors must sum to 1 within this to be accepted verbatim ...
 WEIGHT_SUM_TOL = 1e-12
@@ -32,11 +32,21 @@ WEIGHT_RENORM_TOL = 1e-9
 
 _SYM_TOL = 1e-9
 
+# most elements one dense square array may have (n <= 8192): larger n x n
+# blow-ups and probability matrices raise BudgetError before allocating
+DENSE_BUDGET = 2**26
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _check_dense(n: int) -> None:
+    if n * n > DENSE_BUDGET:
+        raise BudgetError(f"a dense {n} x {n} array exceeds the budget of "
+                          f"{DENSE_BUDGET} elements")
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -192,10 +202,9 @@ class Kernel:
 
 @dataclass(frozen=True)
 class LatentSample:
-    """i.i.d. Uniform[0,1) latent positions plus the seed that produced them."""
+    """i.i.d. Uniform[0,1) latent positions (see `sampling.sample_latents`)."""
 
     positions: np.ndarray
-    seed: int
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
@@ -292,12 +301,14 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     Exact whenever every m*weight is an integer; otherwise the closest
     equal-partition approximation. Requires m >= k. A W that already has m
     steps of weight exactly 1/m is its own blow-up and comes back as it is
-    (StepGraphon is immutable).
+    (StepGraphon is immutable). An m x m blow-up above DENSE_BUDGET
+    elements raises BudgetError.
     """
     if m < W.k:
         raise ValidationError(f"blowup target m={m} below step count k={W.k}")
     if W.k == m and np.all(W.weights == 1.0 / m):
         return W
+    _check_dense(m)
     counts = blowup_counts(W.weights, m)
     idx = np.repeat(np.arange(W.k), counts)
     q = W.values[np.ix_(idx, idx)]

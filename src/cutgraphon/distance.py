@@ -412,7 +412,8 @@ def _swap_descent(D1, D2, perm, objective, rng):
 
 
 def _search(D1, D2, metric: str, restarts: int, seed: int):
-    """Candidate alignments, swap descent on the best, then a full-quality final value."""
+    """Candidate alignments, swap descent on the best, then (heuristic cut
+    only) the smaller of that value and a second evaluation."""
     m = D1.shape[0]
     rng = stream(seed, "delta-upper")
 
@@ -452,7 +453,10 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
             if val < best_val:
                 best_perm, best_val = q, val
     if metric == "cut" and _cut_mode(m) == "heuristic":
-        # only the heuristic cut depends on restarts: re-score at full quality
+        # both values are lower bounds on the aligned difference's cut norm,
+        # from restarts=4 and max(restarts, 16); the smaller is kept, so this
+        # second evaluation can only lower the result and never moves it up
+        # toward the true norm
         best_val = min(best_val, _difference_norm(
             D1 - D2[np.ix_(best_perm, best_perm)], metric, restarts=max(restarts, 16), seed=seed))
     return best_perm, best_val

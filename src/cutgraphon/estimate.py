@@ -3,9 +3,9 @@
 Three estimators, in increasing order of structure:
 
 * identity (the graph itself) and the global mean,
-* spectral truncation: keep eigenpairs with |eigenvalue| above
-  SVT_C * sqrt(n * edge density), then clip into [0,1] with a zero
-  diagonal,
+* spectral truncation: keep eigenpairs with |eigenvalue| at least a
+  threshold, SVT_C * sqrt(n * edge density) unless one is given, then
+  clip into [0,1] with a zero diagonal,
 * restricted least squares over k-block matrices with entries in
   [0, rho], fitted by alternating minimization with restarts, plus an
   exact enumerator for tiny instances to validate against.
@@ -58,16 +58,6 @@ def edge_density(A: AdjacencyMatrix) -> float:
 
 
 @dataclass(frozen=True)
-class SvtConfig:
-    """Threshold SVT_C*sqrt(n*edge_density(A)).
-
-    `threshold` overrides the formula entirely (0 keeps every eigenpair).
-    """
-
-    threshold: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class SvtEstimate:
     prob: ProbMatrix          # clipped to [0,1], zero diagonal
     raw: np.ndarray           # truncated eigenexpansion before clipping
@@ -78,11 +68,16 @@ class SvtEstimate:
         self.raw.setflags(write=False)
 
 
-def estimate_svt(A: AdjacencyMatrix, config: SvtConfig = SvtConfig()) -> SvtEstimate:
-    """Eigenvalue truncation of the adjacency matrix."""
+def estimate_svt(A: AdjacencyMatrix, threshold: Optional[float] = None) -> SvtEstimate:
+    """Eigenvalue truncation of the adjacency matrix.
+
+    Keeps the eigenpairs with |eigenvalue| >= threshold, which defaults to
+    SVT_C*sqrt(n*edge_density(A)); a given `threshold` replaces the formula
+    (0 keeps every eigenpair).
+    """
     M = A.values
-    if config.threshold is not None:
-        lam = float(config.threshold)
+    if threshold is not None:
+        lam = float(threshold)
     else:
         lam = SVT_C * np.sqrt(A.n * edge_density(A))
     w, V = np.linalg.eigh(M)

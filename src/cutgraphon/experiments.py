@@ -40,7 +40,6 @@ from .cutnorm import matrix_cut_norm_heuristic
 from .distance import delta_upper
 from .errors import ValidationError
 from .estimate import (
-    SvtConfig,
     estimate_adjacency,
     estimate_mean,
     estimate_restricted_ls,
@@ -224,7 +223,7 @@ def _run_estimator(name: str, A, k: int, rho: float, seed: int):
     if name == "mean":
         return estimate_mean(A)
     if name == "svt":
-        return estimate_svt(A, SvtConfig()).prob
+        return estimate_svt(A).prob
     if name == "rls":
         fit = estimate_restricted_ls(A, k, rho=rho, restarts=4, seed=seed)
         return fit_to_prob_matrix(fit)

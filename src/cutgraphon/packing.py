@@ -12,6 +12,7 @@ budget is dimension-free in the values.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -53,11 +54,9 @@ class VgCode:
     """Balanced sign vectors with certified pairwise Hamming separation."""
 
     vectors: np.ndarray          # M x k1, entries +-1
-    k1: int
     separation: int              # certified min pairwise Hamming distance
     target: int
     reached: bool
-    two_sided: bool
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
@@ -100,7 +99,7 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> V
         size += 1
         if size >= target:
             break
-    return VgCode(kept[:size].copy(), k1, sep, target, size >= target, two_sided)
+    return VgCode(kept[:size].copy(), sep, target, size >= target)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,6 @@ class RademacherBlockMatrix:
     """Sign matrix whose rows are nearly orthogonal (certified)."""
 
     values: np.ndarray           # k1 x mk, entries +-1
-    k1: int
-    mk: int
     tries: int
     property_ii_passed: int
     property_ii_total: int
@@ -197,7 +194,7 @@ def rademacher_block_matrix(k1: int, mk: int, seed: int = 0) -> RademacherBlockM
     else:
         raise BudgetError(f"no row-orthogonal sign matrix in {BLOCK_TRIES} tries")
     passed, total = spot_check_property_ii(B, PROPERTY_II_SAMPLES, seed)
-    return RademacherBlockMatrix(B, k1, mk, t, passed, total)
+    return RademacherBlockMatrix(B, t, passed, total)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +238,23 @@ class PackingFamily:
         return len(self.elements)
 
 
+def _draw_pairs(rng: np.random.Generator, M: int, most: int):
+    """Up to `most` distinct pairs (i, j), i < j < M, drawn without replacement.
+
+    The draw picks positions in the lexicographic order of all M(M-1)/2
+    pairs, and each position is turned into its pair arithmetically rather
+    than by listing the pairs (4.4 million of them at M = 2981).
+    """
+    total = M * (M - 1) // 2
+    out = []
+    for t in rng.choice(total, size=min(most, total), replace=False):
+        # counted from the end, row M-2-b starts b(b+1)/2 pairs in and holds b+1
+        r = total - 1 - int(t)
+        b = (math.isqrt(8 * r + 1) - 1) // 2
+        out.append((M - 2 - b, M - 1 - (r - b * (b + 1) // 2)))
+    return out
+
+
 def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
     """Two-valued probability matrices rho/2 + eps*u_i*u_j with a VG code.
 
@@ -265,13 +279,9 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
         vals = rho / 2.0 + eps * np.outer(u, u)
         np.fill_diagonal(vals, 0.0)
         elements.append(ProbMatrix(vals))
-    rng = stream(seed, "matrix-pack-check")
+    pairs = _draw_pairs(stream(seed, "matrix-pack-check"), M, MATRIX_PAIRS_TO_CHECK)
     checked = []
-    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    take = min(MATRIX_PAIRS_TO_CHECK, len(pairs))
-    idx = rng.choice(len(pairs), size=take, replace=False)
-    for t in idx:
-        i, j = pairs[t]
+    for i, j in pairs:
         D = elements[i].values - elements[j].values
         checked.append(matrix_cut_norm_heuristic(D, restarts=8, seed=seed).value)
     fano = M >= 3 and kl <= np.log(M) / 32.0 + 1e-12
@@ -280,38 +290,47 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
         "code_separation": code.separation,
         "code_reached": code.reached,
         "effective_c2": eps / (np.sqrt(rho) * min(1.0 / np.sqrt(n), np.sqrt(rho))),
-        "checked_pairs": take,
+        "checked_pairs": len(pairs),
         "checked_cut_min": float(min(checked)) if checked else float("nan"),
     }
     return PackingFamily("matrix", tuple(elements), float(eps), float(eps / 14.0),
                          float(kl), n, 2, fano, meta)
 
 
-def kl_bound(u: np.ndarray, v: np.ndarray, n: int, eps: float, k1: int) -> float:
-    """Closed-form budget 32*n*k1^2*eps^2/3 for weight perturbations of size eps."""
+def _perturbation_pair(u, v):
+    """u and v as float vectors of one length k1 >= 1, the light step count."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.ndim != 1 or u.size == 0 or v.shape != u.shape:
+        raise ValidationError("perturbations must be two nonempty vectors of one length")
+    return u, v
+
+
+def kl_bound(u: np.ndarray, v: np.ndarray, n: int, eps: float) -> float:
+    """Closed-form budget 32*n*k1^2*eps^2/3 for weight perturbations of size eps.
+
+    k1 is the length of u and v; their entries must be +-eps.
+    """
+    u, v = _perturbation_pair(u, v)
+    k1 = u.size
     if eps < 0 or eps > 1.0 / (8.0 * k1) + 1e-15:
         raise ValidationError(f"need 0 <= eps <= 1/(8*k1), got eps={eps}, k1={k1}")
-    if u.shape != (k1,) or v.shape != (k1,):
-        raise ValidationError("perturbations must have length k1")
     if eps > 0 and (np.any(np.abs(np.abs(u) - eps) > 1e-12)
                     or np.any(np.abs(np.abs(v) - eps) > 1e-12)):
         raise ValidationError("perturbation entries must be +-eps")
     return 32.0 * n * k1**2 * eps**2 / 3.0
 
 
-def latent_kl_exact(u: np.ndarray, v: np.ndarray, k1: int, mk: int, n: int) -> float:
+def latent_kl_exact(u: np.ndarray, v: np.ndarray, n: int) -> float:
     """n times the KL divergence between the two latent label distributions.
 
-    Labels fall in a light step a with probability 1/(2*k1) + u_a and in
-    any of the mk heavy steps with probability 1/(2*mk); the heavy terms
-    are identical across the family and drop out of the sum.
+    Labels fall in a light step a with probability 1/(2*k1) + u_a, where k1
+    is the length of u and v, and in any of the heavy steps with the same
+    probability for every member; the heavy terms drop out of the sum, so
+    their count is not needed.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (k1,) or v.shape != (k1,):
-        raise ValidationError("perturbations must have length k1")
+    u, v = _perturbation_pair(u, v)
+    k1 = u.size
     if abs(u.sum()) > 1e-12 or abs(v.sum()) > 1e-12:
         raise ValidationError("perturbations must be balanced (sum to 0) "
                               "so the label law stays a distribution")
@@ -322,12 +341,15 @@ def latent_kl_exact(u: np.ndarray, v: np.ndarray, k1: int, mk: int, n: int) -> f
     return float(n * np.sum(pu * np.log(pu / pv)))
 
 
-def _graphon_member(Q: np.ndarray, u: np.ndarray, eps: float, k1: int, mk: int) -> StepGraphon:
+def _graphon_member(Q: np.ndarray, u: np.ndarray, eps: float) -> StepGraphon:
+    """Light weights 1/(2*k1) + eps*u for the k1 = len(u) light steps, then
+    equal weights on the rest of Q's steps."""
+    k1, mk = len(u), Q.shape[0] - len(u)
     w = np.concatenate([1.0 / (2.0 * k1) + eps * u, np.full(mk, 1.0 / (2.0 * mk))])
     return StepGraphon(Q, w)
 
 
-def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingFamily:
+def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     """Step-graphon family separated in cut distance by weight perturbations.
 
     For k >= 64 (multiple of 32): k1 = k/2 light steps, mk = ceil(128 log k)
@@ -345,11 +367,12 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingF
     k=2 is the two-element special case (values [[1,1],[1,0]], weights
     1/2 +- eps with eps=1/8) whose cut separation is the `delta_exact_tiny`
     minimum over permutations of the m=8 common refinement.
+
+    Both cases build dense (rho = 1) families and take no sparsity
+    parameter; `matrix_packing` is the family that scales with rho.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValidationError(f"rho must be in (0, 1], got {rho}")
     if k == 2:
-        return _graphon_packing_two(n, rho)
+        return _graphon_packing_two(n)
     if k < 64 or k % 32 != 0:
         raise ValidationError(f"need k=2 or a multiple of 32 with k >= 64, got {k}")
     if k > n:
@@ -365,17 +388,15 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingF
     cross = (1.0 + block.values) / 2.0
     Q[:k1, k1:] = cross
     Q[k1:, :k1] = cross.T
-    elements = tuple(_graphon_member(Q, u, eps, k1, mk) for u in code.vectors)
-    kl = kl_bound(eps * code.vectors[0], eps * code.vectors[1], n, eps, k1)
-    rng = stream(seed, "graphon-pack-check")
-    pairs = [(i, j) for i in range(code.size) for j in range(i + 1, code.size)]
-    take = min(GRAPHON_PAIRS_TO_CHECK, len(pairs))
-    idx = rng.choice(len(pairs), size=take, replace=False)
+    elements = tuple(_graphon_member(Q, u, eps) for u in code.vectors)
+    kl = kl_bound(eps * code.vectors[0], eps * code.vectors[1], n, eps)
+    pairs = _draw_pairs(stream(seed, "graphon-pack-check"), code.size,
+                        GRAPHON_PAIRS_TO_CHECK)
     # Each checked element's motif densities are taken once.  A pair of two
     # new elements still goes through delta_cut_lower, which perfbench/tracer.py
     # rebinds here by name, and its densities are kept for later pairs.
     dens, lowers = {}, []
-    for i, j in (pairs[t] for t in idx):
+    for i, j in pairs:
         if i in dens or j in dens:
             dens.update({e: _motif_densities(elements[e]) for e in (i, j) if e not in dens})
             lowers.append(_motif_bound(dens[i], dens[j]).value)
@@ -392,23 +413,22 @@ def graphon_packing(k: int, n: int, rho: float = 1.0, seed: int = 0) -> PackingF
         "block_tries": block.tries,
         "property_ii_passed": block.property_ii_passed,
         "property_ii_total": block.property_ii_total,
-        "checked_pairs": take,
-        "rho": rho,
+        "checked_pairs": len(pairs),
     }
     return PackingFamily("graphon", elements, float(eps),
                          float(min(lowers)) if lowers else 0.0,
                          float(kl), n, k, False, meta)
 
 
-def _graphon_packing_two(n: int, rho: float) -> PackingFamily:
+def _graphon_packing_two(n: int) -> PackingFamily:
     eps = 1.0 / 8.0
     Q = np.array([[1.0, 1.0], [1.0, 0.0]])
     elements = tuple(StepGraphon(Q, np.array([0.5 + s * eps, 0.5 - s * eps]))
                      for s in (+1.0, -1.0))
     sep = delta_exact_tiny(elements[0], elements[1], "cut").upper
-    kl = kl_bound(np.array([eps]), np.array([-eps]), n, eps, 1)
+    kl = kl_bound(np.array([eps]), np.array([-eps]), n, eps)
     meta = {"k1": 1, "mk": 2, "code_size": 2, "exact_separation": True,
-            "c_prime": float(sep / eps), "rho": rho}
+            "c_prime": float(sep / eps)}
     return PackingFamily("graphon", elements, eps, float(sep), float(kl),
                          n, 2, False, meta)
 

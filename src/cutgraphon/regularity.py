@@ -42,11 +42,13 @@ class RegularityTerm:
 
 @dataclass(frozen=True)
 class RegularityDecomposition:
-    q0: int
+    """The greedy rounds and what they leave; the approximant itself, the
+    accumulated step correction W - residual (possibly asymmetric), is the
+    first value `weak_regularity_approx` returns."""
+
     max_terms: int           # k0 = floor(log2 q0)
     target: float            # 1 / sqrt(k0)
     terms: Tuple[RegularityTerm, ...]
-    approx: Kernel           # accumulated step correction (may be asymmetric)
     residual: Kernel
     final_cut: float         # exact cut norm of the final residual
     stopped_early: bool
@@ -90,14 +92,15 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
     approx_vals = W.values - R
     approx = Kernel(approx_vals, w, w, check_range=False)
     decomp = RegularityDecomposition(
-        q0, k0, float(target), tuple(terms), approx,
+        k0, float(target), tuple(terms),
         Kernel(R, w, w, check_range=False), float(res.value), stopped,
     )
     return approx, decomp
 
 
-def reconstruct_from_terms(decomp: RegularityDecomposition, k: int) -> np.ndarray:
+def reconstruct_from_terms(decomp: RegularityDecomposition) -> np.ndarray:
     """Rebuild the approximation's step values from the recorded terms."""
+    k = decomp.residual.q1
     out = np.zeros((k, k))
     for t in decomp.terms:
         out[np.ix_(t.rows, t.cols)] += t.coefficient

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .core import AdjacencyMatrix, LatentSample, ProbMatrix, StepGraphon
+from .core import AdjacencyMatrix, LatentSample, ProbMatrix, StepGraphon, _check_dense
 from .errors import ValidationError
 
 
@@ -56,7 +56,7 @@ def sample_latents(n: int, seed: int = 0) -> LatentSample:
     if n < 1:
         raise ValidationError("n must be >= 1")
     rng = stream(seed, "latents")
-    return LatentSample(rng.random(n), seed)
+    return LatentSample(rng.random(n))
 
 
 def step_labels(W: StepGraphon, positions: np.ndarray) -> np.ndarray:
@@ -72,8 +72,12 @@ def step_labels(W: StepGraphon, positions: np.ndarray) -> np.ndarray:
 
 
 def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -> ProbMatrix:
-    """Connection-probability matrix rho*Q[z_i, z_j], zero diagonal."""
+    """Connection-probability matrix rho*Q[z_i, z_j], zero diagonal.
+
+    More than DENSE_BUDGET entries (see `core`) raise BudgetError.
+    """
     z = np.asarray(labels, dtype=int)
+    _check_dense(z.size)
     if z.size and (z.min() < 0 or z.max() >= spec.graphon.k):
         raise ValidationError("labels out of range for the graphon's steps")
     T = spec.rho * spec.graphon.values[np.ix_(z, z)]

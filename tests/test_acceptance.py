@@ -23,7 +23,6 @@ from cutgraphon.cutnorm import (
 )
 from cutgraphon.distance import delta_cut_lower, delta_exact_tiny, delta_upper
 from cutgraphon.estimate import (
-    SvtConfig,
     estimate_restricted_ls,
     estimate_svt,
     exact_restricted_ls,
@@ -162,9 +161,9 @@ def test_criterion_05_rate_slopes():
 
 def test_criterion_06_svt_properties():
     _, _, A = sample_graph(default_model(4, 1.0), 64, seed=0)
-    roundtrip = float(np.abs(estimate_svt(A, SvtConfig(threshold=0.0)).raw
+    roundtrip = float(np.abs(estimate_svt(A, threshold=0.0).raw
                              - A.values).max())
-    zeroed = estimate_svt(A, SvtConfig(threshold=1e6))
+    zeroed = estimate_svt(A, threshold=1e6)
     worst_ratio = 0.0
     cut_violations = 0
     reps_total = 0
@@ -253,7 +252,7 @@ def test_criterion_09_fano_packings():
     sep_ok = min(pair_cuts) >= fam.epsilon / 14.0
 
     gfam = graphon_packing(64, 4096)
-    k1, mk = gfam.meta["k1"], gfam.meta["mk"]
+    k1 = gfam.meta["k1"]
     perturbations = []
     for el in gfam.elements:
         u = np.round((el.weights[:k1] - 1.0 / (2 * k1)) / gfam.epsilon)
@@ -261,9 +260,9 @@ def test_criterion_09_fano_packings():
     kl_violations = 0
     for i in range(len(perturbations)):
         for j in range(i + 1, len(perturbations)):
-            exact = latent_kl_exact(perturbations[i], perturbations[j], k1, mk, 4096)
+            exact = latent_kl_exact(perturbations[i], perturbations[j], 4096)
             bound = kl_bound(perturbations[i], perturbations[j], 4096,
-                             gfam.epsilon, k1)
+                             gfam.epsilon)
             if exact > bound + 1e-12:
                 kl_violations += 1
     rng = np.random.default_rng(909)

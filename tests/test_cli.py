@@ -80,9 +80,10 @@ class TestOptions:
          ["--m", "--restarts", "--seed"]),
         ("sample --graphon {W} --k 3 --n 5", ["--k"]),
         ("packing --kind matrix --n 16 --k 64", ["--k"]),
+        ("packing --kind graphon --n 64 --rho 0.5", ["--rho"]),
         ("cutnorm --input {A} --mode exact --restarts 3 --seed 1", ["--restarts", "--seed"]),
     ], ids=["estimate-svt", "distance-exact", "sample-graphon", "packing-matrix",
-            "cutnorm-exact"])
+            "packing-graphon", "cutnorm-exact"])
     def test_option_read_only_on_another_branch_exits_2(self, argv, rejected,
                                                         tmp_path, capsys):
         A, W = tmp_path / "a.txt", tmp_path / "w.txt"
@@ -131,6 +132,12 @@ class TestSample:
         code, _, err = run(capsys, "sample", "--k", "2", "--n", "0")
         assert code == 2
         assert "invalid input" in err
+
+    def test_oversized_theta_exits_3(self, capsys):
+        # 300000^2 probabilities would take 671 GiB
+        code, out, err = run(capsys, "sample", "--n", "300000", "--k", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("budget exhausted") and "Traceback" not in err
 
 
 class TestEstimate:
@@ -211,6 +218,14 @@ class TestDistance:
         code, _, err = run(capsys, "distance", "--a", str(p1), "--b", str(p2),
                            "--m", "16", "--restarts", "0")
         assert code == 3 and "budget" in err
+
+    def test_oversized_blowup_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        save_stepgraphon(StepGraphon(np.full((1, 1), 0.5), np.ones(1)), path)
+        code, out, err = run(capsys, "distance", "--a", str(path), "--b", str(path),
+                             "--m", "300000")
+        assert code == 3 and out == ""
+        assert err.startswith("budget exhausted") and "Traceback" not in err
 
 
 class TestRegularity:

@@ -80,9 +80,9 @@ class TestTypes:
             Kernel([[0.5, 0.5]], [1.0], [0.5, 0.0])
 
     def test_latent_sample_range(self):
-        LatentSample(np.array([0.0, 0.999]), seed=1)
+        LatentSample(np.array([0.0, 0.999]))
         with pytest.raises(ValidationError):
-            LatentSample(np.array([1.0]), seed=1)
+            LatentSample(np.array([1.0]))
 
 
 class TestWeightRule:

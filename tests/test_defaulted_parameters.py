@@ -11,7 +11,7 @@ from test_public_names import PACKAGE, ROOT, caller_files
 ALLOWED = {
     ("main", "argv"): "the console entry point reads sys.argv; tests pass argv",
     ("exact_restricted_ls", "rho"): "the rho < 1 oracle that tests check the fit against",
-    ("SvtConfig", "threshold"): "criterion 06 sets it to keep or drop every eigenpair",
+    ("estimate_svt", "threshold"): "criterion 06 sets it to keep or drop every eigenpair",
 }
 
 

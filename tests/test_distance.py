@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutgraphon import distance
+from cutgraphon import core, distance
 from cutgraphon.core import StepGraphon, blowup, empirical_graphon
 from cutgraphon.distance import (
     CHERRY,
@@ -243,6 +243,14 @@ class TestRefinement:
         B = StepGraphon(np.array([[0.5]]), np.array([1.0]))
         m, exact = common_refinement_m(A, B)
         assert m == 64 and not exact
+
+    def test_blowup_over_dense_budget_raises(self, monkeypatch):
+        A = StepGraphon(np.array([[0.2, 0.8], [0.8, 0.3]]), np.array([0.25, 0.75]))
+        B = StepGraphon(np.array([[0.5]]), np.array([1.0]))
+        monkeypatch.setattr(core, "DENSE_BUDGET", 16)
+        assert delta_upper(A, B, m=4).m == 4
+        with pytest.raises(BudgetError):
+            delta_upper(A, B, m=5)
 
 
 # ---------------------------------------------------------------------------

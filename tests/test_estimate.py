@@ -13,7 +13,6 @@ from cutgraphon import estimate
 from cutgraphon.core import AdjacencyMatrix
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.estimate import (
-    SvtConfig,
     edge_density,
     estimate_adjacency,
     estimate_mean,
@@ -130,7 +129,7 @@ class TestSvt:
     def test_zero_threshold_roundtrip(self):
         rng = np.random.default_rng(1)
         A = random_graph(rng, 30)
-        est = estimate_svt(A, SvtConfig(threshold=0.0))
+        est = estimate_svt(A, threshold=0.0)
         assert np.abs(est.raw - A.values).max() < 1e-9
         assert est.kept == 30
 
@@ -138,20 +137,20 @@ class TestSvt:
         rng = np.random.default_rng(2)
         A = random_graph(rng, 20)
         op = np.abs(np.linalg.eigvalsh(A.values)).max()
-        est = estimate_svt(A, SvtConfig(threshold=op * 1.01))
+        est = estimate_svt(A, threshold=op * 1.01)
         assert est.kept == 0
         assert np.all(est.raw == 0)
 
     def test_threshold_formula(self):
         rng = np.random.default_rng(3)
         A = random_graph(rng, 25)
-        est = estimate_svt(A, SvtConfig())
+        est = estimate_svt(A)
         assert est.threshold == pytest.approx(2.1 * np.sqrt(25 * edge_density(A)))
 
     def test_prob_output_is_valid(self):
         rng = np.random.default_rng(4)
         A = random_graph(rng, 30)
-        est = estimate_svt(A, SvtConfig(threshold=0.0))
+        est = estimate_svt(A, threshold=0.0)
         P = est.prob.values
         assert P.min() >= 0 and P.max() <= 1
         assert np.all(np.diag(P) == 0)

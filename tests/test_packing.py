@@ -175,6 +175,18 @@ class TestPropertyIiDraw:
 
 
 class TestMatrixPacking:
+    @pytest.mark.parametrize("M", [2, 3, 7, 50])
+    def test_drawn_pairs_follow_the_listed_order(self, M):
+        # drawing every position visits each pair once, in a random order
+        listed = [(i, j) for i in range(M) for j in range(i + 1, M)]
+        idx = np.random.default_rng(M).choice(len(listed), size=len(listed), replace=False)
+        drawn = packing._draw_pairs(np.random.default_rng(M), M, len(listed) + 1)
+        assert drawn == [listed[t] for t in idx]
+
+    def test_checked_cut_min_is_pinned(self):
+        # pins the pair draw and its order along with the cut values
+        assert matrix_packing(64, 1.0).meta["checked_cut_min"] == 0.0005775244775947238
+
     def test_family_certificates(self):
         fam = matrix_packing(32, 0.8, seed=0)
         assert fam.kind == "matrix"
@@ -213,25 +225,35 @@ class TestMatrixPacking:
 class TestKlFormulas:
     def test_closed_form_value(self):
         u = 0.01 * np.array([1, -1, 1, -1, 1, -1, 1, -1])
-        assert kl_bound(u, -u, 100, 0.01, 8) == pytest.approx(6.826666666, abs=1e-6)
-        assert kl_bound(0 * u, 0 * u, 100, 0.0, 8) == 0.0
+        assert kl_bound(u, -u, 100, 0.01) == pytest.approx(6.826666666, abs=1e-6)
+        assert kl_bound(0 * u, 0 * u, 100, 0.0) == 0.0
 
     def test_hypothesis_guard(self):
         u = np.full(4, 0.05)
         with pytest.raises(ValidationError):
-            kl_bound(u, u, 10, 0.05, 4)            # 0.05 > 1/(8*4)
+            kl_bound(u, u, 10, 0.05)            # 0.05 > 1/(8*4)
         with pytest.raises(ValidationError):
-            kl_bound(np.array([0.01, 0.02]), np.array([0.01, 0.02]), 10, 0.01, 2)
+            kl_bound(np.array([0.01, 0.02]), np.array([0.01, 0.02]), 10, 0.01)
+
+    @pytest.mark.parametrize("u, v", [(np.full(2, 0.01), np.full(3, 0.01)),
+                                      (np.zeros(0), np.zeros(0)),
+                                      (np.full((2, 2), 0.01), np.full((2, 2), 0.01))],
+                             ids=["lengths-differ", "empty", "not-1d"])
+    def test_shape_guard(self, u, v):
+        with pytest.raises(ValidationError):
+            kl_bound(u, v, 10, 0.01)
+        with pytest.raises(ValidationError):
+            latent_kl_exact(u, v, 10)
 
     def test_latent_kl_identities(self):
         u = 0.001 * np.array([1, -1, -1, 1])
-        assert latent_kl_exact(u, u, 4, 16, 50) == 0.0
+        assert latent_kl_exact(u, u, 50) == 0.0
         # oracle: full label distribution including the heavy steps
         v = 0.001 * np.array([-1, 1, -1, 1])
         pu = np.concatenate([1 / 8 + u, np.full(16, 1 / 32)])
         pv = np.concatenate([1 / 8 + v, np.full(16, 1 / 32)])
         full = 50 * np.sum(pu * np.log(pu / pv))
-        assert latent_kl_exact(u, v, 4, 16, 50) == pytest.approx(full, abs=1e-15)
+        assert latent_kl_exact(u, v, 50) == pytest.approx(full, abs=1e-15)
 
     def test_bound_dominates_exact(self):
         rng = np.random.default_rng(0)
@@ -242,11 +264,11 @@ class TestKlFormulas:
             u = eps * rng.permutation(base(k1))
             v = eps * rng.permutation(base(k1))
             n = int(rng.integers(10, 200))
-            assert latent_kl_exact(u, v, k1, 32, n) <= kl_bound(u, v, n, eps, k1) + 1e-12
+            assert latent_kl_exact(u, v, n) <= kl_bound(u, v, n, eps) + 1e-12
 
     def test_unbalanced_perturbation_rejected(self):
         with pytest.raises(ValidationError):
-            latent_kl_exact(np.full(4, 0.001), np.full(4, 0.001), 4, 16, 50)
+            latent_kl_exact(np.full(4, 0.001), np.full(4, 0.001), 50)
 
 
 class TestGraphonPacking:
@@ -322,8 +344,6 @@ class TestGraphonPacking:
             graphon_packing(32, 100)
         with pytest.raises(ValidationError):
             graphon_packing(96, 64)
-        with pytest.raises(ValidationError):
-            graphon_packing(64, 64, rho=1.5)
 
 
 class TestSerialization:

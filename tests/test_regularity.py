@@ -111,7 +111,7 @@ class TestReconstruction:
             np.testing.assert_allclose(
                 approx.values + dec.residual.values, W.values, atol=1e-9)
             np.testing.assert_allclose(
-                reconstruct_from_terms(dec, 6), approx.values, atol=1e-9)
+                reconstruct_from_terms(dec), approx.values, atol=1e-9)
 
     def test_approx_has_few_distinct_values(self):
         rng = np.random.default_rng(6)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cutgraphon import core
 from cutgraphon.core import ProbMatrix, StepGraphon
-from cutgraphon.errors import ValidationError
+from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.sampling import (
     ModelSpec,
     sample_adjacency,
@@ -88,6 +89,13 @@ class TestTheta:
         spec = sbm_spec(2, 0.8, 0.2)
         with pytest.raises(ValidationError):
             theta_from_labels(spec, np.array([0, 2]))
+
+    def test_over_dense_budget_raises(self, monkeypatch):
+        spec = sbm_spec(2, 0.8, 0.2)
+        monkeypatch.setattr(core, "DENSE_BUDGET", 25)
+        assert sample_graph(spec, 5)[1].n == 5
+        with pytest.raises(BudgetError):
+            sample_graph(spec, 6)
 
 
 class TestAdjacency:
