@@ -11,12 +11,14 @@ Conventions (callers convert between them explicitly):
 The exact routines enumerate one index side and solve the other side
 greedily: for fixed S, the best T consists of exactly the columns whose
 S-restricted (weighted) sum is strictly positive (resp. negative) —
-zero-sum columns are never included. The heuristic alternates those two
-greedy steps from random starts and returns a replayable certificate, so
-its value is always a lower bound on the true cut norm. Its restarts' end
-values are screened with one matrix product, and only the rectangles that a
-proven rounding margin leaves in contention are summed exactly, term by
-term in the order einsum takes (`_alternate_max`).
+zero-sum columns are never included. One search does this for a whole stack
+of matrices (`_max_rectangle_sums`), each bit for bit as if it were alone;
+the scalar exact cut is the stack of one (`_max_rectangle_sum`). The
+heuristic alternates those two greedy steps from random starts and returns a
+replayable certificate, so its value is always a lower bound on the true cut
+norm. Its restarts' end values are screened with one matrix product, and
+only the rectangles that a proven rounding margin leaves in contention are
+summed exactly, term by term in the order einsum takes (`_alternate_max`).
 
 Also here: the infinity-to-one norm (same 1/n^2 normalization) and the
 sandwich check  cut <= inf1 <= 4 * cut  that links the two.
@@ -90,42 +92,64 @@ def kernel_witness_value(K: Kernel, S, T) -> float:
 # exact enumeration
 
 
-def _max_rectangle_sum(M: np.ndarray):
-    """max_{S,T} |sum M[S,T]| by enumerating the smaller side, greedy other side.
+def _max_rectangle_sums(Ms: np.ndarray):
+    """max_{S,T} |sum M[S,T]| for every matrix M of the stack Ms (q x r x c).
 
-    Returns (raw_value, rows, cols). O(2^min(m,n) * m * n), chunked.
+    Enumerates the subsets S of the smaller side (rows when r <= c) and takes
+    the other side greedily.  Returns (values, subsets, signs): the raw
+    values, the first best subset of each matrix as a bitmask, and +1 or -1
+    for whether the greedy side took the positive or the negative sums.
+    O(q * 2^min(r,c) * r * c), chunked over 2^16 subsets.
+
+    numpy's stacked matmul makes one gemm call per matrix, with the shape
+    and strides a lone matrix gets, and the sums and maxima below reduce
+    each matrix's own contiguous rows.  So every matrix's results are bit
+    for bit those of a stack of one: the scalar exact cut
+    (`_max_rectangle_sum`) is that case.
     """
-    transposed = M.shape[0] > M.shape[1]
-    A = M.T if transposed else M
-    m = A.shape[0]
+    if Ms.shape[1] > Ms.shape[2]:
+        Ms = Ms.transpose(0, 2, 1)
+    q, m = Ms.shape[:2]
     if m > EXACT_BUDGET:
         raise BudgetError(f"exact cut norm: enumerated side {m} exceeds budget {EXACT_BUDGET}")
     bits = np.arange(m)
-    best_val = 0.0
-    best_subset = 0
-    best_sign = 1
+    best_val = np.zeros(q)
+    best_subset = np.zeros(q, dtype=np.int64)
+    best_sign = np.ones(q, dtype=int)
     chunk = 1 << 16
     for lo in range(0, 1 << m, chunk):
         idx = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.int64)
         masks = ((idx[:, None] >> bits) & 1).astype(float)
-        colsums = masks @ A
-        pos = np.where(colsums > 0, colsums, 0.0).sum(axis=1)
-        neg = np.where(colsums < 0, -colsums, 0.0).sum(axis=1)
+        colsums = masks @ Ms
+        pos = np.where(colsums > 0, colsums, 0.0).sum(axis=2)
+        neg = np.where(colsums < 0, -colsums, 0.0).sum(axis=2)
         vals = np.maximum(pos, neg)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_subset = int(idx[j])
-            best_sign = 1 if pos[j] >= neg[j] else -1
-    rows = np.flatnonzero([(best_subset >> b) & 1 for b in range(m)])
-    if transposed:
-        # we enumerated columns of M; the greedy side is rows of M
-        rowsum = M[:, rows].sum(axis=1)
-        other = np.flatnonzero(rowsum > 0) if best_sign > 0 else np.flatnonzero(rowsum < 0)
-        return best_val, other, rows
-    colsum = M[rows].sum(axis=0)
-    other = np.flatnonzero(colsum > 0) if best_sign > 0 else np.flatnonzero(colsum < 0)
-    return best_val, rows, other
+        j = np.argmax(vals, axis=1)
+        top = vals[np.arange(q), j]
+        better = top > best_val
+        best_val[better] = top[better]
+        best_subset[better] = idx[j[better]]
+        best_sign[better] = np.where(pos[better, j[better]] >= neg[better, j[better]], 1, -1)
+    return best_val, best_subset, best_sign
+
+
+def _max_rectangle_sum(M: np.ndarray):
+    """max_{S,T} |sum M[S,T]|: the one-matrix case of `_max_rectangle_sums`.
+
+    Returns (raw_value, rows, cols).
+    """
+    vals, subsets, signs = _max_rectangle_sums(M[None])
+    return float(vals[0]), *_rectangle_of(M, int(subsets[0]), int(signs[0]))
+
+
+def _rectangle_of(M: np.ndarray, subset: int, sign: int):
+    """(rows, cols) of the rectangle that `_max_rectangle_sums` found in M."""
+    transposed = M.shape[0] > M.shape[1]
+    enumerated = np.flatnonzero([(subset >> b) & 1 for b in range(min(M.shape))])
+    # the greedy side: M's columns, or its rows when its columns were enumerated
+    sums = M[:, enumerated].sum(axis=1) if transposed else M[enumerated].sum(axis=0)
+    other = np.flatnonzero(sums > 0) if sign > 0 else np.flatnonzero(sums < 0)
+    return (other, enumerated) if transposed else (enumerated, other)
 
 
 def matrix_cut_norm_exact(B) -> CutNormResult:

@@ -20,14 +20,20 @@ where rearrangements become permutations of [m]:
 
 Both enumerations are screened (`_min_over_permutations`): one permutation
 per distinct arrangement of the second graphon's equal steps, every value
-screened in one batched pass, and the scalar norm taken only where the
-screen, less a proven rounding margin, could beat the running best.  The
+screened in batched passes, and the exact norm taken only where the screen,
+less a proven rounding margin, could beat the running best.  The exact
+norms of those survivors are taken a batch at a time, by one stacked
+product over their differences (`_norms`).  numpy's stacked matmul makes
+one gemm call per difference, with the shape and strides the scalar call
+has, and every later sum runs over one difference's own contiguous entries,
+so each value is bit for bit the scalar path's (`_difference_norm`).  The
 first optimum in lexicographic order is returned, and the permutation and
 value are bit-identical to scoring all m! permutations one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,7 +43,7 @@ import numpy as np
 
 from ._rng import stream
 from .core import StepGraphon, blowup
-from .cutnorm import _max_rectangle_sum, _max_rectangle_sum_heuristic
+from .cutnorm import _max_rectangle_sum, _max_rectangle_sum_heuristic, _max_rectangle_sums
 from .errors import BudgetError, ValidationError
 
 METRICS = ("cut", "l1", "l2")
@@ -48,6 +54,7 @@ ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
 _COST_BLOCK = 2**15  # elements per temporary while the row cost is filled
 _SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened
+_SCORE_BATCH = 16  # candidates whose exact norms are taken in one stacked product
 # Swap descent picks its branch by size.  Up to FULL_SWEEP_M steps it makes at
 # most FULL_SWEEPS lexicographic sweeps over all pairs and stops after a sweep
 # that improves nothing: at most 12*C(16,2) = 1440 objective calls, 336 at
@@ -190,6 +197,21 @@ def permuted_difference_norm(
     return _difference_norm(D1 - D2[np.ix_(p, p)], metric, restarts, seed)
 
 
+@functools.cache
+def _permutation_table(m: int) -> np.ndarray:
+    """All m! permutations of range(m), one per row in lexicographic order.
+
+    Built once per m and shared, so it is read-only; the enumerations take
+    m <= 8, so at most eight tables (0.3 MB at m = 8) are kept.
+    """
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(m))),
+        dtype=np.int8, count=math.factorial(m) * m,
+    ).reshape(-1, m)
+    table.setflags(write=False)
+    return table
+
+
 def _arrangements(D2: np.ndarray) -> np.ndarray:
     """The lexicographically first permutation of each distinct arrangement of D2's steps.
 
@@ -199,11 +221,7 @@ def _arrangements(D2: np.ndarray) -> np.ndarray:
     each run's indices in increasing order.  Returns a table with one
     permutation per row, in lexicographic order.
     """
-    m = D2.shape[0]
-    table = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(m))),
-        dtype=np.int8, count=math.factorial(m) * m,
-    ).reshape(-1, m)
+    table = _permutation_table(D2.shape[0])
     _, runs = _row_runs(np.hstack((D2, D2.T)))
     keep = np.ones(len(table), dtype=bool)
     for i in np.flatnonzero(runs[1:] == runs[:-1]).tolist():
@@ -211,31 +229,42 @@ def _arrangements(D2: np.ndarray) -> np.ndarray:
     return table[keep]
 
 
-def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str) -> np.ndarray:
+def _norms(D: np.ndarray, metric: str) -> np.ndarray:
+    """||D[q]|| for every m x m difference of the stack D.
+
+    Bit for bit `_difference_norm`'s value for each: the same reductions over
+    each difference's own contiguous entries, and for cut the stacked exact
+    search, whose values are the scalar search's (`_max_rectangle_sums`).
+    """
+    if metric == "l1":
+        return np.abs(D).mean(axis=(1, 2))
+    if metric == "l2":
+        return np.sqrt((D**2).mean(axis=(1, 2)))
+    return _max_rectangle_sums(D)[0] / D.shape[1] ** 2
+
+
+def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str, masks) -> np.ndarray:
     """Every permutation's ||D1 - P D2 P^T|| up to rounding, in one batched pass.
 
     The permuted differences are bit-identical to the scalar path's; only the
-    order of the sums differs (see `_screen_margin`).  For cut, one product of
-    the 2^m subset masks against the stacked differences gives every subset's
-    column sums; temporaries stay within _SCREEN_BLOCK elements.
+    order of the sums differs (see `_screen_margin`).  For cut, the rows of
+    `masks` are the row subsets tried: one product of them against the
+    stacked differences gives every such subset's column sums.  With all
+    2^m subsets that is the cut norm up to rounding; with fewer it can only
+    be lower.  For l1 and l2 masks is None and the screen is `_norms`.
+    Temporaries stay within _SCREEN_BLOCK elements.
     """
     m = D1.shape[0]
     out = np.empty(len(perms))
-    if metric == "cut":
-        masks = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
-        step = max(1, _SCREEN_BLOCK // ((1 << m) * m))
-    else:
-        step = max(1, _SCREEN_BLOCK // (m * m))
+    step = max(1, _SCREEN_BLOCK // (m * (m if masks is None else len(masks))))
     for a in range(0, len(perms), step):
         P = perms[a : a + step]
         D = D1 - D2[P[:, :, None], P[:, None, :]]
-        if metric == "l1":
-            out[a : a + step] = np.abs(D).mean(axis=(1, 2))
-        elif metric == "l2":
-            out[a : a + step] = np.sqrt((D**2).mean(axis=(1, 2)))
+        if masks is None:
+            out[a : a + step] = _norms(D, metric)
         else:
             # C[s, j, q]: column j's sum over subset s of permutation q's rows
-            C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(1 << m, m, len(P))
+            C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(len(masks), m, len(P))
             pos = np.maximum(C, 0.0).sum(axis=1)
             neg = -np.minimum(C, 0.0).sum(axis=1)
             out[a : a + step] = np.maximum(pos, neg).max(axis=0) / m**2
@@ -257,7 +286,10 @@ def _screen_margin(m: int) -> float:
            terms of size <= m * d, so each is off by <= 2 gamma_m m^2 d, and
            taking maxima adds nothing.  Dividing by m^2 rounds once more:
            each route is within (2m + 1) u d of the exact value, to first
-           order.
+           order.  A screen over some of the subsets is within that of its
+           own exact maximum, which is at most the cut norm: it can only
+           lie further below the scalar value, and what follows holds for
+           it too.
       l1:  a mean of m^2 terms <= d: within (m^2 + 1) u d.
       l2:  squares, a mean and a square root: within ((m^2 + 1)/2 + 1) u d.
     So the two routes differ by at most 2 max(2m + 1, m^2 + 1) u d, and the
@@ -276,25 +308,57 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
     Screened enumeration: the permutations are visited in lexicographic
     order, one per distinct arrangement of D2's equal steps (`_arrangements`;
     a later duplicate has a bit-identical value and could never win).  All
-    of them are screened at once (`_screen`), and the scalar norm is taken
-    only where the screen, less `_screen_margin`, lies below the running
-    best; any other permutation is certified not to beat it.  The returned
-    permutation and value are bit-identical to scoring every permutation.
+    of them are screened (`_screen`), and only where the screen, less
+    `_screen_margin`, lies below the running best is the exact norm needed;
+    any other permutation is certified not to beat it.  For cut the screen
+    first tries the 2m subsets of one step and their complements, then all
+    2^m subsets where that leaves room below the exact norm of the lowest
+    screened permutation: about 50 of 720 at m = 6.
+
+    The exact norms are taken _SCORE_BATCH candidates at a time by one
+    stacked product (`_norms`), and kept: after a lower best the remaining
+    candidates are screened against it again, and none is scored twice.
+    Each exact norm is bit for bit the scalar one (the stacked product makes
+    one gemm call per difference, shaped as the scalar call is, and each sum
+    runs over one difference's own entries), and the walk keeps the scalar
+    rule (a value replaces the best only when it lies more than 1e-18 below
+    it), so the returned permutation and value are bit-identical to scoring
+    every permutation one by one.
     """
     m = D1.shape[0]
     perms = _arrangements(D2)
-    lo = _screen(D1, D2, perms, metric) - _screen_margin(m)
-    best_val, best_perm = np.inf, None
+    margin = _screen_margin(m)
+    exact = np.empty(len(perms))
+    scored = np.zeros(len(perms), dtype=bool)
+
+    def score(idx):
+        P = perms[idx]
+        exact[idx] = _norms(D1 - D2[P[:, :, None], P[:, None, :]], metric)
+        scored[idx] = True
+
+    if metric == "cut":
+        eye = np.eye(m)
+        lo = _screen(D1, D2, perms, metric, np.vstack((eye, 1.0 - eye))) - margin
+        k = int(np.argmin(lo))
+        score([k])
+        sharp = np.flatnonzero(lo < exact[k])
+        masks = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+        lo[sharp] = _screen(D1, D2, perms[sharp], metric, masks) - margin
+    else:
+        lo = _screen(D1, D2, perms, metric, None) - margin
+    best_val, best = np.inf, None
     start = 0
     while True:
-        for i in (start + np.flatnonzero(lo[start:] < best_val)).tolist():
-            perm = perms[i].astype(int)
-            val = _difference_norm(D1 - D2[np.ix_(perm, perm)], metric, 0, 0)
-            if val < best_val - 1e-18:
-                best_val, best_perm, start = val, perm, i + 1
+        todo = start + np.flatnonzero(lo[start:] < best_val)
+        for k, i in enumerate(todo.tolist()):
+            if not scored[i]:
+                rest = todo[k:]
+                score(rest[~scored[rest]][:_SCORE_BATCH])
+            if exact[i] < best_val - 1e-18:
+                best_val, best, start = exact[i], i, i + 1
                 break  # a lower best: screen the rest against it
         else:
-            return best_perm, best_val
+            return perms[best].astype(int), float(best_val)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,12 @@ def sample_adjacency(theta: ProbMatrix, seed: int = 0) -> AdjacencyMatrix:
 
 
 def sample_graph(spec: ModelSpec, n: int, seed: int = 0, clip: bool = False):
-    """One-call convenience: returns (latents, theta, adjacency)."""
+    """One-call convenience: returns (latents, theta, adjacency).
+
+    n with more than DENSE_BUDGET entries in Theta raises BudgetError before
+    anything is drawn.
+    """
+    _check_dense(n)
     lat = sample_latents(n, seed)
     theta = sample_theta(spec, lat, clip)
     return lat, theta, sample_adjacency(theta, seed)

@@ -139,6 +139,12 @@ class TestSample:
         assert code == 3 and out == ""
         assert err.startswith("budget exhausted") and "Traceback" not in err
 
+    def test_oversized_latents_exit_3(self, capsys):
+        # 10^12 latent positions alone would take 7.28 TiB
+        code, out, err = run(capsys, "sample", "--n", "1000000000000", "--k", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("budget exhausted") and "Traceback" not in err
+
 
 class TestEstimate:
     @pytest.mark.parametrize("estimator", ["adjacency", "mean", "svt", "rls"])

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutgraphon import (
@@ -99,6 +99,42 @@ def reference_rectangle_sum_heuristic(M, restarts, seed):
     return best
 
 
+def reference_max_rectangle_sum(M: np.ndarray):
+    """The one-matrix exact search as it stood before it took stacks, verbatim
+    but for reading the budget from `cutnorm`."""
+    transposed = M.shape[0] > M.shape[1]
+    A = M.T if transposed else M
+    m = A.shape[0]
+    if m > cutnorm.EXACT_BUDGET:
+        raise BudgetError(f"exact cut norm: enumerated side {m} exceeds budget {cutnorm.EXACT_BUDGET}")
+    bits = np.arange(m)
+    best_val = 0.0
+    best_subset = 0
+    best_sign = 1
+    chunk = 1 << 16
+    for lo in range(0, 1 << m, chunk):
+        idx = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.int64)
+        masks = ((idx[:, None] >> bits) & 1).astype(float)
+        colsums = masks @ A
+        pos = np.where(colsums > 0, colsums, 0.0).sum(axis=1)
+        neg = np.where(colsums < 0, -colsums, 0.0).sum(axis=1)
+        vals = np.maximum(pos, neg)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val = float(vals[j])
+            best_subset = int(idx[j])
+            best_sign = 1 if pos[j] >= neg[j] else -1
+    rows = np.flatnonzero([(best_subset >> b) & 1 for b in range(m)])
+    if transposed:
+        # we enumerated columns of M; the greedy side is rows of M
+        rowsum = M[:, rows].sum(axis=1)
+        other = np.flatnonzero(rowsum > 0) if best_sign > 0 else np.flatnonzero(rowsum < 0)
+        return best_val, other, rows
+    colsum = M[rows].sum(axis=0)
+    other = np.flatnonzero(colsum > 0) if best_sign > 0 else np.flatnonzero(colsum < 0)
+    return best_val, rows, other
+
+
 def random_kernel(rng, q1, q2):
     v = rng.uniform(-1, 1, (q1, q2))
     rw = rng.uniform(0.05, 0.3, q1)
@@ -155,6 +191,39 @@ class TestExactMatrix:
         got = step_kernel_cut_norm_exact(k).value
         want = oracle_kernel_cut(v, np.full(5, 0.2), np.full(3, 1 / 3))
         assert got == pytest.approx(want, abs=1e-12)
+
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.booleans(),
+        st.sampled_from(["C", "F"]),
+        st.sampled_from(["integer", "uniform"]),
+        st.integers(0, 10_000),
+    )
+    # sides of 17 and 20 cross the 2^16-subset chunks (0.1 and 0.7 s a search)
+    @example(17, 2, 2, True, "F", "integer", 1)
+    @example(20, 1, 1, False, "C", "integer", 2)
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_search_matches_reference(self, side, extra, q, tall, order, values, seed):
+        # integer grids make ties between subsets; tall matrices (rows > cols)
+        # take the transposed branch
+        rng = np.random.default_rng(seed)
+        shape = (q, side + extra - 1, side) if tall else (q, side, side + extra - 1)
+        if values == "integer":
+            Ms = rng.integers(-2, 3, shape).astype(float)
+        else:
+            Ms = rng.uniform(-1, 1, shape)
+        if order == "F":
+            Ms = Ms.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        vals, subsets, signs = cutnorm._max_rectangle_sums(Ms)
+        for M, val, subset, sign in zip(Ms, vals, subsets, signs):
+            want, want_rows, want_cols = reference_max_rectangle_sum(M)
+            got, rows, cols = cutnorm._max_rectangle_sum(M)
+            assert repr(got) == repr(want) == repr(float(val))
+            for r, c in ((rows, cols), cutnorm._rectangle_of(M, int(subset), int(sign))):
+                assert np.array_equal(r, want_rows) and r.dtype == want_rows.dtype
+                assert np.array_equal(c, want_cols) and c.dtype == want_cols.dtype
 
 
 class TestExactKernel:

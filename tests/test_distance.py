@@ -522,6 +522,56 @@ class TestScreenedEnumeration:
         assert got_perm.tolist() == perm
         assert repr(got_val) == val
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_screen_error_inside_margin_changes_nothing(self, seed):
+        # one step far below the rest: the best rectangles leave out its rows
+        # or columns, so permutations that agree on it tie up to rounding.  A
+        # screen that reads high by half the margin is still inside the proof
+        # and must leave the result as the plain loop finds it
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(0, 1, (6, 6))
+        D2 = (V + V.T) / 4
+        V = 1.0 - rng.uniform(0, 1e-3, (6, 6))
+        V[0, :] = V[:, 0] = 0.02
+        D1 = np.triu(V) + np.triu(V, 1).T
+        screen = distance._screen
+
+        def high(D1, D2, perms, metric, masks):
+            return screen(D1, D2, perms, metric, masks) + distance._screen_margin(6) / 2
+
+        with mock.patch.object(distance, "_screen", high):
+            perm, val = distance._min_over_permutations(D1, D2, "cut")
+        ref_perm, ref_val = reference_min_over_permutations(D1, D2, "cut")
+        assert np.array_equal(perm, ref_perm) and val == ref_val
+
+    @pytest.mark.parametrize(
+        "seed, perm, upper",
+        [(0, [3, 5, 2, 4, 1, 0], "0.058037878168240416"),
+         (3, [3, 1, 4, 0, 2, 5], "0.09093604022482885")],
+    )
+    def test_benchmark_pair_shape_is_pinned(self, seed, perm, upper):
+        # two symmetric 6-step graphons with uniform values, drawn as the
+        # benchmark's certify pairs are; recorded when every candidate was
+        # scored by the scalar exact cut
+        rng = np.random.default_rng(seed)
+        pair = []
+        for _ in range(2):
+            V = rng.uniform(0.0, 1.0, (6, 6))
+            pair.append(StepGraphon((V + V.T) / 2, np.full(6, 1.0 / 6)))
+        up = delta_upper(*pair, "cut")
+        exact = delta_exact_tiny(*pair, "cut")
+        assert up.detail["enumerated"]
+        ref_perm, ref_val = reference_min_over_permutations(pair[0].values, pair[1].values, "cut")
+        for est in (up, exact):
+            assert est.permutation.tolist() == perm == ref_perm.tolist()
+            assert repr(est.upper) == upper == repr(ref_val)
+
+    def test_permutation_table_is_read_only(self):
+        table = distance._permutation_table(5)
+        assert distance._permutation_table(5) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
     @given(st.integers(1, 7), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_arrangements_keep_the_first_of_each(self, m, seed):
@@ -545,12 +595,19 @@ class TestScreenedEnumeration:
         perms = distance._arrangements(D2)
         if len(perms) > 2000:
             perms = perms[rng.choice(len(perms), 2000, replace=False)]
-        screen = distance._screen(D1, D2, perms, metric)
-        worst = 0.0
-        for p, s in zip(perms.astype(int), screen):
+        masks = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+        screen = distance._screen(D1, D2, perms, metric, masks if metric == "cut" else None)
+        # the first cut screen tries one-step subsets and their complements only
+        eye = np.eye(m)
+        few = screen if metric != "cut" else distance._screen(
+            D1, D2, perms, metric, np.vstack((eye, 1.0 - eye)))
+        worst = above = 0.0
+        for p, s, f in zip(perms.astype(int), screen, few):
             exact = distance._difference_norm(D1 - D2[np.ix_(p, p)], metric, 0, 0)
             worst = max(worst, abs(s - exact))
+            above = max(above, f - exact)
         assert worst <= distance._screen_margin(m) / 16
+        assert above <= distance._screen_margin(m) / 16
 
 
 # ---------------------------------------------------------------------------
