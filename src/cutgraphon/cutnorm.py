@@ -63,8 +63,8 @@ class CutNormResult:
 def _as_array(B) -> np.ndarray:
     a = getattr(B, "values", B)
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValidationError(f"expected a nonempty 2-d array, got shape {getattr(a, 'shape', None)}")
+    if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains nan/inf")
     return a

@@ -16,19 +16,16 @@ where rearrangements become permutations of [m]:
 * `delta_exact_tiny` enumerates all m! permutations (m <= 8, weights must
   refine exactly) — the oracle the search is validated against.
 * `delta_cut_lower` turns homomorphism-density gaps into lower bounds via
-  the counting inequality |t(F,W1) - t(F,W2)| <= 4 e(F) delta_cut.
+  the counting lemma |t(F,W1) - t(F,W2)| <= e(F) delta_cut under the set
+  cut norm used here (Lovasz, Large Networks and Graph Limits, Lemma 10.23;
+  the factor 4 belongs to the infinity-to-one norm).
 
-Both enumerations are screened (`_min_over_permutations`): one permutation
-per distinct arrangement of the second graphon's equal steps, every value
-screened in batched passes, and the exact norm taken only where the screen,
-less a proven rounding margin, could beat the running best.  The exact
-norms of those survivors are taken a batch at a time, by one stacked
-product over their differences (`_norms`).  numpy's stacked matmul makes
-one gemm call per difference, with the shape and strides the scalar call
-has, and every later sum runs over one difference's own contiguous entries,
-so each value is bit for bit the scalar path's (`_difference_norm`).  The
-first optimum in lexicographic order is returned, and the permutation and
-value are bit-identical to scoring all m! permutations one by one.
+Both enumerations share `_min_over_permutations`: one permutation per
+distinct arrangement of the second graphon's equal steps, a batched cut
+screen with a proven rounding margin, exact values from one chunked,
+stacked product (`_norms`, bit for bit the scalar `_difference_norm`), and
+one loop that keeps the first optimum in lexicographic order.  Permutation
+and value are bit-identical to scoring all m! permutations one by one.
 """
 
 from __future__ import annotations
@@ -53,8 +50,7 @@ EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
 _COST_BLOCK = 2**15  # elements per temporary while the row cost is filled
-_SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened
-_SCORE_BATCH = 16  # candidates whose exact norms are taken in one stacked product
+_SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened or scored
 # Swap descent picks its branch by size.  Up to FULL_SWEEP_M steps it makes at
 # most FULL_SWEEPS lexicographic sweeps over all pairs and stops after a sweep
 # that improves nothing: at most 12*C(16,2) = 1440 objective calls, 336 at
@@ -229,75 +225,72 @@ def _arrangements(D2: np.ndarray) -> np.ndarray:
     return table[keep]
 
 
-def _norms(D: np.ndarray, metric: str) -> np.ndarray:
-    """||D[q]|| for every m x m difference of the stack D.
-
-    Bit for bit `_difference_norm`'s value for each: the same reductions over
-    each difference's own contiguous entries, and for cut the stacked exact
-    search, whose values are the scalar search's (`_max_rectangle_sums`).
-    """
-    if metric == "l1":
-        return np.abs(D).mean(axis=(1, 2))
-    if metric == "l2":
-        return np.sqrt((D**2).mean(axis=(1, 2)))
-    return _max_rectangle_sums(D)[0] / D.shape[1] ** 2
-
-
-def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str, masks) -> np.ndarray:
-    """Every permutation's ||D1 - P D2 P^T|| up to rounding, in one batched pass.
-
-    The permuted differences are bit-identical to the scalar path's; only the
-    order of the sums differs (see `_screen_margin`).  For cut, the rows of
-    `masks` are the row subsets tried: one product of them against the
-    stacked differences gives every such subset's column sums.  With all
-    2^m subsets that is the cut norm up to rounding; with fewer it can only
-    be lower.  For l1 and l2 masks is None and the screen is `_norms`.
-    Temporaries stay within _SCREEN_BLOCK elements.
+def _norms(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str) -> np.ndarray:
+    """||D1 - P D2 P^T|| for every P in perms, by stacked products in chunks
+    of about _SCREEN_BLOCK elements.  Bit for bit `_difference_norm`'s
+    values: the differences are the scalar path's, each sum runs over one
+    difference's own contiguous entries, and the stacked exact cut makes one
+    gemm call per difference, shaped as the scalar call is.
     """
     m = D1.shape[0]
     out = np.empty(len(perms))
-    step = max(1, _SCREEN_BLOCK // (m * (m if masks is None else len(masks))))
+    step = max(1, _SCREEN_BLOCK // (m << m if metric == "cut" else m * m))
     for a in range(0, len(perms), step):
         P = perms[a : a + step]
         D = D1 - D2[P[:, :, None], P[:, None, :]]
-        if masks is None:
-            out[a : a + step] = _norms(D, metric)
+        if metric == "l1":
+            out[a : a + step] = np.abs(D).mean(axis=(1, 2))
+        elif metric == "l2":
+            out[a : a + step] = np.sqrt((D**2).mean(axis=(1, 2)))
         else:
-            # C[s, j, q]: column j's sum over subset s of permutation q's rows
-            C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(len(masks), m, len(P))
-            pos = np.maximum(C, 0.0).sum(axis=1)
-            neg = -np.minimum(C, 0.0).sum(axis=1)
-            out[a : a + step] = np.maximum(pos, neg).max(axis=0) / m**2
+            out[a : a + step] = _max_rectangle_sums(D)[0] / m**2
+    return out
+
+
+def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Every permutation's ||D1 - P D2 P^T||_cut up to rounding, from below.
+
+    Tries the 2m row subsets of one step and their complements, in one
+    product against the stacked differences, with the best columns taken
+    greedily: an exact maximum over fewer rectangles, summed in another
+    order than the scalar path (`_screen_margin`).  Temporaries stay within
+    _SCREEN_BLOCK elements.
+    """
+    m = D1.shape[0]
+    eye = np.eye(m)
+    masks = np.vstack((eye, 1.0 - eye))
+    out = np.empty(len(perms))
+    step = max(1, _SCREEN_BLOCK // (m * len(masks)))
+    for a in range(0, len(perms), step):
+        P = perms[a : a + step]
+        D = D1 - D2[P[:, :, None], P[:, None, :]]
+        # C[s, j, q]: column j's sum over subset s of permutation q's rows
+        C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(len(masks), m, len(P))
+        pos = np.maximum(C, 0.0).sum(axis=1)
+        neg = -np.minimum(C, 0.0).sum(axis=1)
+        out[a : a + step] = np.maximum(pos, neg).max(axis=0) / m**2
     return out
 
 
 def _screen_margin(m: int) -> float:
-    """How far below the running best a screened value must reach for its
-    permutation to be scored: a proven rounding bound, with headroom.
+    """How far a screened cut value is lowered before it meets the bound.
 
     With u = 2**-53 and gamma_n = n*u / (1 - n*u), a sum of n terms in any
     order, with or without FMA, is off by at most gamma_n times the sum of
-    their absolute values.  Entries of StepGraphon values lie in
-    [0, 1 + 1e-12], so |D| <= d = 1 + 1e-12.  The screen and the scalar path
-    (`_difference_norm`) take the same D and differ only in summation order:
-      cut: a subset's column sums have at most m terms (the 0/1 mask
-           products are exact): error <= gamma_m * m * d each.  The positive
-           and the negative part are 1-Lipschitz in those sums and add m
-           terms of size <= m * d, so each is off by <= 2 gamma_m m^2 d, and
-           taking maxima adds nothing.  Dividing by m^2 rounds once more:
-           each route is within (2m + 1) u d of the exact value, to first
-           order.  A screen over some of the subsets is within that of its
-           own exact maximum, which is at most the cut norm: it can only
-           lie further below the scalar value, and what follows holds for
-           it too.
-      l1:  a mean of m^2 terms <= d: within (m^2 + 1) u d.
-      l2:  squares, a mean and a square root: within ((m^2 + 1)/2 + 1) u d.
-    So the two routes differ by at most 2 max(2m + 1, m^2 + 1) u d, and the
-    skip test fl(screen - margin) >= best rounds once more, by at most
-    u (d + margin).  A skipped permutation's scalar value is then at least
-    fl(screen - margin) >= best >= fl(best - 1e-18), so it could not have
-    replaced the best, whenever margin >= (2m^2 + 4m + 5) * 1.01 u.  The
-    margin below is 8 (m + 2)^2 u: at least three times that for every m.
+    their absolute values.  StepGraphon values lie in [0, 1 + 1e-12], so
+    |D| <= d = 1 + 1e-12.  The screen and the exact cut take the same D and
+    differ only in summation order: column sums of m terms (the 0/1 mask
+    products are exact) within gamma_m m d; positive and negative parts of
+    m such sums within 2 gamma_m m^2 d; maxima exact; dividing by m^2 rounds
+    once more.  So each route is within (2m + 1) u d of its own exact
+    maximum, to first order, and the screen's maximum, over fewer subsets,
+    is at most the cut norm: the screen s and exact value e of one
+    permutation have s <= e + (4m + 2) 1.01 u d.  fl(s - margin) rounds by
+    at most u (d + margin), so fl(s - margin) >= bound gives
+    e >= bound + gamma, with gamma = margin - (4m + 4) 1.01 u.
+    `_min_over_permutations` needs gamma > 2e-18 m! at m <= 8.  The margin
+    8 (m + 2)^2 u gives gamma >= 763 u = 8.47e-14 > 8.07e-14 = 2e-18 * 8! at
+    m = 8, and over six times the need at every m <= 7.
     """
     return 8.0 * (m + 2) ** 2 * 2.0**-53
 
@@ -305,60 +298,43 @@ def _screen_margin(m: int) -> float:
 def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
     """Exact min over all m! permutations of ||D1 - P D2 P^T||; first optimum wins.
 
-    Screened enumeration: the permutations are visited in lexicographic
-    order, one per distinct arrangement of D2's equal steps (`_arrangements`;
-    a later duplicate has a bit-identical value and could never win).  All
-    of them are screened (`_screen`), and only where the screen, less
-    `_screen_margin`, lies below the running best is the exact norm needed;
-    any other permutation is certified not to beat it.  For cut the screen
-    first tries the 2m subsets of one step and their complements, then all
-    2^m subsets where that leaves room below the exact norm of the lowest
-    screened permutation: about 50 of 720 at m = 6.
+    Returns the plain loop's permutation and value, bit for bit (m <= 8):
+    every permutation in lexicographic order, a value replacing the best
+    only if val < fl(best - 1e-18).  Only the first permutation of each
+    distinct arrangement of D2's equal steps is visited (`_arrangements`):
+    a later duplicate repeats an earlier value, which the best has since
+    only moved below.  l1 and l2 walk every arrangement's exact value
+    (`_norms`).  For cut, every arrangement is screened (`_screen`), the
+    exact value of the lowest screened one is a bound, and only the
+    survivors, whose screen less `_screen_margin` lies below it (about 50
+    of 720 at m = 6), get an exact value and are walked.
 
-    The exact norms are taken _SCORE_BATCH candidates at a time by one
-    stacked product (`_norms`), and kept: after a lower best the remaining
-    candidates are screened against it again, and none is scored twice.
-    Each exact norm is bit for bit the scalar one (the stacked product makes
-    one gemm call per difference, shaped as the scalar call is, and each sum
-    runs over one difference's own entries), and the walk keeps the scalar
-    rule (a value replaces the best only when it lies more than 1e-18 below
-    it), so the returned permutation and value are bit-identical to scoring
-    every permutation one by one.
+    Why that is the plain loop's answer.  Every dropped value is at least
+    bound + gamma, with gamma > 2e-18 N for the N <= m! arrangements
+    (`_screen_margin`).  The values in [bound, bound + gamma) and the least
+    one at or above bound + gamma (if none, none was dropped) span gamma in
+    at most N - 1 steps, so two consecutive ones, a < b, lie more than
+    2e-18 apart.
+    Call values <= a low and values >= b high: the bound is low and every
+    dropped value is high, so every low value survives.  A low value
+    replaces any high best h: h - 1e-18 > a, so fl(h - 1e-18) >= a, and
+    equality needs h - 1e-18 within half a float spacing of a, which the
+    float b > a caps: (b - a)/2 >= h - 1e-18 - a >= b - 1e-18 - a, so
+    b - a <= 2e-18.  No high value replaces a low best, which is <= a < b.
+    So both walks take the first low arrangement, whatever high values came
+    before it, then hold the same best, see the same low values in the same
+    order and take no high one: they end on the same permutation and value.
     """
-    m = D1.shape[0]
     perms = _arrangements(D2)
-    margin = _screen_margin(m)
-    exact = np.empty(len(perms))
-    scored = np.zeros(len(perms), dtype=bool)
-
-    def score(idx):
-        P = perms[idx]
-        exact[idx] = _norms(D1 - D2[P[:, :, None], P[:, None, :]], metric)
-        scored[idx] = True
-
     if metric == "cut":
-        eye = np.eye(m)
-        lo = _screen(D1, D2, perms, metric, np.vstack((eye, 1.0 - eye))) - margin
-        k = int(np.argmin(lo))
-        score([k])
-        sharp = np.flatnonzero(lo < exact[k])
-        masks = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
-        lo[sharp] = _screen(D1, D2, perms[sharp], metric, masks) - margin
-    else:
-        lo = _screen(D1, D2, perms, metric, None) - margin
+        lo = _screen(D1, D2, perms) - _screen_margin(D1.shape[0])
+        bound = _norms(D1, D2, perms[[int(np.argmin(lo))]], metric)[0]
+        perms = perms[lo < bound]
     best_val, best = np.inf, None
-    start = 0
-    while True:
-        todo = start + np.flatnonzero(lo[start:] < best_val)
-        for k, i in enumerate(todo.tolist()):
-            if not scored[i]:
-                rest = todo[k:]
-                score(rest[~scored[rest]][:_SCORE_BATCH])
-            if exact[i] < best_val - 1e-18:
-                best_val, best, start = exact[i], i, i + 1
-                break  # a lower best: screen the rest against it
-        else:
-            return perms[best].astype(int), float(best_val)
+    for i, val in enumerate(_norms(D1, D2, perms, metric).tolist()):
+        if val < best_val - 1e-18:
+            best_val, best = val, i
+    return perms[best].astype(int), float(best_val)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +534,7 @@ def delta_upper(
 ) -> DistanceEstimate:
     """Search upper bound on delta_metric via blow-up + permutation search.
 
-    With m <= ENUMERATE_M the enumeration is exact (screened enumeration,
+    With m <= ENUMERATE_M the enumeration is exact (`_min_over_permutations`:
     first optimum, bit-identical to trying every permutation), so ``upper``
     equals `delta_exact_tiny` on the same blow-ups and
     ``detail["enumerated"]`` is True; `restarts` and `seed` then play no
@@ -598,9 +574,10 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     """Enumerate all m! permutations of the smallest exact common refinement.
 
     Requires both weight vectors to refine exactly into m <= 8 equal steps.
-    Screened enumeration, first optimum, bit-identical: only one
-    permutation per distinct arrangement of W2's equal steps is scored, and
-    only where a batched screen says it could win (`_min_over_permutations`).
+    First optimum, bit-identical to trying every permutation
+    (`_min_over_permutations`): one permutation per distinct arrangement of
+    W2's equal steps is scored, and for cut only those that a screen with a
+    proven margin leaves below the bound.
     ``upper`` is the exact minimum over permutations of that refinement,
     which bounds delta_metric from above; a finer refinement can pair parts
     of steps and go lower, so ``lower`` is 0.
@@ -633,12 +610,12 @@ def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> MotifLowerBo
     value, motif, dens = 0.0, None, {}
     for f, t1, t2 in zip(DEFAULT_MOTIFS, dens1, dens2):
         dens[f.name] = (t1, t2)
-        val = abs(t1 - t2) / (4.0 * f.edge_count)
+        val = abs(t1 - t2) / f.edge_count
         if val > value:
             value, motif = val, f
     return MotifLowerBound(value, motif, dens)
 
 
 def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> MotifLowerBound:
-    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / (4 e(F))."""
+    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / e(F)."""
     return _motif_bound(_motif_densities(W1), _motif_densities(W2))

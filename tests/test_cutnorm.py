@@ -183,6 +183,16 @@ class TestExactMatrix:
         with pytest.raises(BudgetError):
             matrix_cut_norm_exact(np.zeros((25, 25)))
 
+    @pytest.mark.parametrize("route", [
+        matrix_cut_norm_exact, matrix_cut_norm_heuristic, inf1_norm, cut_norm_sandwich_check,
+        lambda B: matrix_witness_value(B, [0], [0])],
+        ids=["exact", "heuristic", "inf1", "sandwich", "witness"])
+    def test_rejects_non_square(self, route):
+        # the matrix conventions divide by n^2; a 2 x 3 array of ones would
+        # read 6 / 2^2 = 1.5, a cut norm above 1
+        with pytest.raises(ValidationError, match="square"):
+            route(np.ones((2, 3)))
+
     def test_rectangular_transpose_path(self):
         # kernels can be rectangular with q1 > q2; exact must transpose internally
         rng = np.random.default_rng(5)

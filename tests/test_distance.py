@@ -32,6 +32,7 @@ from cutgraphon.distance import (
 from cutgraphon.cutnorm import inf1_norm
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.experiments import default_model
+from cutgraphon.packing import graphon_packing
 from cutgraphon.sampling import sample_graph
 
 
@@ -152,8 +153,13 @@ def enumeration_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = draw(st.sampled_from(["uniform", "grid"]))
     D1 = step_matrix(rng, m, values, draw(st.sampled_from(["distinct", "repeated"])))
-    if draw(st.booleans()):
+    pair = draw(st.sampled_from(["identical", "near", "independent"]))
+    if pair == "identical":
         D2 = D1.copy()  # W1 == W2: every automorphism ties with the identity
+    elif pair == "near":
+        # values far below 2**-6, where best - 1e-18 no longer rounds back to best
+        N = rng.uniform(-1e-9, 1e-9, (m, m))
+        D2 = np.clip(D1 + np.triu(N) + np.triu(N, 1).T, 0.0, 1.0)
     else:
         D2 = step_matrix(rng, m, values, draw(st.sampled_from(["distinct", "repeated"])))
     return D1, D2
@@ -396,14 +402,18 @@ class TestDistances:
              "0.08783721923827129"),
             ("cut", 32, 256, 2, "c6ffcb9672284d827a1b4bf8b1ed59dd429c7ee7daa54401e1822878daca23f2",
              "0.06566925048828913"),
+            ("cut", 4, 256, 127, "5bf3c82682953cc37572725f3ef1139f5572332bf820bcfd4832f4bf278c3a39",
+             "0.022445678710935363"),
         ],
-        ids=["cut", "l1", "cut-k4-n256", "cut-k32-n256"],
+        ids=["cut", "l1", "cut-k4-n256", "cut-k32-n256", "cut-k4-n256-second-evaluation"],
     )
     def test_search_wiring_is_pinned(self, metric, k, n, seed, digest, upper):
         # the risk harness's call at restarts=0 and a heuristic size; on the
         # first two draws matching backward on `cost` instead of `cost.T`
         # changes the answer, as does any change to how the row cost is
-        # indexed.  The n = 256 draws are the benchmark's size.
+        # indexed.  The n = 256 draws are the benchmark's size.  On seed 127
+        # the final evaluation at 16 restarts is the smaller value: the
+        # 4-restart one, without it, reads 0.022454833984373403
         spec = default_model(k)
         _, _, A = sample_graph(spec, n, seed)
         est = delta_upper(empirical_graphon(A), spec.graphon, metric, m=n, restarts=0, seed=seed)
@@ -536,8 +546,8 @@ class TestScreenedEnumeration:
         D1 = np.triu(V) + np.triu(V, 1).T
         screen = distance._screen
 
-        def high(D1, D2, perms, metric, masks):
-            return screen(D1, D2, perms, metric, masks) + distance._screen_margin(6) / 2
+        def high(D1, D2, perms):
+            return screen(D1, D2, perms) + distance._screen_margin(6) / 2
 
         with mock.patch.object(distance, "_screen", high):
             perm, val = distance._min_over_permutations(D1, D2, "cut")
@@ -584,29 +594,20 @@ class TestScreenedEnumeration:
         want = sorted(first.values())
         assert distance._arrangements(D2).tolist() == [list(p) for p in want]
 
-    @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
-    @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
-    def test_screen_error_is_far_inside_margin(self, metric, m):
-        # every screened value against the scalar one; the margin is a proven
-        # bound, this is its headroom
+    @pytest.mark.parametrize("m", [1, 2, 4, 6, 8], ids=lambda m: f"cut-{m}")
+    def test_screen_error_is_far_inside_margin(self, m):
+        # every screened value against the scalar cut: the screen tries the
+        # one-step subsets and their complements only, so it may lie far
+        # below, but above only by rounding.  The margin is a proven bound,
+        # this is its headroom
         rng = np.random.default_rng(m)
         D1 = step_matrix(rng, m, "uniform", "distinct")
         D2 = step_matrix(rng, m, "uniform", "distinct")
         perms = distance._arrangements(D2)
         if len(perms) > 2000:
             perms = perms[rng.choice(len(perms), 2000, replace=False)]
-        masks = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
-        screen = distance._screen(D1, D2, perms, metric, masks if metric == "cut" else None)
-        # the first cut screen tries one-step subsets and their complements only
-        eye = np.eye(m)
-        few = screen if metric != "cut" else distance._screen(
-            D1, D2, perms, metric, np.vstack((eye, 1.0 - eye)))
-        worst = above = 0.0
-        for p, s, f in zip(perms.astype(int), screen, few):
-            exact = distance._difference_norm(D1 - D2[np.ix_(p, p)], metric, 0, 0)
-            worst = max(worst, abs(s - exact))
-            above = max(above, f - exact)
-        assert worst <= distance._screen_margin(m) / 16
+        above = max(s - distance._difference_norm(D1 - D2[np.ix_(p, p)], "cut", 0, 0)
+                    for p, s in zip(perms.astype(int), distance._screen(D1, D2, perms)))
         assert above <= distance._screen_margin(m) / 16
 
 
@@ -626,11 +627,18 @@ class TestCountingLowerBound:
         assert lb.value > 0
         assert lb.motif is not None
 
-    def test_lower_below_exact(self):
-        rng = np.random.default_rng(23)
-        for _ in range(8):
-            A = random_refinable(rng)
-            B = random_refinable(rng)
-            lb = delta_cut_lower(A, B)
-            ex = delta_exact_tiny(A, B, metric="cut")
-            assert lb.value <= ex.upper + 1e-12
+    @given(st.integers(3, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lower_below_exact(self, m, seed):
+        # |t(F,A) - t(F,B)| / e(F) <= delta_cut <= the exact minimum over
+        # permutations of a common refinement
+        rng = np.random.default_rng(seed)
+        A = random_refinable(rng, m)
+        B = random_refinable(rng, m)
+        assert delta_cut_lower(A, B).value <= delta_exact_tiny(A, B, metric="cut").upper + 1e-12
+
+    def test_two_element_packing_is_pinned(self):
+        # the edge densities differ by 0.25, which is also the pair's exact
+        # separation; a spare factor 4 in the counting bound reads 0.0625
+        lb = delta_cut_lower(*graphon_packing(2, 256).elements)
+        assert lb.value == 0.25 and lb.motif is EDGE

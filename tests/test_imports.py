@@ -1,11 +1,14 @@
-"""Every module under src/cutgraphon uses each name it imports."""
+"""Every module under src/cutgraphon uses each name it imports, and every
+name the benchmark's tracer rebinds exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cutgraphon"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # __init__.py imports names only to re-export them as the public API
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -33,3 +36,22 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def rebound_names(source: str):
+    """(module, attribute) of every entry in a tracer's CROSS_MODULE and CAPTURED."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if {"CROSS_MODULE", "CAPTURED"} & set(targets):
+            names += [entry[:2] for entry in ast.literal_eval(node.value)]
+    return names
+
+
+def test_tracer_rebinds_only_names_that_exist():
+    # the tracer is read, not imported: a renamed name would otherwise fail
+    # only the benchmark's own tests and its traced runs
+    names = rebound_names(TRACER.read_text())
+    assert ("cutgraphon.distance", "_max_rectangle_sum") in names
+    assert [(mod, attr) for mod, attr in names
+            if not hasattr(importlib.import_module(mod), attr)] == []
