@@ -2,7 +2,8 @@
 
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by (seed, *tags), where tags name the consumer: e.g.
-``stream(7, "latents", rep)`` or ``stream(7, "cutnorm", restart_block)``.
+``stream(7, "latents")`` for a sample's latent positions, or
+``stream(7, "cut-heur", r)`` for restart r of the heuristic cut norm.
 Two consequences we rely on throughout:
 
 * results are reproducible bit-for-bit for a fixed seed, on any platform;

@@ -13,7 +13,9 @@ Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
 
 All types are immutable: constructors copy and freeze their arrays, so
-instances can be shared freely across threads/processes.
+instances can be shared freely across threads/processes.  A graphon made
+by `StepGraphon.reweighted` shares its parent's frozen values rather than
+copying them.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 def _check_symmetric(a: np.ndarray, what: str) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {a.shape}")
-    if a.shape[0] and np.max(np.abs(a - a.T)) > _SYM_TOL:
+    # fl(x - y) = -fl(y - x), so the signed maximum is the largest |a - a.T|
+    if a.shape[0] and np.max(a - a.T) > _SYM_TOL:
         raise ValidationError(f"{what} is not symmetric (tol {_SYM_TOL})")
 
 
@@ -74,6 +77,14 @@ def _normalize_weights(w, what: str) -> np.ndarray:
     if gap <= WEIGHT_RENORM_TOL:
         return w / w.sum()
     raise ValidationError(f"{what} sums to {w.sum()!r}, off by {gap:.3e} (> {WEIGHT_RENORM_TOL})")
+
+
+def _step_weights(weights, k: int) -> np.ndarray:
+    """A StepGraphon's frozen step lengths, checked against its k steps."""
+    w = _normalize_weights(weights, "StepGraphon weights")
+    if w.shape[0] != k:
+        raise ValidationError(f"weights length {w.shape[0]} != values size {k}")
+    return _frozen(w)
 
 
 class ProbMatrix:
@@ -140,18 +151,27 @@ class StepGraphon:
         q = np.asarray(values, dtype=float)
         _check_finite(q, "StepGraphon values")
         _check_symmetric(q, "StepGraphon values")
-        w = _normalize_weights(weights, "StepGraphon weights")
-        if w.shape[0] != q.shape[0]:
-            raise ValidationError(
-                f"weights length {w.shape[0]} != values size {q.shape[0]}"
-            )
+        w = _step_weights(weights, q.shape[0])
         if q.size and q.min() < 0:
             raise ValidationError("StepGraphon values must be nonnegative")
         if q.size and q.max() > 1 + 1e-12:
             raise ValidationError(f"StepGraphon values exceed 1 (max {q.max()})")
         self.values = _frozen(q)
-        self.weights = _frozen(w)
+        self.weights = w
         self.k = q.shape[0]
+
+    def reweighted(self, weights) -> "StepGraphon":
+        """The same values on new step lengths.
+
+        Only the weights are checked, as the constructor checks them; the
+        frozen values are shared, not copied, so a family of graphons that
+        differ only in their weights holds one value matrix.
+        """
+        out = object.__new__(type(self))
+        out.values = self.values
+        out.weights = _step_weights(weights, self.k)
+        out.k = self.k
+        return out
 
     def boundaries(self) -> np.ndarray:
         """Cumulative step boundaries F(0)=0 < F(1) < ... < F(k)=1."""

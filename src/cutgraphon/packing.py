@@ -341,12 +341,23 @@ def latent_kl_exact(u: np.ndarray, v: np.ndarray, n: int) -> float:
     return float(n * np.sum(pu * np.log(pu / pv)))
 
 
-def _graphon_member(Q: np.ndarray, u: np.ndarray, eps: float) -> StepGraphon:
-    """Light weights 1/(2*k1) + eps*u for the k1 = len(u) light steps, then
-    equal weights on the rest of Q's steps."""
-    k1, mk = len(u), Q.shape[0] - len(u)
+def _graphon_base(block: np.ndarray) -> StepGraphon:
+    """The family's shared values on equal steps: 1/2 except the {0,1}
+    cross block (1 + block)/2 between the k1 light and mk heavy steps."""
+    k1, mk = block.shape
+    Q = np.full((k1 + mk, k1 + mk), 0.5)
+    cross = (1.0 + block) / 2.0
+    Q[:k1, k1:] = cross
+    Q[k1:, :k1] = cross.T
+    return StepGraphon(Q, np.full(k1 + mk, 1.0 / (k1 + mk)))
+
+
+def _graphon_member(base: StepGraphon, u: np.ndarray, eps: float) -> StepGraphon:
+    """base reweighted: light weights 1/(2*k1) + eps*u for the k1 = len(u)
+    light steps, then equal weights on the rest of base's steps."""
+    k1, mk = len(u), base.k - len(u)
     w = np.concatenate([1.0 / (2.0 * k1) + eps * u, np.full(mk, 1.0 / (2.0 * mk))])
-    return StepGraphon(Q, w)
+    return base.reweighted(w)
 
 
 def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
@@ -354,9 +365,10 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
 
     For k >= 64 (multiple of 32): k1 = k/2 light steps, mk = ceil(128 log k)
     heavy steps, shared values 1/2 except a {0,1} Rademacher cross block,
-    and light weights 1/(2*k1) + eps*u_a over a VG code.  eps^2 =
-    3/(4096*n*k1) makes the KL budget k1/128 — short of the k1/512 the
-    Fano condition wants, so fano_ready stays False at the stated
+    and light weights 1/(2*k1) + eps*u_a over a VG code.  The values are
+    built once and every member shares them (`StepGraphon.reweighted`).
+    eps^2 = 3/(4096*n*k1) makes the KL budget k1/128 — short of the k1/512
+    the Fano condition wants, so fano_ready stays False at the stated
     constants; separation is certified through motif-density lower bounds
     on GRAPHON_PAIRS_TO_CHECK random pairs (their minimum is
     separation_lower), with each checked element's motif densities taken
@@ -365,8 +377,10 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     `spot_check_property_ii`).
 
     k=2 is the two-element special case (values [[1,1],[1,0]], weights
-    1/2 +- eps with eps=1/8) whose cut separation is the `delta_exact_tiny`
-    minimum over permutations of the m=8 common refinement.
+    1/2 +- eps with eps=1/8).  Its separation_lower is the certified
+    `delta_cut_lower` bound; meta["separation_upper"] is the
+    `delta_exact_tiny` minimum over permutations of the m=8 common
+    refinement, and meta["exact_separation"] says whether the two meet.
 
     Both cases build dense (rho = 1) families and take no sparsity
     parameter; `matrix_packing` is the family that scales with rho.
@@ -384,11 +398,8 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     if code.size < 2:
         raise BudgetError(f"code too small for a packing (got {code.size} vectors)")
     block = rademacher_block_matrix(k1, mk, seed)
-    Q = np.full((k1 + mk, k1 + mk), 0.5)
-    cross = (1.0 + block.values) / 2.0
-    Q[:k1, k1:] = cross
-    Q[k1:, :k1] = cross.T
-    elements = tuple(_graphon_member(Q, u, eps) for u in code.vectors)
+    base = _graphon_base(block.values)
+    elements = tuple(_graphon_member(base, u, eps) for u in code.vectors)
     kl = kl_bound(eps * code.vectors[0], eps * code.vectors[1], n, eps)
     pairs = _draw_pairs(stream(seed, "graphon-pack-check"), code.size,
                         GRAPHON_PAIRS_TO_CHECK)
@@ -422,13 +433,13 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
 
 def _graphon_packing_two(n: int) -> PackingFamily:
     eps = 1.0 / 8.0
-    Q = np.array([[1.0, 1.0], [1.0, 0.0]])
-    elements = tuple(StepGraphon(Q, np.array([0.5 + s * eps, 0.5 - s * eps]))
-                     for s in (+1.0, -1.0))
-    sep = delta_exact_tiny(elements[0], elements[1], "cut").upper
+    base = StepGraphon(np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0.5 + eps, 0.5 - eps]))
+    elements = (base, base.reweighted(np.array([0.5 - eps, 0.5 + eps])))
+    sep = delta_cut_lower(*elements).value
+    upper = delta_exact_tiny(*elements, "cut").upper
     kl = kl_bound(np.array([eps]), np.array([-eps]), n, eps)
-    meta = {"k1": 1, "mk": 2, "code_size": 2, "exact_separation": True,
-            "c_prime": float(sep / eps)}
+    meta = {"k1": 1, "mk": 2, "code_size": 2, "separation_upper": upper,
+            "exact_separation": sep == upper, "c_prime": float(sep / eps)}
     return PackingFamily("graphon", elements, eps, float(sep), float(kl),
                          n, 2, False, meta)
 
@@ -485,7 +496,11 @@ def load_packing_family(directory) -> PackingFamily:
             text = fh.read()
         if kind == "matrix":
             elements.append(ProbMatrix(parse_matrix(text)))
-        else:
-            elements.append(parse_stepgraphon(text))
+            continue
+        W = parse_stepgraphon(text)
+        # members with element 0's values share its array, as built families do
+        if elements and np.array_equal(W.values, elements[0].values):
+            W = elements[0].reweighted(W.weights)
+        elements.append(W)
     return PackingFamily(kind, tuple(elements), eps, sep, kl, n, k, fano,
                          {"loaded_from": str(directory)})

@@ -15,6 +15,8 @@ from cutgraphon import (
     l1_norm,
 )
 from cutgraphon.core import (
+    _SYM_TOL,
+    _check_symmetric,
     blowup_counts,
     format_matrix,
     format_stepgraphon,
@@ -48,6 +50,16 @@ class TestTypes:
     def test_prob_matrix_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             ProbMatrix([[0.0, 1.2], [1.2, 0.0]])
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (2, 0)], ids=["upper", "lower"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_symmetry_tolerance_in_either_triangle(self, i, j, sign):
+        a = np.zeros((3, 3))
+        a[i, j] = sign * _SYM_TOL
+        _check_symmetric(a, "a")
+        a[i, j] = sign * np.nextafter(_SYM_TOL, 1.0)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            _check_symmetric(a, "a")
 
     def test_adjacency_rejects_nonbinary(self):
         with pytest.raises(ValidationError):
@@ -105,6 +117,24 @@ class TestWeightRule:
     def test_rejects_zero_weight(self):
         with pytest.raises(ValidationError):
             StepGraphon(np.zeros((2, 2)), [1.0, 0.0])
+
+
+class TestReweighted:
+    def test_shares_values_and_checks_weights_as_the_constructor(self):
+        g = StepGraphon([[0.2, 0.7], [0.7, 0.1]], [0.5, 0.5])
+        for w in ([0.25, 0.75], [0.25, 0.75 + 5e-13], [0.25, 0.75 + 5e-10]):
+            h = g.reweighted(w)
+            assert h.values is g.values and h.k == g.k
+            assert h.weights.tobytes() == StepGraphon(g.values, w).weights.tobytes()
+            assert not h.weights.flags.writeable
+        assert g.weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("w", [[1.0], [0.25, 0.75 + 1e-8], [1.0, 0.0], [0.5, np.nan]])
+    def test_rejects_what_the_constructor_rejects(self, w):
+        g = StepGraphon(np.zeros((2, 2)), [0.5, 0.5])
+        for make in (g.reweighted, lambda w: StepGraphon(g.values, w)):
+            with pytest.raises(ValidationError):
+                make(w)
 
 
 class TestNorms:

@@ -576,6 +576,22 @@ class TestScreenedEnumeration:
             assert est.permutation.tolist() == perm == ref_perm.tolist()
             assert repr(est.upper) == upper == repr(ref_val)
 
+    @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
+    @pytest.mark.parametrize("s, perm", [(1e-19, [0, 1]), (2e-18, [1, 0])],
+                             ids=["within", "beyond"])
+    def test_first_optimum_within_1e18(self, metric, s, perm):
+        # the identity leaves diag(8s, -4s) and the later swap diag(4s, 0),
+        # which reads lower on every metric: by s for cut, 2s for l1 and
+        # about 2.5s for l2.  At s = 1e-19 that is under 1e-18, so the first
+        # optimum, the identity, stays; at s = 2e-18 the swap replaces it
+        W1 = StepGraphon(np.diag([8 * s, 0.0]), [0.5, 0.5])
+        W2 = StepGraphon(np.diag([0.0, 4 * s]), [0.5, 0.5])
+        ident, swap = (permuted_difference_norm(W1, W2, p, 2, metric) for p in ([0, 1], [1, 0]))
+        assert swap < ident
+        est = delta_exact_tiny(W1, W2, metric)
+        assert est.permutation.tolist() == perm
+        assert est.upper == (ident if perm == [0, 1] else swap)
+
     def test_permutation_table_is_read_only(self):
         table = distance._permutation_table(5)
         assert distance._permutation_table(5) is table

@@ -1,13 +1,15 @@
 """Tests for the packing families and their certificates."""
 
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cutgraphon import distance, packing
 from cutgraphon._rng import stream
-from cutgraphon.core import blowup
+from cutgraphon.core import StepGraphon, blowup
 from cutgraphon.distance import DEFAULT_MOTIFS, delta_cut_lower, delta_exact_tiny
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.packing import (
@@ -282,6 +284,15 @@ class TestGraphonPacking:
         np.testing.assert_allclose(fam.elements[1].weights, [3 / 8, 5 / 8])
         np.testing.assert_allclose(fam.elements[0].values, [[1, 1], [1, 0]])
 
+    def test_two_step_separation_is_certified(self):
+        # separation_lower is the counting bound, the enumeration is kept
+        # beside it, and the two meet on this pair
+        fam = graphon_packing(2, 256)
+        assert fam.separation_lower == delta_cut_lower(*fam.elements).value
+        assert fam.meta["separation_upper"] == delta_exact_tiny(*fam.elements, "cut").upper
+        assert fam.meta["exact_separation"]
+        assert fam.elements[1].values is fam.elements[0].values
+
     def test_two_step_separation_is_pinned(self):
         # m = 8 with steps of 5 and 3 slots: 56 distinct arrangements of the
         # 40320 permutations; the first optimum in lexicographic order wins
@@ -337,6 +348,22 @@ class TestGraphonPacking:
         same = delta_cut_lower(fam.elements[0], fam.elements[0])
         assert same.value == 0.0
 
+    def test_members_share_one_value_matrix(self):
+        tracemalloc.start()
+        try:
+            fam = graphon_packing(64, 256, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8 members of 565 steps: a copy of the values each peaked near 30 MB
+        assert peak <= 15e6
+        values = fam.elements[0].values
+        assert all(W.values is values for W in fam.elements)
+        assert not values.flags.writeable
+        assert hashlib.sha256(values.tobytes()).hexdigest().startswith("6757dd31ff7405ed")
+        weights = b"".join(W.weights.tobytes() for W in fam.elements)
+        assert hashlib.sha256(weights).hexdigest().startswith("1a2d357f385a43fc")
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             graphon_packing(48, 100)
@@ -368,6 +395,25 @@ class TestSerialization:
         for a, b in zip(back.elements, fam.elements):
             np.testing.assert_array_equal(a.values, b.values)
             np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_graphon_roundtrip_shares_values(self, tmp_path):
+        fam = graphon_packing(64, 64, seed=0)
+        save_packing_family(fam, tmp_path / "fam")
+        back = load_packing_family(tmp_path / "fam")
+        assert back.size == fam.size
+        for a, b in zip(back.elements, fam.elements):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.values is back.elements[0].values
+        # a member whose values differ from element 0's keeps its own
+        W = fam.elements
+        odd = StepGraphon(np.full((W[0].k, W[0].k), 0.5), W[1].weights)
+        save_packing_family(dataclasses.replace(fam, elements=(W[0], odd, W[2])),
+                            tmp_path / "mixed")
+        back = load_packing_family(tmp_path / "mixed").elements
+        assert back[1].values is not back[0].values
+        assert back[1].values.tobytes() == odd.values.tobytes()
+        assert back[2].values is back[0].values
 
     def test_sidecar_keys_verbatim(self, tmp_path):
         fam = graphon_packing(2, 64)
