@@ -152,8 +152,7 @@ def _cmd_distance(args) -> int:
     else:
         est = delta_upper(W1, W2, metric=args.metric, m=args.m,
                           restarts=args.restarts, seed=args.seed)
-    print(f"upper={est.upper!r} lower={est.lower!r} metric={est.metric} "
-          f"m={est.m} method={est.method}")
+    print(f"upper={est.upper!r} metric={est.metric} m={est.m} method={est.method}")
     return 0
 
 

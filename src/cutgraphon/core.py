@@ -160,6 +160,13 @@ class StepGraphon:
         self.weights = w
         self.k = q.shape[0]
 
+    @classmethod
+    def _owning(cls, values: np.ndarray, weights: np.ndarray) -> "StepGraphon":
+        """A graphon on frozen arrays that pass the constructor's checks, not copied."""
+        out = object.__new__(cls)
+        out.values, out.weights, out.k = values, weights, values.shape[0]
+        return out
+
     def reweighted(self, weights) -> "StepGraphon":
         """The same values on new step lengths.
 
@@ -167,11 +174,7 @@ class StepGraphon:
         frozen values are shared, not copied, so a family of graphons that
         differ only in their weights holds one value matrix.
         """
-        out = object.__new__(type(self))
-        out.values = self.values
-        out.weights = _step_weights(weights, self.k)
-        out.k = self.k
-        return out
+        return self._owning(self.values, _step_weights(weights, self.k))
 
     def boundaries(self) -> np.ndarray:
         """Cumulative step boundaries F(0)=0 < F(1) < ... < F(k)=1."""
@@ -331,8 +334,10 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     _check_dense(m)
     counts = blowup_counts(W.weights, m)
     idx = np.repeat(np.arange(W.k), counts)
+    # a fresh gather of W's checked values: symmetric, finite and in range
     q = W.values[np.ix_(idx, idx)]
-    return StepGraphon(q, np.full(m, 1.0 / m))
+    q.setflags(write=False)
+    return StepGraphon._owning(q, _step_weights(np.full(m, 1.0 / m), m))
 
 
 # ---------------------------------------------------------------------------

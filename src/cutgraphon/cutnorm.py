@@ -26,6 +26,7 @@ sandwich check  cut <= inf1 <= 4 * cut  that links the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -48,16 +49,17 @@ class CutNormResult:
 
     ``witness_s`` / ``witness_t`` are index arrays (subsets) for cut norms
     and +-1 sign vectors for the infinity-to-one norm; None for bounds that
-    carry no witness. ``is_upper_bound`` is True when the value is
-    guaranteed >= the true norm (exact values and proved upper bounds),
-    False for certificate lower bounds.
+    carry no witness.  ``method`` names the side of the true norm that
+    the value certifies: ``exact`` (the norm itself) and ``qsubset_upper``
+    bound it from above, ``heuristic`` and ``khintchine_lower`` from below,
+    as do ``motif-<name>`` and ``motif`` (`distance.delta_cut_lower`) for
+    delta_cut.
     """
 
     value: float
     witness_s: Optional[np.ndarray]
     witness_t: Optional[np.ndarray]
     method: str
-    is_upper_bound: bool
 
 
 def _as_array(B) -> np.ndarray:
@@ -157,14 +159,14 @@ def matrix_cut_norm_exact(B) -> CutNormResult:
     a = _as_array(B)
     n = a.shape[0]
     raw, rows, cols = _max_rectangle_sum(a)
-    return CutNormResult(raw / n**2, rows, cols, "exact", True)
+    return CutNormResult(raw / n**2, rows, cols, "exact")
 
 
 def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
     """Exact cut norm of a step kernel (weighted-integral convention)."""
     M = K.row_weights[:, None] * K.values * K.col_weights[None, :]
     raw, rows, cols = _max_rectangle_sum(M)
-    return CutNormResult(raw, rows, cols, "exact", True)
+    return CutNormResult(raw, rows, cols, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def matrix_cut_norm_heuristic(B, restarts: int = 16, seed: int = 0) -> CutNormRe
         raise ValidationError("restarts must be >= 1")
     n = a.shape[0]
     raw, rows, cols = _max_rectangle_sum_heuristic(a, restarts, seed)
-    return CutNormResult(raw / n**2, rows, cols, "heuristic", False)
+    return CutNormResult(raw / n**2, rows, cols, "heuristic")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
         j = int(np.argmax(rowvals))
         g = G[j]
         f = np.where(a @ g >= 0, 1.0, -1.0)
-        return CutNormResult(float(rowvals[j]) / n**2, f, g, "exact", True)
+        return CutNormResult(float(rowvals[j]) / n**2, f, g, "exact")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     best_val, best_f, best_g = -np.inf, None, None
@@ -325,7 +327,7 @@ def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
         val = float(f @ a @ g)
         if val > best_val:
             best_val, best_f, best_g = val, f, g
-    return CutNormResult(best_val / n**2, best_f, best_g, "heuristic", False)
+    return CutNormResult(best_val / n**2, best_f, best_g, "heuristic")
 
 
 @dataclass(frozen=True)
@@ -382,14 +384,14 @@ def q_subset_upper_bound(K: Kernel, q: int) -> CutNormResult:
     """
     if q < 1 or q > max(K.q1, K.q2):
         raise ValidationError(f"q must be in [1, max(q1,q2)], got {q}")
+    # the subsets are counted before any is built
+    n1, n2 = (sum(math.comb(k, s) for s in range(min(q, k) + 1)) for k in (K.q1, K.q2))
+    if n1 * n2 > Q_SUBSET_PAIR_BUDGET:
+        raise BudgetError(f"q_subset_upper_bound: {n1} x {n2} subset pairs exceed budget")
     alpha, beta = K.row_weights, K.col_weights
     u, v = float(alpha.sum()), float(beta.sum())
     M1 = _subset_masks(K.q1, q)
     M2 = _subset_masks(K.q2, q)
-    if M1.shape[0] * M2.shape[0] > Q_SUBSET_PAIR_BUDGET:
-        raise BudgetError(
-            f"q_subset_upper_bound: {M1.shape[0]} x {M2.shape[0]} subset pairs exceed budget"
-        )
     additive = (u * np.sqrt(K.q2 * (beta**2).sum()) + v * np.sqrt(K.q1 * (alpha**2).sum())) / np.sqrt(q)
     best_main = 0.0
     best_wit = (np.array([], dtype=int), np.array([], dtype=int))
@@ -404,10 +406,10 @@ def q_subset_upper_bound(K: Kernel, q: int) -> CutNormResult:
         if V[j, i] > best_main:
             best_main = float(V[j, i])
             best_wit = (np.flatnonzero(R[j]), np.flatnonzero(L[i]))
-    return CutNormResult(best_main + float(additive), best_wit[0], best_wit[1], "qsubset_upper", True)
+    return CutNormResult(best_main + float(additive), best_wit[0], best_wit[1], "qsubset_upper")
 
 
 def khintchine_lower_bound(K: Kernel) -> CutNormResult:
     """Cut norm >= (integral of |K|) / (4 * sqrt(2 * q2)) for a q1 x q2 step kernel."""
     val = l1_norm(K) / (4.0 * np.sqrt(2.0 * K.q2))
-    return CutNormResult(float(val), None, None, "khintchine_lower", False)
+    return CutNormResult(float(val), None, None, "khintchine_lower")

@@ -33,14 +33,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._rng import stream
 from .core import StepGraphon, blowup
-from .cutnorm import _max_rectangle_sum, _max_rectangle_sum_heuristic, _max_rectangle_sums
+from .cutnorm import (CutNormResult, _max_rectangle_sum, _max_rectangle_sum_heuristic,
+                      _max_rectangle_sums)
 from .errors import BudgetError, ValidationError
 
 METRICS = ("cut", "l1", "l2")
@@ -504,7 +505,14 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """Upper/lower bracket for a rearrangement distance.
+    """An upper bound on a rearrangement distance; ``method`` says if it is certified.
+
+    ``exact-enumeration`` (`delta_exact_tiny`), ``search`` (l1, l2) and
+    ``search-exact-cut`` (cut, m <= EXACT_CUT_M) are certified upper bounds
+    for the m-step refinement, and the minimum over all m! permutations for
+    `delta_exact_tiny` and whenever m <= ENUMERATE_M; ``search-heuristic-cut``
+    is not certified.  They bound delta itself when m refines both weight
+    vectors exactly: `common_refinement_m(W1, W2)[1]` for the default m.
 
     ``permutation`` maps refined steps of the second argument into the
     first argument's frame.  Replaying it through `permuted_difference_norm`
@@ -516,12 +524,10 @@ class DistanceEstimate:
     """
 
     upper: float
-    lower: float
     metric: str
     permutation: Optional[np.ndarray]
     m: int
     method: str
-    detail: dict = field(default_factory=dict)
 
 
 def delta_upper(
@@ -536,10 +542,8 @@ def delta_upper(
 
     With m <= ENUMERATE_M the enumeration is exact (`_min_over_permutations`:
     first optimum, bit-identical to trying every permutation), so ``upper``
-    equals `delta_exact_tiny` on the same blow-ups and
-    ``detail["enumerated"]`` is True; `restarts` and `seed` then play no
-    part.  ``lower`` stays 0: a finer refinement can pair
-    parts of steps and go below the optimum over permutations.  Otherwise the
+    equals `delta_exact_tiny` on the same blow-ups; `restarts` and `seed`
+    then play no part.  Otherwise the
     candidate alignments are: identity, row-mean rank matching, greedy row
     matching (both directions), plus `restarts` random permutations; when
     ``restarts > 0`` the most promising candidates then get pairwise-swap
@@ -553,21 +557,18 @@ def delta_upper(
         raise ValidationError(f"unknown metric {metric!r}")
     if restarts < 0:
         raise ValidationError("restarts must be >= 0")
-    exact_m = None
     if m is None:
-        m, exact_m = common_refinement_m(W1, W2)
+        m = common_refinement_m(W1, W2)[0]
     if m < max(W1.k, W2.k):
         raise ValidationError(f"m={m} below max step count {max(W1.k, W2.k)}")
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
-    detail = {"exact_refinement": exact_m} if exact_m is not None else {}
     if m <= ENUMERATE_M:
         best_perm, best_val = _min_over_permutations(D1, D2, metric)
-        detail["enumerated"] = True
     else:
         best_perm, best_val = _search(D1, D2, metric, restarts, seed)
     method = f"search-{_cut_mode(m)}-cut" if metric == "cut" else "search"
-    return DistanceEstimate(float(best_val), 0.0, metric, best_perm, m, method, detail)
+    return DistanceEstimate(float(best_val), metric, best_perm, m, method)
 
 
 def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> DistanceEstimate:
@@ -579,8 +580,7 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     W2's equal steps is scored, and for cut only those that a screen with a
     proven margin leaves below the bound.
     ``upper`` is the exact minimum over permutations of that refinement,
-    which bounds delta_metric from above; a finer refinement can pair parts
-    of steps and go lower, so ``lower`` is 0.
+    which bounds delta_metric from above.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
@@ -590,14 +590,7 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
     best_perm, best_val = _min_over_permutations(D1, D2, metric)
-    return DistanceEstimate(best_val, 0.0, metric, best_perm, m, "exact-enumeration")
-
-
-@dataclass(frozen=True)
-class MotifLowerBound:
-    value: float
-    motif: Optional[Motif]
-    densities: dict
+    return DistanceEstimate(best_val, metric, best_perm, m, "exact-enumeration")
 
 
 def _motif_densities(W: StepGraphon) -> list[float]:
@@ -605,17 +598,17 @@ def _motif_densities(W: StepGraphon) -> list[float]:
     return [homomorphism_density(f, W) for f in DEFAULT_MOTIFS]
 
 
-def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> MotifLowerBound:
-    """Best counting-lemma bound from two density lists in DEFAULT_MOTIFS order."""
-    value, motif, dens = 0.0, None, {}
+def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> CutNormResult:
+    """Best counting-lemma bound from two density lists in DEFAULT_MOTIFS order;
+    ``method`` is ``motif-<name>`` of its motif, or ``motif`` if none differs."""
+    value, method = 0.0, "motif"
     for f, t1, t2 in zip(DEFAULT_MOTIFS, dens1, dens2):
-        dens[f.name] = (t1, t2)
         val = abs(t1 - t2) / f.edge_count
         if val > value:
-            value, motif = val, f
-    return MotifLowerBound(value, motif, dens)
+            value, method = val, f"motif-{f.name}"
+    return CutNormResult(value, None, None, method)
 
 
-def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> MotifLowerBound:
+def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> CutNormResult:
     """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / e(F)."""
     return _motif_bound(_motif_densities(W1), _motif_densities(W2))

@@ -16,7 +16,7 @@ chosen by the config's ``level``:
   envelope.  delta_1 through `delta_upper` at ``restarts=0`` mostly
   measures how weak those candidates are (0.459 against 0.180 for
   |Phat - Theta| at n=32, k=4, seed 3), so wiring it and the ``L1graphon``
-  envelope waits on certified brackets (ROADMAP item 2).
+  envelope waits on the latent-order coupling (ROADMAP item 4).
 
 The model behind every grid cell is a fixed banded two-value kernel
 (contrast 0.8, equal weights); k=1 degenerates to the constant 1/2.

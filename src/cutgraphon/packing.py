@@ -403,18 +403,8 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     kl = kl_bound(eps * code.vectors[0], eps * code.vectors[1], n, eps)
     pairs = _draw_pairs(stream(seed, "graphon-pack-check"), code.size,
                         GRAPHON_PAIRS_TO_CHECK)
-    # Each checked element's motif densities are taken once.  A pair of two
-    # new elements still goes through delta_cut_lower, which perfbench/tracer.py
-    # rebinds here by name, and its densities are kept for later pairs.
-    dens, lowers = {}, []
-    for i, j in pairs:
-        if i in dens or j in dens:
-            dens.update({e: _motif_densities(elements[e]) for e in (i, j) if e not in dens})
-            lowers.append(_motif_bound(dens[i], dens[j]).value)
-        else:
-            bound = delta_cut_lower(elements[i], elements[j])
-            dens[i], dens[j] = zip(*bound.densities.values())
-            lowers.append(bound.value)
+    dens = {e: _motif_densities(elements[e]) for e in {e for pair in pairs for e in pair}}
+    lowers = [_motif_bound(dens[i], dens[j]).value for i, j in pairs]
     meta = {
         "k1": k1, "mk": mk,
         "code_size": code.size,
@@ -489,6 +479,10 @@ def load_packing_family(directory) -> PackingFamily:
         k = int(meta["k"])
     except KeyError as e:
         raise ValidationError(f"metadata sidecar missing key {e}") from None
+    except ValueError as e:
+        raise ValidationError(f"bad metadata sidecar value: {e}") from None
+    if count < 1:
+        raise ValidationError(f"metadata sidecar count must be >= 1, got {count}")
     elements = []
     for i in range(count):
         path = os.path.join(directory, f"element_{i:04d}.txt")

@@ -197,6 +197,19 @@ class TestEmpiricalAndBlowup:
         with pytest.raises(ValidationError):
             blowup(g, 2)
 
+    @pytest.mark.parametrize("m", [4, 37, 256])
+    def test_blowup_owns_its_gather(self, m):
+        # the blow-up takes its fresh gather as it is; the bytes are those the
+        # public constructor makes of the same gather, and both arrays are frozen
+        g = StepGraphon([[0.9, 0.1, 0.3], [0.1, 0.0, 1.0], [0.3, 1.0, 0.5]], [0.2, 0.3, 0.5])
+        idx = np.repeat(np.arange(3), blowup_counts(g.weights, m))
+        ref = StepGraphon(g.values[np.ix_(idx, idx)], np.full(m, 1.0 / m))
+        b = blowup(g, m)
+        for got, want in ((b.values, ref.values), (b.weights, ref.weights)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert got.flags.c_contiguous and not got.flags.writeable
+        assert b.k == m
+
     def test_largest_remainder_ties_go_to_lower_index(self):
         counts = blowup_counts(np.array([0.5, 0.5]), 3)
         assert counts.tolist() == [2, 1]

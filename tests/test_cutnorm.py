@@ -6,6 +6,7 @@ independent of the library's S-enumeration + greedy-T algorithm.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestExactMatrix:
     def test_signed_checkerboard(self):
         r = matrix_cut_norm_exact(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert r.value == pytest.approx(0.25, abs=1e-15)
-        assert r.method == "exact" and r.is_upper_bound
+        assert r.method == "exact"
 
     def test_all_ones(self):
         r = matrix_cut_norm_exact(np.ones((3, 3)))
@@ -288,7 +289,7 @@ class TestHeuristic:
         assert matrix_witness_value(b, r.witness_s, r.witness_t) == pytest.approx(
             r.value, abs=1e-9
         )
-        assert r.method == "heuristic" and not r.is_upper_bound
+        assert r.method == "heuristic"
 
     def test_restart_validation(self):
         with pytest.raises(ValidationError):
@@ -421,7 +422,7 @@ class TestKernelBounds:
         k = Kernel([[1.0, -1.0], [-1.0, 1.0]], [0.5, 0.5], [0.5, 0.5])
         r = khintchine_lower_bound(k)
         assert r.value == pytest.approx(0.125)
-        assert not r.is_upper_bound and r.witness_s is None
+        assert r.method == "khintchine_lower" and r.witness_s is None
 
     def test_khintchine_below_exact_randomly(self):
         rng = np.random.default_rng(55)
@@ -438,7 +439,7 @@ class TestKernelBounds:
             e = step_kernel_cut_norm_exact(k).value
             for q in (1, 2, max(q1, q2)):
                 r = q_subset_upper_bound(k, q)
-                assert r.is_upper_bound
+                assert r.method == "qsubset_upper"
                 assert r.value >= e - 1e-12
 
     def test_q_subset_additive_term_at_full_q(self):
@@ -455,7 +456,20 @@ class TestKernelBounds:
         with pytest.raises(BudgetError):
             q_subset_upper_bound(k, 2)
         monkeypatch.setattr(cutnorm, "Q_SUBSET_PAIR_BUDGET", 121)
-        assert q_subset_upper_bound(k, 2).is_upper_bound
+        assert q_subset_upper_bound(k, 2).method == "qsubset_upper"
+
+    def test_q_subset_budget_before_building_subsets(self):
+        # 190051 subsets of size <= 6 per side: over budget, which is known
+        # before any subset is built (36 MB of masks per side otherwise)
+        k = Kernel(np.full((24, 24), 0.5), np.full(24, 1 / 24), np.full(24, 1 / 24))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="190051 x 190051"):
+                q_subset_upper_bound(k, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_q_subset_validates_q(self):
         k = Kernel([[0.5]], [1.0], [1.0])

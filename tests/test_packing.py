@@ -431,6 +431,17 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_packing_family(tmp_path / "fam")
 
+    @pytest.mark.parametrize("line", ["count=abc", "count=-3", "epsilon=x", "n=1.5"])
+    def test_malformed_metadata_value(self, tmp_path, line):
+        fam = graphon_packing(2, 64)
+        save_packing_family(fam, tmp_path / "fam")
+        meta = tmp_path / "fam" / "metadata.txt"
+        key = line.partition("=")[0] + "="
+        lines = [line if l.startswith(key) else l for l in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="metadata"):
+            load_packing_family(tmp_path / "fam")
+
 
 class TestFamilyInvariant:
     def test_fano_flag_guard(self):

@@ -14,9 +14,6 @@ from test_public_names import PACKAGE, ROOT, caller_files
 
 # fields that no code outside tests reads, each for a reason
 ALLOWED = {
-    ("CutNormResult", "is_upper_bound"): "labels a value as certified or heuristic",
-    ("DistanceEstimate", "detail"): "the enumeration and refinement flags a run manifest carries",
-    ("MotifLowerBound", "motif"): "names the motif that certified the bound",
     ("SvtEstimate", "raw"): "criterion 06 checks the unclipped expansion's round trip",
 }
 
