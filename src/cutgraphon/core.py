@@ -102,9 +102,10 @@ class ProbMatrix:
             )
         if np.max(np.abs(np.diag(a)), initial=0.0) > 1e-12:
             raise ValidationError("ProbMatrix diagonal must be zero")
-        a = np.clip(a, 0.0, 1.0)
+        a = np.clip(a, 0.0, 1.0)  # a fresh array: caller input is never aliased
         np.fill_diagonal(a, 0.0)
-        self.values = _frozen(a)
+        a.setflags(write=False)
+        self.values = a
         self.n = a.shape[0]
 
     def __repr__(self):

@@ -18,7 +18,10 @@ where rearrangements become permutations of [m]:
 * `delta_cut_lower` turns homomorphism-density gaps into lower bounds via
   the counting lemma |t(F,W1) - t(F,W2)| <= e(F) delta_cut under the set
   cut norm used here (Lovasz, Large Networks and Graph Limits, Lemma 10.23;
-  the factor 4 belongs to the infinity-to-one norm).
+  the factor 4 belongs to the infinity-to-one norm).  Its four default
+  densities come from the degree vector d = Qw and one symmetric product
+  Q diag(w) Q (`_motif_densities`); `homomorphism_density` is the general
+  einsum route for any motif, and the fast path's oracle.
 
 Both enumerations share `_min_over_permutations`: one permutation per
 distinct arrangement of the second graphon's equal steps, a batched cut
@@ -110,6 +113,12 @@ DEFAULT_MOTIFS = (EDGE, CHERRY, TRIANGLE, SQUARE)
 _MOTIF_LETTERS = "abcdef"
 
 
+def _check_contraction(W: StepGraphon, what: str) -> None:
+    """Both density routes refuse graphons of more than 4096 steps."""
+    if W.k > 4096:
+        raise BudgetError(f"{what}: k={W.k} exceeds contraction budget")
+
+
 def homomorphism_density(motif: Motif, W: StepGraphon) -> float:
     """t(F, W) = sum over maps psi:[q]->[k] of prod w_psi(a) prod Q_psi(i)psi(j).
 
@@ -118,8 +127,7 @@ def homomorphism_density(motif: Motif, W: StepGraphon) -> float:
     """
     if motif.num_vertices > len(_MOTIF_LETTERS):
         raise BudgetError(f"motifs with more than {len(_MOTIF_LETTERS)} vertices are not supported")
-    if W.k > 4096:
-        raise BudgetError(f"homomorphism_density: k={W.k} exceeds contraction budget")
+    _check_contraction(W, "homomorphism_density")
     letters = _MOTIF_LETTERS[: motif.num_vertices]
     subs = []
     ops = []
@@ -594,8 +602,28 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
 
 
 def _motif_densities(W: StepGraphon) -> list[float]:
-    """t(F, W) for each F in DEFAULT_MOTIFS, in that order."""
-    return [homomorphism_density(f, W) for f in DEFAULT_MOTIFS]
+    """t(F, W) for each F in DEFAULT_MOTIFS, in that order, from the degree
+    vector d = Qw and one symmetric product X = Q diag(w) Q.
+
+    edge = w.d, cherry = w.d^2, triangle = w'(Q o X)w and square =
+    w'(X o X)w, because X is symmetric whenever Q is.  X is built as B B'
+    with B = Q diag(sqrt(w)), which numpy hands to BLAS syrk (half a gemm).
+    Each density is looked up by its motif's name, so a motif added to
+    DEFAULT_MOTIFS without a formula here raises KeyError.
+    `homomorphism_density` is the general route and this one's test oracle.
+    """
+    _check_contraction(W, "motif densities")
+    Q, w = W.values, W.weights
+    d = Q @ w
+    B = Q * np.sqrt(w)
+    X = B @ B.T
+    by_name = {
+        "edge": w @ d,
+        "cherry": w @ d**2,
+        "triangle": w @ (Q * X) @ w,
+        "square": w @ (X * X) @ w,
+    }
+    return [float(by_name[f.name]) for f in DEFAULT_MOTIFS]
 
 
 def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> CutNormResult:
@@ -610,5 +638,10 @@ def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> CutNormResul
 
 
 def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> CutNormResult:
-    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / e(F)."""
+    """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / e(F).
+
+    Each graphon's densities come from its degree vector d = Qw and one
+    symmetric product Q diag(w) Q (`_motif_densities`), as `graphon_packing`
+    takes them, so its certificate replays here bit for bit.
+    """
     return _motif_bound(_motif_densities(W1), _motif_densities(W2))

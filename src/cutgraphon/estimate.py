@@ -137,11 +137,10 @@ def _block_means(sT: np.ndarray, counts: np.ndarray, z: np.ndarray,
 
 
 def _objective(A: np.ndarray, z: np.ndarray, Q: np.ndarray) -> float:
-    T = Q[np.ix_(z, z)]
+    T = Q[np.ix_(z, z)]  # fresh, so the residual is formed and squared in place
+    np.subtract(A, T, out=T)
     np.fill_diagonal(T, 0.0)
-    R = A - T
-    np.fill_diagonal(R, 0.0)
-    return float((R**2).sum())
+    return float(np.square(T, out=T).sum())
 
 
 def _sweep_margin(n: int, k: int) -> float:

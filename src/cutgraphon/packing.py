@@ -486,8 +486,12 @@ def load_packing_family(directory) -> PackingFamily:
     elements = []
     for i in range(count):
         path = os.path.join(directory, f"element_{i:04d}.txt")
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ValidationError(
+                f"metadata sidecar count={count}, but {path} is missing") from None
         if kind == "matrix":
             elements.append(ProbMatrix(parse_matrix(text)))
             continue

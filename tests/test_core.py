@@ -39,6 +39,15 @@ class TestTypes:
         assert p.n == 2
         assert not p.values.flags.writeable
 
+    def test_prob_matrix_owns_its_values(self):
+        a = np.array([[0.0, 0.3], [0.3, 0.0]])
+        p = ProbMatrix(a)
+        a[0, 1] = a[1, 0] = 0.9
+        assert p.values.tolist() == [[0.0, 0.3], [0.3, 0.0]]
+        assert not p.values.flags.writeable
+        with pytest.raises(ValueError):
+            p.values[0, 1] = 0.5
+
     def test_prob_matrix_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             ProbMatrix([[0.0, 0.3], [0.4, 0.0]])

@@ -653,6 +653,42 @@ class TestCountingLowerBound:
         B = random_refinable(rng, m)
         assert delta_cut_lower(A, B).value <= delta_exact_tiny(A, B, metric="cut").upper + 1e-12
 
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(["random", "packing"]))
+    @settings(max_examples=80, deadline=None)
+    def test_fast_densities_match_einsum(self, k, seed, shape):
+        # "packing": 1/2 everywhere but a {0,1} cross block, as graphon_packing builds
+        rng = np.random.default_rng(seed)
+        if shape == "random":
+            V = rng.uniform(0, 1, (k, k))
+            V = np.triu(V) + np.triu(V, 1).T
+        else:
+            k1 = int(rng.integers(0, k + 1))
+            V = np.full((k, k), 0.5)
+            V[:k1, k1:] = rng.integers(0, 2, (k1, k - k1))
+            V[k1:, :k1] = V[:k1, k1:].T
+        w = rng.uniform(0.01, 1.0, k)
+        W = StepGraphon(V, w / w.sum())
+        np.testing.assert_allclose(
+            distance._motif_densities(W),
+            [homomorphism_density(f, W) for f in DEFAULT_MOTIFS], rtol=1e-12, atol=1e-15)
+
+    def test_densities_keep_the_contraction_budget(self):
+        # broadcast values: a 4097-step graphon without its 134 MB
+        k = 4097
+        W = StepGraphon._owning(np.broadcast_to(0.5, (k, k)), np.full(k, 1.0 / k))
+        for route in (lambda: distance._motif_densities(W),
+                      lambda: homomorphism_density(EDGE, W),
+                      lambda: delta_cut_lower(W, W)):
+            with pytest.raises(BudgetError, match="contraction budget"):
+                route()
+
+    def test_motif_without_a_formula_fails_loudly(self, monkeypatch):
+        star = Motif(4, ((0, 1), (0, 2), (0, 3)), "star")
+        monkeypatch.setattr(distance, "DEFAULT_MOTIFS", DEFAULT_MOTIFS + (star,))
+        W = StepGraphon(np.array([[0.5]]), np.array([1.0]))
+        with pytest.raises(KeyError, match="star"):
+            distance._motif_densities(W)
+
     def test_two_element_packing_is_pinned(self):
         # the edge densities differ by 0.25, which is also the pair's exact
         # separation; a spare factor 4 in the counting bound reads 0.0625

@@ -10,7 +10,7 @@ import pytest
 from cutgraphon import distance, packing
 from cutgraphon._rng import stream
 from cutgraphon.core import StepGraphon, blowup
-from cutgraphon.distance import DEFAULT_MOTIFS, delta_cut_lower, delta_exact_tiny
+from cutgraphon.distance import delta_cut_lower, delta_exact_tiny
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.packing import (
     PackingFamily,
@@ -325,10 +325,10 @@ class TestGraphonPacking:
     def test_kl_budget_and_separation(self, monkeypatch):
         monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 0)
         monkeypatch.setattr(packing, "GRAPHON_PAIRS_TO_CHECK", 4)
-        density = distance.homomorphism_density
+        densities = packing._motif_densities
         calls = []
-        monkeypatch.setattr(distance, "homomorphism_density",
-                            lambda f, W: calls.append(id(W)) or density(f, W))
+        monkeypatch.setattr(packing, "_motif_densities",
+                            lambda W: calls.append(id(W)) or densities(W))
         fam = graphon_packing(64, 64, seed=1)
         monkeypatch.undo()
         assert fam.kl_budget == pytest.approx(32 / 128)    # k1/128
@@ -343,7 +343,7 @@ class TestGraphonPacking:
             delta_cut_lower(fam.elements[i], fam.elements[j]).value for i, j in checked)
         # motif densities are taken once per element of the checked pairs
         members = {id(fam.elements[e]) for pair in checked for e in pair}
-        assert len(calls) == len(DEFAULT_MOTIFS) * len(members)
+        assert len(calls) == len(members)
         assert set(calls) == members
         same = delta_cut_lower(fam.elements[0], fam.elements[0])
         assert same.value == 0.0
@@ -440,6 +440,14 @@ class TestSerialization:
         lines = [line if l.startswith(key) else l for l in meta.read_text().splitlines()]
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="metadata"):
+            load_packing_family(tmp_path / "fam")
+
+    def test_count_beyond_element_files(self, tmp_path):
+        fam = graphon_packing(2, 64)
+        save_packing_family(fam, tmp_path / "fam")
+        meta = tmp_path / "fam" / "metadata.txt"
+        meta.write_text(meta.read_text().replace("count=2", "count=5"))
+        with pytest.raises(ValidationError, match="element_0002.txt"):
             load_packing_family(tmp_path / "fam")
 
 
