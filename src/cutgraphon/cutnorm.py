@@ -12,10 +12,10 @@ The exact routines enumerate one index side and solve the other side
 greedily: for fixed S, the best T consists of exactly the columns whose
 S-restricted (weighted) sum is strictly positive (resp. negative) —
 zero-sum columns are never included. One search does this for a whole stack
-of matrices (`_max_rectangle_sums`), each bit for bit as if it were alone;
-the scalar exact cut is the stack of one (`_max_rectangle_sum`). The
-heuristic alternates those two greedy steps from random starts and returns a
-replayable certificate, so its value is always a lower bound on the true cut
+of matrices (`_max_rectangle_sum`), each bit for bit as if it were alone;
+one matrix's exact cut and rectangle are the stack of one (`_best_rectangle`).
+The heuristic alternates those two greedy steps from random starts and returns
+a replayable certificate, so its value is always a lower bound on the true cut
 norm. Its restarts' end values are screened with one matrix product, and
 only the rectangles that a proven rounding margin leaves in contention are
 summed exactly, term by term in the order einsum takes (`_alternate_max`).
@@ -72,20 +72,29 @@ def _as_array(B) -> np.ndarray:
     return a
 
 
+def _distinct_indices(idx, n: int, what: str) -> np.ndarray:
+    """idx as an array of distinct integers in range(n), else ValidationError."""
+    a = np.asarray(idx)
+    if a.size and (a.ndim != 1 or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n
+                   or len(set(a.tolist())) < a.size):
+        raise ValidationError(f"{what} must hold distinct integers in range({n})")
+    return a
+
+
 def matrix_witness_value(B, S, T) -> float:
-    """Replay a subset-pair certificate: |sum B[S, T]| / n^2."""
+    """Replay a subset-pair certificate of distinct indices: |sum B[S, T]| / n^2."""
     a = _as_array(B)
     n = a.shape[0]
+    S, T = _distinct_indices(S, n, "S"), _distinct_indices(T, n, "T")
     if len(S) == 0 or len(T) == 0:
         return 0.0
-    return abs(float(a[np.ix_(np.asarray(S), np.asarray(T))].sum())) / n**2
+    return abs(float(a[np.ix_(S, T)].sum())) / n**2
 
 
 def kernel_witness_value(K: Kernel, S, T) -> float:
+    S, T = _distinct_indices(S, K.q1, "S"), _distinct_indices(T, K.q2, "T")
     if len(S) == 0 or len(T) == 0:
         return 0.0
-    S = np.asarray(S)
-    T = np.asarray(T)
     sub = K.values[np.ix_(S, T)]
     return abs(float(K.row_weights[S] @ sub @ K.col_weights[T]))
 
@@ -94,7 +103,7 @@ def kernel_witness_value(K: Kernel, S, T) -> float:
 # exact enumeration
 
 
-def _max_rectangle_sums(Ms: np.ndarray):
+def _max_rectangle_sum(Ms: np.ndarray):
     """max_{S,T} |sum M[S,T]| for every matrix M of the stack Ms (q x r x c).
 
     Enumerates the subsets S of the smaller side (rows when r <= c) and takes
@@ -106,8 +115,7 @@ def _max_rectangle_sums(Ms: np.ndarray):
     numpy's stacked matmul makes one gemm call per matrix, with the shape
     and strides a lone matrix gets, and the sums and maxima below reduce
     each matrix's own contiguous rows.  So every matrix's results are bit
-    for bit those of a stack of one: the scalar exact cut
-    (`_max_rectangle_sum`) is that case.
+    for bit those of a stack of one (`_best_rectangle`).
     """
     if Ms.shape[1] > Ms.shape[2]:
         Ms = Ms.transpose(0, 2, 1)
@@ -135,37 +143,30 @@ def _max_rectangle_sums(Ms: np.ndarray):
     return best_val, best_subset, best_sign
 
 
-def _max_rectangle_sum(M: np.ndarray):
-    """max_{S,T} |sum M[S,T]|: the one-matrix case of `_max_rectangle_sums`.
-
-    Returns (raw_value, rows, cols).
-    """
-    vals, subsets, signs = _max_rectangle_sums(M[None])
-    return float(vals[0]), *_rectangle_of(M, int(subsets[0]), int(signs[0]))
-
-
-def _rectangle_of(M: np.ndarray, subset: int, sign: int):
-    """(rows, cols) of the rectangle that `_max_rectangle_sums` found in M."""
+def _best_rectangle(M: np.ndarray):
+    """(raw value, rows, cols) of the first best rectangle of one matrix M,
+    as `_max_rectangle_sum` finds it."""
+    vals, subsets, signs = _max_rectangle_sum(M[None])
     transposed = M.shape[0] > M.shape[1]
-    enumerated = np.flatnonzero([(subset >> b) & 1 for b in range(min(M.shape))])
+    enumerated = np.flatnonzero([(int(subsets[0]) >> b) & 1 for b in range(min(M.shape))])
     # the greedy side: M's columns, or its rows when its columns were enumerated
     sums = M[:, enumerated].sum(axis=1) if transposed else M[enumerated].sum(axis=0)
-    other = np.flatnonzero(sums > 0) if sign > 0 else np.flatnonzero(sums < 0)
-    return (other, enumerated) if transposed else (enumerated, other)
+    other = np.flatnonzero(sums > 0) if signs[0] > 0 else np.flatnonzero(sums < 0)
+    return float(vals[0]), *((other, enumerated) if transposed else (enumerated, other))
 
 
 def matrix_cut_norm_exact(B) -> CutNormResult:
     """Exact matrix cut norm by subset enumeration (n <= EXACT_BUDGET)."""
     a = _as_array(B)
     n = a.shape[0]
-    raw, rows, cols = _max_rectangle_sum(a)
+    raw, rows, cols = _best_rectangle(a)
     return CutNormResult(raw / n**2, rows, cols, "exact")
 
 
 def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
     """Exact cut norm of a step kernel (weighted-integral convention)."""
     M = K.row_weights[:, None] * K.values * K.col_weights[None, :]
-    raw, rows, cols = _max_rectangle_sum(M)
+    raw, rows, cols = _best_rectangle(M)
     return CutNormResult(raw, rows, cols, "exact")
 
 

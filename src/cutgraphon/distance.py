@@ -23,12 +23,13 @@ where rearrangements become permutations of [m]:
   Q diag(w) Q (`_motif_densities`); `homomorphism_density` is the general
   einsum route for any motif, and the fast path's oracle.
 
-Both enumerations share `_min_over_permutations`: one permutation per
-distinct arrangement of the second graphon's equal steps, a batched cut
-screen with a proven rounding margin, exact values from one chunked,
-stacked product (`_norms`, bit for bit the scalar `_difference_norm`), and
-one loop that keeps the first optimum in lexicographic order.  Permutation
-and value are bit-identical to scoring all m! permutations one by one.
+`_norms` alone forms and measures aligned differences D1 - P D2 P^T, a
+chunked stack at a time (`_aligned`, which also feeds the cut screen), each
+value bit for bit its permutation's alone.  Both enumerations share
+`_min_over_permutations`: one permutation per distinct arrangement of the
+second graphon's equal steps, a batched cut screen with a proven rounding
+margin, exact values of the survivors, and one loop that keeps the first
+optimum in lexicographic order, bit-identical to scoring all m! one by one.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 
 from ._rng import stream
 from .core import StepGraphon, blowup
-from .cutnorm import (CutNormResult, _max_rectangle_sum, _max_rectangle_sum_heuristic,
-                      _max_rectangle_sums)
+from .cutnorm import (CutNormResult, _distinct_indices, _max_rectangle_sum,
+                      _max_rectangle_sum_heuristic)
 from .errors import BudgetError, ValidationError
 
 METRICS = ("cut", "l1", "l2")
@@ -171,19 +172,6 @@ def _cut_mode(m: int) -> str:
     return "exact" if m <= EXACT_CUT_M else "heuristic"
 
 
-def _difference_norm(D: np.ndarray, metric: str, restarts: int, seed: int) -> float:
-    m = D.shape[0]
-    if metric == "l1":
-        return float(np.abs(D).mean())
-    if metric == "l2":
-        return float(np.sqrt((D**2).mean()))
-    if _cut_mode(m) == "exact":
-        raw, _, _ = _max_rectangle_sum(D)
-    else:
-        raw, _, _ = _max_rectangle_sum_heuristic(D, restarts, seed)
-    return float(raw) / m**2
-
-
 def permuted_difference_norm(
     W1: StepGraphon,
     W2: StepGraphon,
@@ -193,13 +181,16 @@ def permuted_difference_norm(
     restarts: int = 32,
     seed: int = 0,
 ) -> float:
-    """Replay helper: ||blowup(W1,m) - P blowup(W2,m) P^T||_metric."""
+    """Replay helper: ||blowup(W1,m) - P blowup(W2,m) P^T||_metric, for an
+    integer permutation ``perm`` of range(m)."""
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    p = np.asarray(perm, dtype=int)
+    p = _distinct_indices(perm, m, "perm")
+    if p.size != m:
+        raise ValidationError(f"perm must be a permutation of range({m}), got {p.size} entries")
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
-    return _difference_norm(D1 - D2[np.ix_(p, p)], metric, restarts, seed)
+    return float(_norms(D1, D2, p[None], metric, restarts, seed)[0])
 
 
 @functools.cache
@@ -234,26 +225,36 @@ def _arrangements(D2: np.ndarray) -> np.ndarray:
     return table[keep]
 
 
-def _norms(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str) -> np.ndarray:
-    """||D1 - P D2 P^T|| for every P in perms, by stacked products in chunks
-    of about _SCREEN_BLOCK elements.  Bit for bit `_difference_norm`'s
-    values: the differences are the scalar path's, each sum runs over one
-    difference's own contiguous entries, and the stacked exact cut makes one
-    gemm call per difference, shaped as the scalar call is.
-    """
-    m = D1.shape[0]
+def _aligned(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, per: int, measure) -> np.ndarray:
+    """measure(D) for the stacks D of differences D1 - P D2 P^T, P in perms,
+    about _SCREEN_BLOCK // per permutations at a time; measure returns one
+    value per difference of its stack, which is C-ordered."""
     out = np.empty(len(perms))
-    step = max(1, _SCREEN_BLOCK // (m << m if metric == "cut" else m * m))
+    step = max(1, _SCREEN_BLOCK // per)
     for a in range(0, len(perms), step):
         P = perms[a : a + step]
-        D = D1 - D2[P[:, :, None], P[:, None, :]]
-        if metric == "l1":
-            out[a : a + step] = np.abs(D).mean(axis=(1, 2))
-        elif metric == "l2":
-            out[a : a + step] = np.sqrt((D**2).mean(axis=(1, 2)))
-        else:
-            out[a : a + step] = _max_rectangle_sums(D)[0] / m**2
+        out[a : a + step] = measure(D1 - D2[P[:, :, None], P[:, None, :]])
     return out
+
+
+def _norms(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, metric: str,
+           restarts: int, seed: int) -> np.ndarray:
+    """||D1 - P D2 P^T||_metric for every row P of perms: l1, l2, the exact cut
+    up to EXACT_CUT_M (one stacked search) or the heuristic cut (one search
+    per difference, with ``restarts`` and ``seed``).  Each value is bit for
+    bit its permutation's alone: every sum runs over one difference's own
+    contiguous entries, the stacked exact cut makes one gemm call per
+    difference, shaped as for a stack of one, and the heuristic gets each
+    difference as a C-ordered matrix of its own."""
+    m = D1.shape[0]
+    if metric == "l1":
+        return _aligned(D1, D2, perms, m * m, lambda D: np.abs(D).mean(axis=(1, 2)))
+    if metric == "l2":
+        return _aligned(D1, D2, perms, m * m, lambda D: np.sqrt((D**2).mean(axis=(1, 2))))
+    if _cut_mode(m) == "exact":
+        return _aligned(D1, D2, perms, m << m, lambda D: _max_rectangle_sum(D)[0] / m**2)
+    return _aligned(D1, D2, perms, m * m, lambda D: np.array(
+        [_max_rectangle_sum_heuristic(d, restarts, seed)[0] for d in D]) / m**2)
 
 
 def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -262,23 +263,21 @@ def _screen(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray) -> np.ndarray:
     Tries the 2m row subsets of one step and their complements, in one
     product against the stacked differences, with the best columns taken
     greedily: an exact maximum over fewer rectangles, summed in another
-    order than the scalar path (`_screen_margin`).  Temporaries stay within
+    order than `_norms` (`_screen_margin`).  Temporaries stay within
     _SCREEN_BLOCK elements.
     """
     m = D1.shape[0]
     eye = np.eye(m)
     masks = np.vstack((eye, 1.0 - eye))
-    out = np.empty(len(perms))
-    step = max(1, _SCREEN_BLOCK // (m * len(masks)))
-    for a in range(0, len(perms), step):
-        P = perms[a : a + step]
-        D = D1 - D2[P[:, :, None], P[:, None, :]]
+
+    def measure(D):
         # C[s, j, q]: column j's sum over subset s of permutation q's rows
-        C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(len(masks), m, len(P))
+        C = (masks @ D.transpose(1, 2, 0).reshape(m, -1)).reshape(len(masks), m, len(D))
         pos = np.maximum(C, 0.0).sum(axis=1)
         neg = -np.minimum(C, 0.0).sum(axis=1)
-        out[a : a + step] = np.maximum(pos, neg).max(axis=0) / m**2
-    return out
+        return np.maximum(pos, neg).max(axis=0) / m**2
+
+    return _aligned(D1, D2, perms, m * len(masks), measure)
 
 
 def _screen_margin(m: int) -> float:
@@ -337,10 +336,10 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
     perms = _arrangements(D2)
     if metric == "cut":
         lo = _screen(D1, D2, perms) - _screen_margin(D1.shape[0])
-        bound = _norms(D1, D2, perms[[int(np.argmin(lo))]], metric)[0]
+        bound = _norms(D1, D2, perms[[int(np.argmin(lo))]], metric, 0, 0)[0]
         perms = perms[lo < bound]
     best_val, best = np.inf, None
-    for i, val in enumerate(_norms(D1, D2, perms, metric).tolist()):
+    for i, val in enumerate(_norms(D1, D2, perms, metric, 0, 0).tolist()):
         if val < best_val - 1e-18:
             best_val, best = val, i
     return perms[best].astype(int), float(best_val)
@@ -425,38 +424,35 @@ def _rank_match(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _swap_descent(D1, D2, perm, objective, rng):
-    """First-improvement pairwise-swap descent on the permutation."""
+def _swap_descent(perm, objective, rng):
+    """First-improvement pairwise-swap descent on objective(permutation)."""
     m = len(perm)
     perm = np.array(perm, dtype=int)
-    best = objective(D1 - D2[np.ix_(perm, perm)])
+    best = objective(perm)
+
+    def swap_and_keep(i, j):
+        nonlocal best
+        perm[i], perm[j] = perm[j], perm[i]
+        val = objective(perm)
+        if val < best - 1e-15:
+            best = val
+            return True
+        perm[i], perm[j] = perm[j], perm[i]
+        return False
+
     if m <= FULL_SWEEP_M:
-        improved = True
-        sweeps = 0
-        while improved and sweeps < FULL_SWEEPS:
+        for _ in range(FULL_SWEEPS):
             improved = False
-            sweeps += 1
-            for i in range(m - 1):
-                for j in range(i + 1, m):
-                    perm[i], perm[j] = perm[j], perm[i]
-                    val = objective(D1 - D2[np.ix_(perm, perm)])
-                    if val < best - 1e-15:
-                        best = val
-                        improved = True
-                    else:
-                        perm[i], perm[j] = perm[j], perm[i]
+            for i, j in itertools.combinations(range(m), 2):
+                improved |= swap_and_keep(i, j)
+            if not improved:
+                break
         return perm, best
     # large m: bounded random swap proposals
     for _ in range(SWAP_PROPOSALS):
         i, j = rng.integers(0, m, size=2)
-        if i == j:
-            continue
-        perm[i], perm[j] = perm[j], perm[i]
-        val = objective(D1 - D2[np.ix_(perm, perm)])
-        if val < best - 1e-15:
-            best = val
-        else:
-            perm[i], perm[j] = perm[j], perm[i]
+        if i != j:
+            swap_and_keep(i, j)
     return perm, best
 
 
@@ -466,8 +462,8 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
     m = D1.shape[0]
     rng = stream(seed, "delta-upper")
 
-    def objective(D):
-        return _difference_norm(D, metric, restarts=4, seed=seed)
+    def objective(perm):
+        return float(_norms(D1, D2, perm[None], metric, 4, seed)[0])
 
     # the row cost stays on runs of equal rows (u1 x u2, never m x m), and
     # both greedy matches run on the run classes; |a - b| == |b - a| exactly,
@@ -481,13 +477,12 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
     for r in range(restarts):
         cands.append(stream(seed, "delta-restart", r).permutation(m))
     # candidates can coincide (the forward and backward greedy matches often
-    # do): each distinct permutation is scored once, and `scored` keeps one
-    # entry per candidate, so the descent below sees the same list
-    values = {}
-    for p in cands:
-        key = p.tobytes()
-        if key not in values:
-            values[key] = objective(D1 - D2[np.ix_(p, p)])
+    # do): each distinct permutation is scored once, all in one stack, and
+    # `scored` keeps one entry per candidate, so the descent below sees the
+    # same list
+    distinct = {p.tobytes(): p for p in cands}
+    values = dict(zip(distinct, _norms(D1, D2, np.array(list(distinct.values())),
+                                       metric, 4, seed).tolist()))
     scored = [(values[p.tobytes()], idx) for idx, p in enumerate(cands)]
     scored.sort(key=lambda t: (t[0], t[1]))
     if restarts == 0:
@@ -498,7 +493,7 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
         descend = [cands[idx] for _, idx in scored[: (len(cands) if m <= 8 else 3)]]
         best_perm, best_val = None, np.inf
         for p in descend:
-            q, val = _swap_descent(D1, D2, p, objective, rng)
+            q, val = _swap_descent(p, objective, rng)
             if val < best_val:
                 best_perm, best_val = q, val
     if metric == "cut" and _cut_mode(m) == "heuristic":
@@ -506,8 +501,8 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
         # from restarts=4 and max(restarts, 16); the smaller is kept, so this
         # second evaluation can only lower the result and never moves it up
         # toward the true norm
-        best_val = min(best_val, _difference_norm(
-            D1 - D2[np.ix_(best_perm, best_perm)], metric, restarts=max(restarts, 16), seed=seed))
+        best_val = min(best_val,
+                       _norms(D1, D2, best_perm[None], metric, max(restarts, 16), seed)[0])
     return best_perm, best_val
 
 

@@ -156,6 +156,8 @@ def rate_formula(regime: str, n: int, k: int, rho: float) -> float:
     risk of estimating by zero).  Constants are unknown, so these are
     curves to plot against, not bounds.
     """
+    if regime not in ("Cut", "Frobenius", "L1", "L2graphon", "L1graphon"):
+        raise ValidationError(f"unknown regime {regime!r}")
     if n < 2 or k < 1 or not (0.0 < rho <= 1.0):
         raise ValidationError(f"need n >= 2, k >= 1, rho in (0, 1], "
                               f"got n={n}, k={k}, rho={rho}")
@@ -171,10 +173,8 @@ def rate_formula(regime: str, n: int, k: int, rho: float) -> float:
     if regime == "L2graphon":
         return min(math.sqrt(rho) * k / n + math.sqrt(rho * logk / n)
                    + rho * (k / n) ** 0.25, rho)
-    if regime == "L1graphon":
-        return min(rho * math.sqrt(k / n) + math.sqrt(rho) * k / n
-                   + math.sqrt(rho * logk / n), rho)
-    raise ValidationError(f"unknown regime {regime!r}")
+    return min(rho * math.sqrt(k / n) + math.sqrt(rho) * k / n  # L1graphon
+               + math.sqrt(rho * logk / n), rho)
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,22 @@ def test_one_small_cycle_passes_its_checks(monkeypatch, name):
     finally:
         hooks.restore()
     assert items and problems == []
+
+
+def test_traced_certify_sees_exact_cut_passes(monkeypatch):
+    # the enumeration measures its candidates through `distance._max_rectangle_sum`,
+    # the name the tracer rebinds, so the pairs' exact cut passes are counted
+    # as `cutnorm.exact` spans under `distance.delta_upper`
+    workloads, tracer = load(monkeypatch, "workloads"), load(monkeypatch, "tracer")
+    wl = workloads.workload("certify", small=True)
+    _, items = workloads.make_items(wl, workloads.DEFAULT_SEED, 1)
+    hooks = tracer.Hooks(spans=True)
+    hooks.install()
+    try:
+        for item in items:
+            hooks.item, hooks.active = item.index, True
+            workloads.run_item(item, hooks.api)
+            hooks.active = False
+    finally:
+        hooks.restore()
+    assert tracer.child_counts(hooks.spans, "distance.delta_upper", "cutnorm.exact") >= 1

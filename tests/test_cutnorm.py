@@ -174,6 +174,21 @@ class TestExactMatrix:
             r.value, abs=1e-9
         )
 
+    @pytest.mark.parametrize("S, T", [([0, 0, 1, 1, 2, 2], [0, 1, 2]), ([-1], [0]), ([0], [3]),
+                                      ([0.0], [1]), ([[0]], [1])],
+                             ids=["repeated", "negative", "out-of-range", "float", "2-d"])
+    def test_witness_replay_rejects_malformed_indices(self, S, T):
+        # the repeated S replayed 2.0 here, twice the exact cut
+        b = np.ones((3, 3))
+        k = Kernel(b, np.full(3, 1 / 3), np.full(3, 1 / 3))
+        assert matrix_cut_norm_exact(b).value == 1.0
+        assert matrix_witness_value(b, [], [0]) == kernel_witness_value(k, [0], []) == 0.0
+        for replay, arg in ((matrix_witness_value, b), (kernel_witness_value, k)):
+            with pytest.raises(ValidationError):
+                replay(arg, S, T)
+            with pytest.raises(ValidationError):
+                replay(arg, T, S)
+
     def test_greedy_side_excludes_zero_sum_columns(self):
         # column 2 sums to zero over every row subset; it must never appear
         b = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
@@ -227,14 +242,13 @@ class TestExactMatrix:
             Ms = rng.uniform(-1, 1, shape)
         if order == "F":
             Ms = Ms.transpose(0, 2, 1).copy().transpose(0, 2, 1)
-        vals, subsets, signs = cutnorm._max_rectangle_sums(Ms)
-        for M, val, subset, sign in zip(Ms, vals, subsets, signs):
+        vals, _, _ = cutnorm._max_rectangle_sum(Ms)
+        for M, val in zip(Ms, vals):
             want, want_rows, want_cols = reference_max_rectangle_sum(M)
-            got, rows, cols = cutnorm._max_rectangle_sum(M)
+            got, rows, cols = cutnorm._best_rectangle(M)
             assert repr(got) == repr(want) == repr(float(val))
-            for r, c in ((rows, cols), cutnorm._rectangle_of(M, int(subset), int(sign))):
-                assert np.array_equal(r, want_rows) and r.dtype == want_rows.dtype
-                assert np.array_equal(c, want_cols) and c.dtype == want_cols.dtype
+            assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
+            assert np.array_equal(cols, want_cols) and cols.dtype == want_cols.dtype
 
 
 class TestExactKernel:

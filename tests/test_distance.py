@@ -29,7 +29,7 @@ from cutgraphon.distance import (
     homomorphism_density,
     permuted_difference_norm,
 )
-from cutgraphon.cutnorm import inf1_norm
+from cutgraphon.cutnorm import inf1_norm, matrix_cut_norm_exact
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.experiments import default_model
 from cutgraphon.packing import graphon_packing
@@ -87,13 +87,23 @@ def oracle_delta(W1, W2, metric, m):
     return best
 
 
+def scalar_norm(D, metric):
+    """One difference's l1, l2 or exact cut norm, measured alone and apart
+    from `distance._norms`."""
+    if metric == "l1":
+        return float(np.abs(D).mean())
+    if metric == "l2":
+        return float(np.sqrt((D**2).mean()))
+    return matrix_cut_norm_exact(D).value
+
+
 def reference_min_over_permutations(D1, D2, metric):
     """The plain enumeration loop: every permutation scored, first optimum wins."""
     m = D1.shape[0]
     best_val, best_perm = np.inf, None
     for p in itertools.permutations(range(m)):
         perm = np.array(p, dtype=int)
-        val = distance._difference_norm(D1 - D2[np.ix_(perm, perm)], metric, 0, 0)
+        val = scalar_norm(D1 - D2[np.ix_(perm, perm)], metric)
         if val < best_val - 1e-18:
             best_val, best_perm = val, perm
     return best_perm, best_val
@@ -468,6 +478,18 @@ class TestDistances:
             rep = permuted_difference_norm(A, B, est.permutation, est.m, "l1")
             assert rep == pytest.approx(est.upper, abs=1e-12)
 
+    @pytest.mark.parametrize("perm", [[0, 0, 0, 0], [0, 1, 2, -1], [0, 1, 2], [0, 1, 2, 4],
+                                      [0.0, 1.0, 2.0, 3.0], [[0, 1, 2, 3]]],
+                             ids=["repeated", "negative", "short", "out-of-range", "float", "2-d"])
+    def test_replay_rejects_a_malformed_permutation(self, perm):
+        # a repeated index replayed 0.4 and a negative one wrapped to 0.2 on
+        # this pair, whose distance is 0.1
+        half = StepGraphon(np.array([[0.5]]), np.array([1.0]))
+        two = StepGraphon(np.array([[0.6, 0.4], [0.4, 0.6]]), np.array([0.5, 0.5]))
+        assert permuted_difference_norm(half, two, [0, 1, 2, 3], 4, "l1") == pytest.approx(0.1)
+        with pytest.raises(ValidationError, match="perm"):
+            permuted_difference_norm(half, two, perm, 4, "l1")
+
     def test_block_relabel_invariance(self):
         rng = np.random.default_rng(17)
         V = rng.uniform(0, 1, (3, 3))
@@ -621,9 +643,55 @@ class TestScreenedEnumeration:
         perms = distance._arrangements(D2)
         if len(perms) > 2000:
             perms = perms[rng.choice(len(perms), 2000, replace=False)]
-        above = max(s - distance._difference_norm(D1 - D2[np.ix_(p, p)], "cut", 0, 0)
-                    for p, s in zip(perms.astype(int), distance._screen(D1, D2, perms)))
+        exact = distance._norms(D1, D2, perms, "cut", 0, 0)
+        above = (distance._screen(D1, D2, perms) - exact).max()
         assert above <= distance._screen_margin(m) / 16
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluator
+
+
+class TestNorms:
+    @given(
+        st.sampled_from(["l1", "l2", "cut"]),
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.sampled_from([1, 7, 300, 2**24]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_value_is_the_permutation_alone(self, metric, m, q, block, seed):
+        # the exact cut at these sizes; _SCREEN_BLOCK sets how many
+        # permutations share a chunk: one at 1, one or a few at 7 and 300, all
+        # at 2**24
+        rng = np.random.default_rng(seed)
+        D1 = step_matrix(rng, m, "grid", "repeated")
+        D2 = rng.uniform(0, 1, (m, m))
+        perms = np.array([rng.permutation(m) for _ in range(q)])
+        with mock.patch.object(distance, "_SCREEN_BLOCK", block):
+            got = distance._norms(D1, D2, perms, metric, 0, 0)
+        want = [scalar_norm(D1 - D2[np.ix_(p, p)], metric) for p in perms]
+        assert got.tolist() == want
+
+    @given(
+        st.integers(distance.EXACT_CUT_M + 1, 20),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.sampled_from([1, 7, 2**24]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_heuristic_cut_is_the_permutation_alone(self, m, q, restarts, block, seed):
+        rng = np.random.default_rng(seed)
+        D1 = step_matrix(rng, m, "uniform", "repeated")
+        D2 = rng.uniform(0, 1, (m, m))
+        perms = np.array([rng.permutation(m) for _ in range(q)])
+        with mock.patch.object(distance, "_SCREEN_BLOCK", block):
+            got = distance._norms(D1, D2, perms, "cut", restarts, seed)
+        want = [distance._max_rectangle_sum_heuristic(D1 - D2[np.ix_(p, p)], restarts, seed)[0]
+                / m**2 for p in perms]
+        assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,12 @@ class TestRateFormula:
         with pytest.raises(ValidationError):
             rate_formula("Cut", 1, 2, 1.0)
 
+    def test_unknown_regime_at_k1(self):
+        # k = 1 takes a closed form shared by every regime; the regime is
+        # still checked first
+        with pytest.raises(ValidationError, match="regime"):
+            rate_formula("bogus", 10, 1, 0.5)
+
 
 class TestDefaultModel:
     def test_k1_constant(self):
