@@ -267,14 +267,16 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray):
 
 def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     """Certificate lower bound on max |sum M[S,T]|: alternating ascent on M and -M."""
+    if not (M.flags.c_contiguous or M.flags.f_contiguous):
+        M = np.array(M, order="K")   # `_rectangle_sum` needs C or F order
     k2 = M.shape[1]
     rand = _heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
     ones = np.ones((k2, 1))
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
     best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
-    for sign in (1.0, -1.0):
-        val, rows, cols = _alternate_max(sign * M, T0)
+    for signed in (M, -M):
+        val, rows, cols = _alternate_max(signed, T0)
         if val > best[0]:
             best = (val, rows, cols)
     return best

@@ -22,6 +22,14 @@ The model behind every grid cell is a fixed banded two-value kernel
 (contrast 0.8, equal weights); k=1 degenerates to the constant 1/2.
 The harness returns a report and writes nothing; `emit` writes it to the
 path its caller chooses (``cutgraphon risk --out``).
+
+With ``rls`` in the config and more than one usable CPU, each replicate's
+rls fit runs on one worker thread while the calling thread fits and
+measures the other estimators in config order; rls's label sweeps hold the
+interpreter lock, while svt's ``eigh`` and the heuristic cut's products
+release it.  The rows and the CSV bytes do not depend on it: the fit is the
+same call on the same inputs, and every other call runs on the caller's
+thread in the order it takes without the worker.
 """
 
 from __future__ import annotations
@@ -101,6 +109,11 @@ class ExperimentConfig:
         if bad or not self.metrics:
             raise ValidationError(f"unknown metrics {sorted(bad)}; "
                                   f"choose from {METRICS}")
+        for axis, grid in (("n", self.ns), ("k", self.ks), ("rho", self.rhos),
+                           ("estimator", self.estimators), ("metric", self.metrics)):
+            if len(set(grid)) != len(grid):
+                raise ValidationError(f"repeated {axis} in {grid}; each value "
+                                      "makes its own rows, so list it once")
 
 
 _INT_KEYS = {"reps", "seed"}
@@ -217,7 +230,15 @@ def _subseed(seed: int, n: int, k: int, rho: float, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_estimator(name: str, A, k: int, rho: float, seed: int):
+def _fit_rls(A, k: int, rho: float, seed: int):
+    # reads the module-level name at call time, so a rebinding wrapper
+    # sees the call on whichever thread makes it
+    return estimate_restricted_ls(A, k, rho=rho, restarts=4, seed=seed)
+
+
+def _run_estimator(name: str, A, k: int, rho: float, seed: int, rls_fit):
+    """Phat for estimator `name`; rls takes its fit from the `rls_fit` future
+    when one was submitted for this replicate."""
     if name == "adjacency":
         return estimate_adjacency(A)
     if name == "mean":
@@ -225,20 +246,20 @@ def _run_estimator(name: str, A, k: int, rho: float, seed: int):
     if name == "svt":
         return estimate_svt(A).prob
     if name == "rls":
-        fit = estimate_restricted_ls(A, k, rho=rho, restarts=4, seed=seed)
+        fit = rls_fit.result() if rls_fit is not None else _fit_rls(A, k, rho, seed)
         return fit_to_prob_matrix(fit)
     raise ValidationError(f"unknown estimator {name!r}")
 
 
-def _risk(metric: str, phat, theta, truth: StepGraphon, cfg: ExperimentConfig,
-          seed: int) -> float:
-    n = theta.n
+def _risk(metric: str, phat, D: np.ndarray, truth: StepGraphon,
+          cfg: ExperimentConfig, seed: int) -> float:
+    """Risk of `phat` in `metric`; D = phat.values - theta.values."""
+    n = D.shape[0]
     if metric == "frobenius":
-        return float(np.linalg.norm(phat.values - theta.values) / n)
+        return float(np.linalg.norm(D) / n)
     if metric == "l1":
-        return float(np.abs(phat.values - theta.values).sum() / n**2)
+        return float(np.abs(D).sum() / n**2)
     if cfg.level == "matrix":
-        D = phat.values - theta.values
         if metric == "cut":
             return float(matrix_cut_norm_heuristic(
                 D, restarts=CUT_RESTARTS, seed=seed).value)
@@ -248,8 +269,28 @@ def _risk(metric: str, phat, theta, truth: StepGraphon, cfg: ExperimentConfig,
     return float(est.upper)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
-    """Sample, estimate and measure every grid cell; failures don't abort."""
+    """Sample, estimate and measure every grid cell; failures don't abort.
+
+    With rls in the config and more than one usable CPU, each replicate's
+    rls fit runs on one worker thread while this thread fits and measures
+    the other estimators; the worker lives only for this call.
+    """
+    if "rls" in config.estimators and _usable_cpus() > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            return _run_cells(config, pool)
+    return _run_cells(config, None)
+
+
+def _run_cells(config: ExperimentConfig, pool) -> RiskReport:
     rows = []
     failures = []
     for n, k, rho in itertools.product(config.ns, config.ks, config.rhos):
@@ -267,12 +308,15 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
             except Exception as e:  # noqa: BLE001
                 failures.append(f"n={n},k={k},rho={rho},rep={rep}: sample: {e}")
                 continue
+            # rls's turn in the loop below reads this future, exception included
+            rls_fit = pool.submit(_fit_rls, A, k, rho, s) if pool is not None else None
             for est in config.estimators:
                 try:
-                    phat = _run_estimator(est, A, k, rho, s)
+                    phat = _run_estimator(est, A, k, rho, s, rls_fit)
+                    D = phat.values - theta.values
                     for met in config.metrics:
-                        values[(est, met)].append(
-                            _risk(met, phat, theta, truth, config, s))
+                        values[(est, met)].append(_risk(met, phat, D, truth, config, s))
+                    del D   # not held through the next estimator's fit
                 except Exception as e:  # noqa: BLE001
                     failures.append(
                         f"n={n},k={k},rho={rho},rep={rep},estimator={est}: {e}")

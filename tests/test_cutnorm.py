@@ -315,7 +315,7 @@ class TestHeuristic:
         st.integers(2, 16),
         st.integers(0, 10_000),
         st.sampled_from(["integer", "tenths", "uniform"]),
-        st.sampled_from(["C", "F"]),
+        st.sampled_from(["C", "F", "strided"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_einsum_reference(self, n1, n2, restarts, seed, values, order):
@@ -326,7 +326,10 @@ class TestHeuristic:
             M = rng.uniform(-1, 1, (n1, n2))
         else:
             M = rng.integers(-2, 3, (n1, n2)) * (1.0 if values == "integer" else 0.1)
-        M = np.asarray(M, order=order)
+        if order == "strided":       # a view on every other row of a larger matrix
+            M = np.repeat(M, 2, axis=0)[::2]
+        else:
+            M = np.asarray(M, order=order)
         raw, rows, cols = cutnorm._max_rectangle_sum_heuristic(M, restarts, seed)
         ref_raw, ref_rows, ref_cols = reference_rectangle_sum_heuristic(M, restarts, seed)
         assert repr(raw) == repr(ref_raw)

@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo risk harness."""
 
+import concurrent.futures
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from cutgraphon import experiments
 from cutgraphon.errors import ValidationError
 from cutgraphon.experiments import (
     CSV_HEADER,
@@ -75,6 +79,19 @@ class TestConfig:
             parse_config("n=thirty\nk=2\nrho=1\n")
         with pytest.raises(ValidationError):
             parse_config("n 32\nk=2\nrho=1\n")
+        with pytest.raises(ValidationError, match="repeated n"):
+            parse_config("n=32\nn=32\nk=2\nrho=1\n")
+
+    @pytest.mark.parametrize("field, grid", [
+        ("ns", (8, 8)), ("ks", (2, 3, 2)), ("rhos", (0.5, 0.5)),
+        ("estimators", ("adjacency", "adjacency")), ("metrics", ("l1", "l1"))])
+    def test_repeated_grid_value_rejected(self, field, grid):
+        # a repeated value would emit duplicate rows, each counting the
+        # pooled replicates of every copy
+        kwargs = dict(ns=(8,), ks=(2,), rhos=(1.0,), reps=1)
+        kwargs[field] = grid
+        with pytest.raises(ValidationError, match="repeated"):
+            ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize("line", ["restarts=2", "outdir=/tmp/out"])
     def test_retired_keys_rejected(self, line):
@@ -203,6 +220,64 @@ class TestHarness:
         assert rep.failures
         assert any(r.estimator == "adjacency" for r in rep.rows)
         assert not any(r.estimator == "rls" for r in rep.rows)
+
+
+def run_counting_workers(monkeypatch, cfg, cpus):
+    """(report, executors created) with `cpus` usable CPUs; checks that no
+    thread outlives the call."""
+    made = []
+
+    class Counting(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    report = run_risk_experiment(cfg)
+    assert threading.active_count() == before
+    return report, len(made)
+
+
+class TestRlsWorker:
+    """The rls fit on a worker thread against the same fit made inline."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(estimators=("rls", "adjacency", "svt")),
+        dict(estimators=("adjacency", "rls", "svt")),
+        dict(estimators=("adjacency", "svt", "rls")),
+        dict(estimators=("rls",)),
+        dict(ns=(16, 24), estimators=("svt", "rls"), reps=3),
+        dict(ns=(16, 24), estimators=("rls", "adjacency"), metrics=("cut", "l2"),
+             reps=3, level="graphon"),
+        dict(ns=(4,), ks=(5,), estimators=("adjacency", "rls", "svt"), reps=2),
+    ], ids=["first", "middle", "last", "alone", "matrix-cells", "graphon-cells",
+            "failing-fit"])
+    def test_threaded_matches_inline(self, monkeypatch, kwargs):
+        cfg = ExperimentConfig(**{**dict(ns=(16,), ks=(2,), rhos=(1.0,),
+                                         metrics=("cut", "l1", "frobenius"),
+                                         reps=1, seed=7), **kwargs})
+        threaded, made = run_counting_workers(monkeypatch, cfg, cpus=2)
+        inline, made_inline = run_counting_workers(monkeypatch, cfg, cpus=1)
+        assert (made, made_inline) == (1, 0)
+        assert format_csv(threaded) == format_csv(inline)
+        assert threaded.failures == inline.failures
+        if cfg.ks == (5,):
+            # rls cannot fit 5 blocks to 4 nodes: one failure per replicate
+            assert len(threaded.failures) == 2
+            assert all("estimator=rls" in f for f in threaded.failures)
+            assert {r.estimator for r in threaded.rows} == {"adjacency", "svt"}
+
+    def test_no_worker_without_rls(self, monkeypatch):
+        cfg = ExperimentConfig(ns=(16,), ks=(2,), rhos=(1.0,),
+                               estimators=("adjacency", "svt"), reps=1, seed=7)
+        report, made = run_counting_workers(monkeypatch, cfg, cpus=2)
+        assert made == 0 and len(report.rows) == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert experiments._usable_cpus() == (os.cpu_count() or 1)
 
 
 def synthetic_report(risks, axis="n", values=(32, 64, 128, 256)):
