@@ -336,7 +336,7 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     counts = blowup_counts(W.weights, m)
     idx = np.repeat(np.arange(W.k), counts)
     # a fresh gather of W's checked values: symmetric, finite and in range
-    q = W.values[np.ix_(idx, idx)]
+    q = W.values.take(idx, axis=0).take(idx, axis=1)
     q.setflags(write=False)
     return StepGraphon._owning(q, _step_weights(np.full(m, 1.0 / m), m))
 

@@ -14,11 +14,12 @@ S-restricted (weighted) sum is strictly positive (resp. negative) —
 zero-sum columns are never included. One search does this for a whole stack
 of matrices (`_max_rectangle_sum`), each bit for bit as if it were alone;
 one matrix's exact cut and rectangle are the stack of one (`_best_rectangle`).
-The heuristic alternates those two greedy steps from random starts and returns
-a replayable certificate, so its value is always a lower bound on the true cut
-norm. Its restarts' end values are screened with one matrix product, and
-only the rectangles that a proven rounding margin leaves in contention are
-summed exactly, term by term in the order einsum takes (`_alternate_max`).
+The heuristic alternates those two greedy steps from random starts, for each
+sign on M itself, and returns a replayable certificate, so its value is always
+a lower bound on the true cut norm. Its restarts' end values are screened with
+one matrix product, and only the rectangles that a proven rounding margin
+leaves in contention are summed exactly, term by term in the order einsum takes
+(`_alternate_max`).
 
 Also here: the infinity-to-one norm (same 1/n^2 normalization) and the
 sandwich check  cut <= inf1 <= 4 * cut  that links the two.
@@ -176,10 +177,7 @@ def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
 
 def _heuristic_starts(n_cols: int, restarts: int, seed: int, tag: str):
     """Column-stacked {0,1} starting vectors, one independent stream per restart."""
-    cols = []
-    for r in range(restarts):
-        g = stream(seed, tag, r)
-        cols.append(g.integers(0, 2, size=n_cols))
+    cols = [stream(seed, tag, r).integers(0, 2, size=n_cols) for r in range(restarts)]
     return np.array(cols, dtype=float).T
 
 
@@ -196,7 +194,8 @@ def _rectangle_sum(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     """
     if len(rows) == 0 or len(cols) == 0:
         return 0.0
-    X = M[np.ix_(rows, cols)] if M.flags.c_contiguous else M.T[np.ix_(cols, rows)]
+    X = (M.take(rows, axis=0).take(cols, axis=1) if M.flags.c_contiguous
+         else M.T.take(cols, axis=0).take(rows, axis=1))
     terms = X.reshape(-1)
     return float(np.cumsum(terms, out=terms)[-1])
 
@@ -226,13 +225,16 @@ def _rectangle_margin(n1: int, n2: int, mx: float) -> float:
     return 4.0 * (N + n1 + n2 + 2) * N * mx * 2.0**-53
 
 
-def _alternate_max(M: np.ndarray, T0: np.ndarray):
-    """Maximize s^T M t over {0,1} vectors by alternating greedy updates.
+def _alternate_max(M: np.ndarray, T0: np.ndarray, sign: float):
+    """Maximize sign * s^T M t over {0,1} vectors by alternating greedy updates.
 
     T0 holds starting t-vectors as columns (at least two); all restarts are
     advanced in lock-step.  Monotone in the objective, so it terminates at a
     fixed point.  Returns (value, rows, cols) of the first restart whose
-    rectangle sum is largest.
+    signed rectangle sum is largest.  sign = -1.0 is the ascent on -M without
+    a copy: rounding to nearest is symmetric, so negated products and sums of
+    M are -M's own, bit for bit but for the sign of a zero, which no
+    comparison sees.
 
     The ascent's BLAS products decide the signs.  Its end values are
     screened with one more product, and only the distinct rectangles whose
@@ -244,12 +246,12 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray):
     T = T0
     S = np.zeros((M.shape[0], T.shape[1]))
     for _ in range(HEURISTIC_ITERS):
-        S_new = (M @ T > 0).astype(float)
-        T_new = (M.T @ S_new > 0).astype(float)
+        S_new = (sign * (M @ T) > 0).astype(float)
+        T_new = (sign * (M.T @ S_new) > 0).astype(float)
         if np.array_equal(S_new, S) and np.array_equal(T_new, T):
             break
         S, T = S_new, T_new
-    screen = ((S.T @ M) * T.T).sum(axis=1)
+    screen = sign * ((S.T @ M) * T.T).sum(axis=1)
     margin = _rectangle_margin(M.shape[0], M.shape[1], max(M.max(), -M.min()))
     # written as "not below" so that a nan or an overflowing margin keeps
     # every restart rather than none
@@ -259,14 +261,14 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray):
         rows, cols = np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r])
         key = (rows.tobytes(), cols.tobytes())
         if key not in exact:
-            exact[key] = _rectangle_sum(M, rows, cols)
+            exact[key] = sign * _rectangle_sum(M, rows, cols)
         if exact[key] > best[0]:
             best = (exact[key], rows, cols)
     return best
 
 
 def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
-    """Certificate lower bound on max |sum M[S,T]|: alternating ascent on M and -M."""
+    """Certificate lower bound on max |sum M[S,T]|: `_alternate_max` for sign +1, then -1."""
     if not (M.flags.c_contiguous or M.flags.f_contiguous):
         M = np.array(M, order="K")   # `_rectangle_sum` needs C or F order
     k2 = M.shape[1]
@@ -275,8 +277,8 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
     best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
-    for signed in (M, -M):
-        val, rows, cols = _alternate_max(signed, T0)
+    for sign in (1.0, -1.0):
+        val, rows, cols = _alternate_max(M, T0, sign)
         if val > best[0]:
             best = (val, rows, cols)
     return best

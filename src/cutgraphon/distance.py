@@ -9,10 +9,11 @@ where rearrangements become permutations of [m]:
   (greedy matching init, pairwise-swap descent, random restarts) — always
   a genuine upper bound for l1/l2 and for cut when m is small enough for
   the exact cut norm; otherwise the cut norm of the aligned difference is
-  itself estimated heuristically.  The greedy matching never builds the
-  m x m cost: it runs on the u1 x u2 cost between runs of equal rows
-  (`_row_cost`, `_greedy_match`), and matches a whole run pair at a time,
-  with the same permutation as the pair-by-pair greedy on the m x m cost.
+  itself estimated heuristically.  The greedy matching (one direction: the
+  other is its inverse, ties included) never builds the m x m cost: it
+  runs on the u1 x u2 cost between runs of equal rows (`_row_cost`,
+  `_greedy_match`), and matches a whole run pair at a time, with the same
+  permutation as the pair-by-pair greedy on the m x m cost.
 * `delta_exact_tiny` enumerates all m! permutations (m <= 8, weights must
   refine exactly) — the oracle the search is validated against.
 * `delta_cut_lower` turns homomorphism-density gaps into lower bounds via
@@ -392,6 +393,12 @@ def _greedy_match(cu: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     next free index of each; that pair stays first until one of its runs is
     used up.  So t = min(free slots of a, free slots of b) pairs are assigned
     at once, and the result is the pair-by-pair greedy's, index for index.
+
+    Matching the other way round, on (cu.T, l2, l1), gives the inverse
+    permutation, ties included.  Among the free pairs of least cost, the
+    row-major first (i, j) is column j's first, and no earlier column has
+    one in row i, so column-major order takes it too; dropping row i and
+    column j, then each cost level in turn, repeats the argument.
     """
     u1, u2 = cu.shape
     next1 = np.searchsorted(l1, np.arange(u1)).tolist()  # next free index of each run
@@ -460,26 +467,14 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
     """Candidate alignments, swap descent on the best, then (heuristic cut
     only) the smaller of that value and a second evaluation."""
     m = D1.shape[0]
-    rng = stream(seed, "delta-upper")
-
-    def objective(perm):
-        return float(_norms(D1, D2, perm[None], metric, 4, seed)[0])
-
     # the row cost stays on runs of equal rows (u1 x u2, never m x m), and
-    # both greedy matches run on the run classes; |a - b| == |b - a| exactly,
-    # so cu.T with the labels swapped is the backward (D2-rows first) cost
+    # the greedy match runs on the run classes
     cu, l1, l2 = _row_cost(D1, D2)
     cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(cu, l1, l2)]
-    back = _greedy_match(cu.T, l2, l1)
-    inv = np.empty(m, dtype=int)
-    inv[back] = np.arange(m)
-    cands.append(inv)
     for r in range(restarts):
         cands.append(stream(seed, "delta-restart", r).permutation(m))
-    # candidates can coincide (the forward and backward greedy matches often
-    # do): each distinct permutation is scored once, all in one stack, and
-    # `scored` keeps one entry per candidate, so the descent below sees the
-    # same list
+    # candidates can coincide: each distinct permutation is scored once, in
+    # one stack, and `scored` keeps one entry per candidate for the descent
     distinct = {p.tobytes(): p for p in cands}
     values = dict(zip(distinct, _norms(D1, D2, np.array(list(distinct.values())),
                                        metric, 4, seed).tolist()))
@@ -490,10 +485,14 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
         # search (used by the risk harness where m equals the sample size)
         best_perm, best_val = cands[scored[0][1]], scored[0][0]
     else:
-        descend = [cands[idx] for _, idx in scored[: (len(cands) if m <= 8 else 3)]]
+        rng = stream(seed, "delta-upper")
+
+        def objective(perm):
+            return float(_norms(D1, D2, perm[None], metric, 4, seed)[0])
+
         best_perm, best_val = None, np.inf
-        for p in descend:
-            q, val = _swap_descent(p, objective, rng)
+        for _, idx in scored[: (len(cands) if m <= 8 else 3)]:
+            q, val = _swap_descent(cands[idx], objective, rng)
             if val < best_val:
                 best_perm, best_val = q, val
     if metric == "cut" and _cut_mode(m) == "heuristic":
@@ -545,15 +544,14 @@ def delta_upper(
 
     With m <= ENUMERATE_M the enumeration is exact (`_min_over_permutations`:
     first optimum, bit-identical to trying every permutation), so ``upper``
-    equals `delta_exact_tiny` on the same blow-ups; `restarts` and `seed`
-    then play no part.  Otherwise the
-    candidate alignments are: identity, row-mean rank matching, greedy row
-    matching (both directions), plus `restarts` random permutations; when
-    ``restarts > 0`` the most promising candidates then get pairwise-swap
-    local descent, and ``restarts=0`` returns the best candidate as it is.
-    The greedy matching runs on the runs of equal rows in the two blow-ups,
-    u1 and u2 of them: a run pair at a time, on their u1 x u2 row cost.  That
-    cost raises BudgetError when u1 * u2 * m > COST_BUDGET.  Candidates that
+    equals `delta_exact_tiny` on the same blow-ups; `restarts` and `seed` then
+    play no part.  Otherwise the candidate alignments are: identity, row-mean
+    rank matching, greedy row matching, plus `restarts` random permutations;
+    when ``restarts > 0`` the most promising candidates then get pairwise-swap
+    local descent, and ``restarts=0`` returns the best candidate as it is.  The
+    greedy matching runs on the runs of equal rows in the two blow-ups, u1 and
+    u2 of them: a run pair at a time, on their u1 x u2 row cost.  That cost
+    raises BudgetError when u1 * u2 * m > COST_BUDGET.  Candidates that
     coincide are scored once.
     """
     if metric not in METRICS:

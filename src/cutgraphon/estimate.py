@@ -137,7 +137,7 @@ def _block_means(sT: np.ndarray, counts: np.ndarray, z: np.ndarray,
 
 
 def _objective(A: np.ndarray, z: np.ndarray, Q: np.ndarray) -> float:
-    T = Q[np.ix_(z, z)]  # fresh, so the residual is formed and squared in place
+    T = Q.take(z, axis=0).take(z, axis=1)  # fresh, so the residual is formed and squared in place
     np.subtract(A, T, out=T)
     np.fill_diagonal(T, 0.0)
     return float(np.square(T, out=T).sum())
@@ -302,7 +302,7 @@ def exact_restricted_ls(A: AdjacencyMatrix, k: int, rho: float = 1.0) -> BlockFi
 
 def fit_to_prob_matrix(fit: BlockFit) -> ProbMatrix:
     """Materialize a block fit as an n x n probability matrix."""
-    T = fit.block_values[np.ix_(fit.labels, fit.labels)]
+    T = fit.block_values.take(fit.labels, axis=0).take(fit.labels, axis=1)
     np.fill_diagonal(T, 0.0)
     return ProbMatrix(T)
 

@@ -80,7 +80,7 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
     _check_dense(z.size)
     if z.size and (z.min() < 0 or z.max() >= spec.graphon.k):
         raise ValidationError("labels out of range for the graphon's steps")
-    T = spec.rho * spec.graphon.values[np.ix_(z, z)]
+    T = spec.rho * spec.graphon.values.take(z, axis=0).take(z, axis=1)
     if clip:
         T = np.minimum(T, 1.0)
     elif spec.max_scaled_value > 1.0 + 1e-12:

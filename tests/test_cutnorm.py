@@ -100,6 +100,50 @@ def reference_rectangle_sum_heuristic(M, restarts, seed):
     return best
 
 
+def copied_alternate_max(M, T0):
+    """The ascent as it stood when the negative pass ran on a copy of -M,
+    verbatim but for comments, with `_rectangle_sum` (an np.ix_ gather) inline."""
+    T = T0
+    S = np.zeros((M.shape[0], T.shape[1]))
+    for _ in range(HEURISTIC_ITERS):
+        S_new = (M @ T > 0).astype(float)
+        T_new = (M.T @ S_new > 0).astype(float)
+        if np.array_equal(S_new, S) and np.array_equal(T_new, T):
+            break
+        S, T = S_new, T_new
+    screen = ((S.T @ M) * T.T).sum(axis=1)
+    margin = cutnorm._rectangle_margin(M.shape[0], M.shape[1], max(M.max(), -M.min()))
+    keep = np.flatnonzero(~(screen < screen.max() - margin))
+    best, exact = (-np.inf, None, None), {}
+    for r in keep.tolist():
+        rows, cols = np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r])
+        key = (rows.tobytes(), cols.tobytes())
+        if key not in exact:
+            X = M[np.ix_(rows, cols)] if M.flags.c_contiguous else M.T[np.ix_(cols, rows)]
+            terms = X.reshape(-1)
+            exact[key] = float(np.cumsum(terms, out=terms)[-1]) if terms.size else 0.0
+        if exact[key] > best[0]:
+            best = (exact[key], rows, cols)
+    return best
+
+
+def copied_rectangle_sum_heuristic(M, restarts, seed):
+    """The heuristic's (M, -M) route, verbatim but for comments."""
+    if not (M.flags.c_contiguous or M.flags.f_contiguous):
+        M = np.array(M, order="K")
+    k2 = M.shape[1]
+    rand = cutnorm._heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
+    ones = np.ones((k2, 1))
+    csign = (M.sum(axis=0) > 0).astype(float)[:, None]
+    T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
+    best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
+    for signed in (M, -M):
+        val, rows, cols = copied_alternate_max(signed, T0)
+        if val > best[0]:
+            best = (val, rows, cols)
+    return best
+
+
 def reference_max_rectangle_sum(M: np.ndarray):
     """The one-matrix exact search as it stood before it took stacks, verbatim
     but for reading the budget from `cutnorm`."""
@@ -367,6 +411,28 @@ class TestHeuristic:
         for r in range(6):
             got = cutnorm._rectangle_sum(M, np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
             assert repr(got) == repr(float(want[r]))
+
+    @pytest.mark.parametrize("restarts", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_negative_pass_matches_copy_of_minus_m(self, order, restarts):
+        # the negative pass negates M's products and sums instead of copying
+        # -M; quarter grids make ties in every comparison and many restarts
+        # that end on the same rectangle, or on one of sum zero
+        rng = np.random.default_rng(restarts)
+        for shape in [(9, 9), (40, 33), (130, 130), (7, 300), (512, 512)]:
+            for values in ["quarter", "uniform"]:
+                if values == "quarter":
+                    M = rng.integers(-4, 5, shape) * 0.25
+                else:
+                    M = rng.uniform(-1, 1, shape)
+                if order == "strided":
+                    M = np.repeat(M, 2, axis=0)[::2]
+                else:
+                    M = np.asarray(M, order=order)
+                got = cutnorm._max_rectangle_sum_heuristic(M, restarts, 7)
+                want = copied_rectangle_sum_heuristic(M, restarts, 7)
+                assert repr(got[0]) == repr(want[0])
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     def test_risk_matrix_shape_is_pinned(self):
         # n = 512 and 8 restarts, as in the matrix-level cut risk; recorded

@@ -346,7 +346,8 @@ class TestDistances:
         assert permuted_difference_norm(pair[0], pair[1], up.permutation, up.m) == up.upper
 
     def test_backward_greedy_on_transposed_cost(self):
-        # the search builds one cost and matches backwards on its transpose;
+        # the row cost's transpose, with the labels swapped, is the backward
+        # (second graphon's rows first) cost, matched as the fresh tensor is;
         # m = 40 is a size only the search reaches, and repeated rows make ties
         rng = np.random.default_rng(19)
         for _ in range(4):
@@ -386,20 +387,35 @@ class TestDistances:
         st.integers(0, 10_000),
         st.sampled_from(["runs", "distinct", "shuffled"]),
         st.sampled_from(["runs", "distinct", "shuffled"]),
-        st.integers(1, 4),
+        st.integers(0, 4),
     )
     @example(6, 5, 7, 3, "runs", "runs", 1)  # two zero-slot steps on the first side
     @settings(max_examples=80, deadline=None)
     def test_greedy_on_runs_matches_reference(self, k1, k2, m, seed, layout1, layout2, grid):
         # integer costs on a grid of grid + 1 values: ties are common, inside
-        # a pair of runs and between pairs
+        # a pair of runs and between pairs; grid 0 draws distinct costs.
+        # Either way the backward match is the forward one's inverse, which
+        # is why the search has no backward candidate
         rng = np.random.default_rng(seed)
         _, l1 = distance._row_runs(uneven_blowup(rng, k1, m, layout1))
         _, l2 = distance._row_runs(uneven_blowup(rng, k2, m, layout2))
-        cu = rng.integers(0, grid + 1, (l1[-1] + 1, l2[-1] + 1)).astype(float)
+        shape = (l1[-1] + 1, l2[-1] + 1)
+        cu = rng.uniform(size=shape) if grid == 0 else rng.integers(0, grid + 1, shape) * 1.0
         cost = cu[np.ix_(l1, l2)]
-        assert np.array_equal(_greedy_match(cu, l1, l2), reference_greedy_match(cost))
-        assert np.array_equal(_greedy_match(cu.T, l2, l1), reference_greedy_match(cost.T))
+        fwd, back = _greedy_match(cu, l1, l2), _greedy_match(cu.T, l2, l1)
+        assert np.array_equal(fwd, reference_greedy_match(cost))
+        assert np.array_equal(back, reference_greedy_match(cost.T))
+        assert np.array_equal(fwd, np.argsort(back))
+
+    def test_backward_greedy_is_forward_inverse_on_a_tie(self):
+        # the least cost 0 sits at (0, 2), (1, 0) and (1, 2): row-major order
+        # takes (0, 2) first and column-major order (1, 0), but each takes
+        # the other's pick next, so the matches agree
+        cu = np.array([[5.0, 4.0, 0.0], [0.0, 3.0, 0.0], [2.0, 1.0, 6.0]])
+        l = np.arange(3)
+        fwd, back = _greedy_match(cu, l, l), _greedy_match(cu.T, l, l)
+        assert fwd.tolist() == [2, 0, 1] and back.tolist() == [1, 2, 0]
+        assert np.array_equal(fwd, np.argsort(back))
 
     @pytest.mark.parametrize(
         "metric, k, n, seed, digest, upper",
@@ -419,11 +435,11 @@ class TestDistances:
     )
     def test_search_wiring_is_pinned(self, metric, k, n, seed, digest, upper):
         # the risk harness's call at restarts=0 and a heuristic size; on the
-        # first two draws matching backward on `cost` instead of `cost.T`
-        # changes the answer, as does any change to how the row cost is
-        # indexed.  The n = 256 draws are the benchmark's size.  On seed 127
-        # the final evaluation at 16 restarts is the smaller value: the
-        # 4-restart one, without it, reads 0.022454833984373403
+        # first two draws the greedy match on the transposed cost, left
+        # uninverted, changes the answer, as does any change to how the row
+        # cost is indexed.  The n = 256 draws are the benchmark's size.  On
+        # seed 127 the final evaluation at 16 restarts is the smaller value:
+        # the 4-restart one, without it, reads 0.022454833984373403
         spec = default_model(k)
         _, _, A = sample_graph(spec, n, seed)
         est = delta_upper(empirical_graphon(A), spec.graphon, metric, m=n, restarts=0, seed=seed)
