@@ -16,6 +16,15 @@ All types are immutable: constructors copy and freeze their arrays, so
 instances can be shared freely across threads/processes.  A graphon made
 by `StepGraphon.reweighted` shares its parent's frozen values rather than
 copying them.
+
+The public constructors check everything they are given.  Arrays that the
+package builds and that pass those checks by construction enter through the
+private `_owning` class methods instead, frozen and not copied:
+`sampling.theta_from_labels` and `sample_adjacency`; `estimate_adjacency`
+(on A's own buffer), `estimate_mean`, `estimate_svt` and
+`fit_to_prob_matrix`; `blowup`, `StepGraphon.reweighted` and
+`empirical_graphon` of a ProbMatrix or AdjacencyMatrix.  Each holds the
+values the constructor would return for the same array, bit for bit.
 """
 
 from __future__ import annotations
@@ -108,6 +117,14 @@ class ProbMatrix:
         self.values = a
         self.n = a.shape[0]
 
+    @classmethod
+    def _owning(cls, values: np.ndarray) -> "ProbMatrix":
+        """A matrix on a frozen array that the constructor would return as it
+        is (checked, clipped into [0, 1], zero diagonal), not copied."""
+        out = object.__new__(cls)
+        out.values, out.n = values, values.shape[0]
+        return out
+
     def __repr__(self):
         return f"ProbMatrix(n={self.n})"
 
@@ -127,6 +144,14 @@ class AdjacencyMatrix:
             raise ValidationError("AdjacencyMatrix diagonal must be zero")
         self.values = _frozen(a)
         self.n = a.shape[0]
+
+    @classmethod
+    def _owning(cls, values: np.ndarray) -> "AdjacencyMatrix":
+        """An adjacency matrix on a frozen array that passes the constructor's
+        checks, not copied."""
+        out = object.__new__(cls)
+        out.values, out.n = values, values.shape[0]
+        return out
 
     @property
     def edge_count(self) -> int:
@@ -285,14 +310,22 @@ def l1_norm(obj) -> float:
 
 
 def empirical_graphon(mat) -> StepGraphon:
-    """The n-step graphon of a matrix: equal weights 1/n, block values B_ij."""
+    """The n-step graphon of a matrix: equal weights 1/n, block values B_ij.
+
+    A ProbMatrix or AdjacencyMatrix lends the graphon its frozen values,
+    which already pass the StepGraphon checks; a raw array is checked and
+    copied by the constructor.
+    """
     a = _as_matrix(mat)
     if a is None:
         raise ValidationError(f"empirical_graphon expects a matrix, got {type(mat)!r}")
     n = a.shape[0]
     if n == 0:
         raise ValidationError("empirical_graphon: empty matrix")
-    return StepGraphon(a, np.full(n, 1.0 / n))
+    weights = np.full(n, 1.0 / n)
+    if isinstance(mat, np.ndarray):
+        return StepGraphon(a, weights)
+    return StepGraphon._owning(a, _step_weights(weights, n))
 
 
 def blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:

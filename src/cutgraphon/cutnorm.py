@@ -16,10 +16,11 @@ of matrices (`_max_rectangle_sum`), each bit for bit as if it were alone;
 one matrix's exact cut and rectangle are the stack of one (`_best_rectangle`).
 The heuristic alternates those two greedy steps from random starts, for each
 sign on M itself, and returns a replayable certificate, so its value is always
-a lower bound on the true cut norm. Its restarts' end values are screened with
-one matrix product, and only the rectangles that a proven rounding margin
-leaves in contention are summed exactly, term by term in the order einsum takes
-(`_alternate_max`).
+a lower bound on the true cut norm. The ascent stops at the first product that
+repeats its predecessor, where sweeping on would change nothing. Its restarts'
+end values are screened from its last product, and only the rectangles that a
+proven rounding margin leaves in contention are summed exactly, term by term
+in the order einsum takes (`_alternate_max`).
 
 Also here: the infinity-to-one norm (same 1/n^2 normalization) and the
 sandwich check  cut <= inf1 <= 4 * cut  that links the two.
@@ -209,7 +210,7 @@ def _rectangle_margin(n1: int, n2: int, mx: float) -> float:
     their absolute values.  Let mx = max |M| and N = n1 * n2.
       exact:  `_rectangle_sum` adds at most N terms: within gamma_N N mx of
               the real rectangle sum.
-      screen: (S^T M)[r, j] adds at most n1 terms (the 0/1 products are
+      screen: (M^T S)[j, r] adds at most n1 terms (the 0/1 products are
               exact): within gamma_n1 n1 mx each.  Masking by T is exact,
               and the n2 masked column sums, each <= n1 mx (1 + gamma_n1),
               add within gamma_n2 N mx (1 + gamma_n1).
@@ -225,34 +226,42 @@ def _rectangle_margin(n1: int, n2: int, mx: float) -> float:
     return 4.0 * (N + n1 + n2 + 2) * N * mx * 2.0**-53
 
 
-def _alternate_max(M: np.ndarray, T0: np.ndarray, sign: float):
+def _alternate_max(M: np.ndarray, T0: np.ndarray, sign: float, margin: float):
     """Maximize sign * s^T M t over {0,1} vectors by alternating greedy updates.
 
     T0 holds starting t-vectors as columns (at least two); all restarts are
     advanced in lock-step.  Monotone in the objective, so it terminates at a
     fixed point.  Returns (value, rows, cols) of the first restart whose
     signed rectangle sum is largest.  sign = -1.0 is the ascent on -M without
-    a copy: rounding to nearest is symmetric, so negated products and sums of
-    M are -M's own, bit for bit but for the sign of a zero, which no
-    comparison sees.
+    a copy: rounding to nearest is symmetric, so -M's products are M's
+    negated, and a product is positive on -M exactly where it is negative on
+    M; its sums are M's times the sign, bit for bit but for the sign of a
+    zero, which no comparison sees.
 
-    The ascent's BLAS products decide the signs.  Its end values are
-    screened with one more product, and only the distinct rectangles whose
-    screen lies within `_rectangle_margin` of the largest are summed exactly
+    The ascent's BLAS products decide the signs, and it stops at the first
+    repeat: an unchanged S gives the T it gave before, and an unchanged T
+    the S it gave before, since equal inputs give equal products.  So it
+    ends on the pair that sweeping on to HEURISTIC_ITERS (at least 1)
+    sweeps would end on.  Its end values are screened from its last product
+    M^T S, and only the distinct rectangles whose screen lies within
+    ``margin`` (`_rectangle_margin`) of the largest are summed exactly
     (`_rectangle_sum`), in the order einsum("ir,ij,jr->r", S, M, T) takes:
     value and restart are bit-identical to taking that einsum for every
     restart and the first argmax.
     """
-    T = T0
-    S = np.zeros((M.shape[0], T.shape[1]))
+    above = np.greater if sign > 0 else np.less
+    T, S = T0, None
     for _ in range(HEURISTIC_ITERS):
-        S_new = (sign * (M @ T) > 0).astype(float)
-        T_new = (sign * (M.T @ S_new) > 0).astype(float)
-        if np.array_equal(S_new, S) and np.array_equal(T_new, T):
+        S_new = above(M @ T, 0.0).astype(float)
+        if S is not None and np.array_equal(S_new, S):
             break
-        S, T = S_new, T_new
-    screen = sign * ((S.T @ M) * T.T).sum(axis=1)
-    margin = _rectangle_margin(M.shape[0], M.shape[1], max(M.max(), -M.min()))
+        S = S_new
+        P = M.T @ S
+        T_new = above(P, 0.0).astype(float)
+        if np.array_equal(T_new, T):
+            break
+        T = T_new
+    screen = sign * (P * T).sum(axis=0)
     # written as "not below" so that a nan or an overflowing margin keeps
     # every restart rather than none
     keep = np.flatnonzero(~(screen < screen.max() - margin))
@@ -276,9 +285,10 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     ones = np.ones((k2, 1))
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
+    margin = _rectangle_margin(M.shape[0], k2, max(M.max(), -M.min()))
     best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
     for sign in (1.0, -1.0):
-        val, rows, cols = _alternate_max(M, T0, sign)
+        val, rows, cols = _alternate_max(M, T0, sign, margin)
         if val > best[0]:
             best = (val, rows, cols)
     return best

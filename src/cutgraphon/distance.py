@@ -25,8 +25,9 @@ where rearrangements become permutations of [m]:
   einsum route for any motif, and the fast path's oracle.
 
 `_norms` alone forms and measures aligned differences D1 - P D2 P^T, a
-chunked stack at a time (`_aligned`, which also feeds the cut screen), each
-value bit for bit its permutation's alone.  Both enumerations share
+chunked stack at a time (`_aligned`, which also feeds the cut screen; a
+chunk of one permutation is gathered with `take`), each value bit for bit
+its permutation's alone.  Both enumerations share
 `_min_over_permutations`: one permutation per distinct arrangement of the
 second graphon's equal steps, a batched cut screen with a proven rounding
 margin, exact values of the survivors, and one loop that keeps the first
@@ -229,12 +230,23 @@ def _arrangements(D2: np.ndarray) -> np.ndarray:
 def _aligned(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, per: int, measure) -> np.ndarray:
     """measure(D) for the stacks D of differences D1 - P D2 P^T, P in perms,
     about _SCREEN_BLOCK // per permutations at a time; measure returns one
-    value per difference of its stack, which is C-ordered."""
+    value per difference of its stack, which is C-ordered.
+
+    A chunk of one permutation gathers with `take` along rows, then columns,
+    and subtracts into that fresh gather: every chunk of m x m differences
+    from m = 182 up (the search's candidates and second evaluation there),
+    every replay and every swap-descent objective.  The stacked chunks of
+    the small enumerations gather by broadcast indexing.  Both gathers copy
+    the same entries, so the differences are the same bit for bit."""
     out = np.empty(len(perms))
     step = max(1, _SCREEN_BLOCK // per)
     for a in range(0, len(perms), step):
         P = perms[a : a + step]
-        out[a : a + step] = measure(D1 - D2[P[:, :, None], P[:, None, :]])
+        if len(P) == 1:
+            G = D2.take(P[0], axis=0).take(P[0], axis=1)
+            out[a] = measure(np.subtract(D1, G, out=G)[None])[0]
+        else:
+            out[a : a + step] = measure(D1 - D2[P[:, :, None], P[:, None, :]])
     return out
 
 

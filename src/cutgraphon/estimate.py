@@ -37,15 +37,19 @@ SVT_C = 2.1  # spectral threshold in units of sqrt(n * edge density)
 
 
 def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
-    """The observation itself as a (degenerate) probability matrix."""
-    return ProbMatrix(A.values)
+    """The observation itself as a (degenerate) probability matrix, on A's
+    frozen 0/1 values."""
+    if np.signbit(A.values.diagonal()).any():
+        return ProbMatrix(A.values)   # the constructor writes +0.0 over a -0.0 diagonal
+    return ProbMatrix._owning(A.values)
 
 
 def estimate_mean(A: AdjacencyMatrix) -> ProbMatrix:
     """Constant off-diagonal estimate at the empirical edge density."""
-    T = np.full((A.n, A.n), edge_density(A))
+    T = np.full((A.n, A.n), edge_density(A))  # in [0, 1]: A has no loops
     np.fill_diagonal(T, 0.0)
-    return ProbMatrix(T)
+    T.setflags(write=False)
+    return ProbMatrix._owning(T)
 
 
 def edge_density(A: AdjacencyMatrix) -> float:
@@ -83,10 +87,11 @@ def estimate_svt(A: AdjacencyMatrix, threshold: Optional[float] = None) -> SvtEs
     w, V = np.linalg.eigh(M)
     keep = np.abs(w) >= lam
     raw = (V[:, keep] * w[keep]) @ V[:, keep].T
-    raw = (raw + raw.T) / 2.0
+    raw = (raw + raw.T) / 2.0   # exactly symmetric: addition commutes
     clipped = np.clip(raw, 0.0, 1.0)
     np.fill_diagonal(clipped, 0.0)
-    return SvtEstimate(ProbMatrix(clipped), raw, lam, int(keep.sum()))
+    clipped.setflags(write=False)
+    return SvtEstimate(ProbMatrix._owning(clipped), raw, lam, int(keep.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +306,18 @@ def exact_restricted_ls(A: AdjacencyMatrix, k: int, rho: float = 1.0) -> BlockFi
 
 
 def fit_to_prob_matrix(fit: BlockFit) -> ProbMatrix:
-    """Materialize a block fit as an n x n probability matrix."""
-    T = fit.block_values.take(fit.labels, axis=0).take(fit.labels, axis=1)
+    """Materialize a block fit as an n x n probability matrix.
+
+    The fits made here have exactly symmetric block values in [0, rho]
+    (integer block sums over symmetric pair counts, clipped), so their
+    gather is frozen as it is; any other BlockFit goes through the
+    ProbMatrix constructor's checks.
+    """
+    Q = fit.block_values
+    T = Q.take(fit.labels, axis=0).take(fit.labels, axis=1)
     np.fill_diagonal(T, 0.0)
-    return ProbMatrix(T)
+    if not (np.array_equal(Q, Q.T) and Q.min(initial=0.0) >= 0.0 and Q.max(initial=0.0) <= 1.0):
+        return ProbMatrix(T)
+    T.setflags(write=False)
+    return ProbMatrix._owning(T)
 

@@ -251,10 +251,17 @@ def _run_estimator(name: str, A, k: int, rho: float, seed: int, rls_fit):
     raise ValidationError(f"unknown estimator {name!r}")
 
 
-def _risk(metric: str, phat, D: np.ndarray, truth: StepGraphon,
+def _reads_difference(metric: str, level: str) -> bool:
+    """Whether `_risk` reads Phat - Theta: every matrix-level metric does,
+    and at graphon level only the matrix quantities frobenius and l1."""
+    return level == "matrix" or metric in ("frobenius", "l1")
+
+
+def _risk(metric: str, phat, D: Optional[np.ndarray], truth: StepGraphon,
           cfg: ExperimentConfig, seed: int) -> float:
-    """Risk of `phat` in `metric`; D = phat.values - theta.values."""
-    n = D.shape[0]
+    """Risk of `phat` in `metric`; D = phat.values - theta.values, or None
+    when no metric of the config reads it (`_reads_difference`)."""
+    n = phat.n
     if metric == "frobenius":
         return float(np.linalg.norm(D) / n)
     if metric == "l1":
@@ -293,6 +300,7 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
 def _run_cells(config: ExperimentConfig, pool) -> RiskReport:
     rows = []
     failures = []
+    reads_D = any(_reads_difference(met, config.level) for met in config.metrics)
     for n, k, rho in itertools.product(config.ns, config.ks, config.rhos):
         try:
             spec = default_model(k, rho)
@@ -313,7 +321,7 @@ def _run_cells(config: ExperimentConfig, pool) -> RiskReport:
             for est in config.estimators:
                 try:
                     phat = _run_estimator(est, A, k, rho, s, rls_fit)
-                    D = phat.values - theta.values
+                    D = phat.values - theta.values if reads_D else None
                     for met in config.metrics:
                         values[(est, met)].append(_risk(met, phat, D, truth, config, s))
                     del D   # not held through the next estimator's fit

@@ -74,22 +74,31 @@ def step_labels(W: StepGraphon, positions: np.ndarray) -> np.ndarray:
 def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -> ProbMatrix:
     """Connection-probability matrix rho*Q[z_i, z_j], zero diagonal.
 
-    More than DENSE_BUDGET entries (see `core`) raise BudgetError.
+    More than DENSE_BUDGET entries (see `core`) raise BudgetError.  The
+    matrix is finite and in [0, 1 + 1e-12] by the checks here, and exactly
+    symmetric when Q is, so it is clipped and frozen in place as the
+    ProbMatrix constructor would clip a copy; a Q that is symmetric only
+    within tolerance leaves the checks to that constructor.
     """
     z = np.asarray(labels, dtype=int)
     _check_dense(z.size)
     if z.size and (z.min() < 0 or z.max() >= spec.graphon.k):
         raise ValidationError("labels out of range for the graphon's steps")
-    T = spec.rho * spec.graphon.values.take(z, axis=0).take(z, axis=1)
+    Q = spec.graphon.values
+    T = spec.rho * Q.take(z, axis=0).take(z, axis=1)
     if clip:
-        T = np.minimum(T, 1.0)
+        np.minimum(T, 1.0, out=T)
     elif spec.max_scaled_value > 1.0 + 1e-12:
         raise ValidationError(
             f"rho * max(W) = {spec.max_scaled_value:.6g} exceeds 1; "
             "clip explicitly if that is intended"
         )
     np.fill_diagonal(T, 0.0)
-    return ProbMatrix(T)
+    if not np.array_equal(Q, Q.T):
+        return ProbMatrix(T)
+    np.clip(T, 0.0, 1.0, out=T)
+    T.setflags(write=False)
+    return ProbMatrix._owning(T)
 
 
 def sample_theta(spec: ModelSpec, latents: LatentSample, clip: bool = False) -> ProbMatrix:
@@ -103,8 +112,9 @@ def sample_adjacency(theta: ProbMatrix, seed: int = 0) -> AdjacencyMatrix:
     n = T.shape[0]
     u = stream(seed, "adjacency").random((n, n))
     upper = np.triu(u < T, k=1)
-    A = upper | upper.T
-    return AdjacencyMatrix(A.astype(float))
+    A = (upper | upper.T).astype(float)  # 0/1, symmetric, zero diagonal
+    A.setflags(write=False)
+    return AdjacencyMatrix._owning(A)
 
 
 def sample_graph(spec: ModelSpec, n: int, seed: int = 0, clip: bool = False):

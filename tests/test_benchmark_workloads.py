@@ -6,7 +6,11 @@ The workloads and the tracer are loaded from their files; `run.run` is not
 used, because it drops cutgraphon from sys.modules to import it afresh."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,29 @@ def test_traced_certify_sees_exact_cut_passes(monkeypatch):
     finally:
         hooks.restore()
     assert tracer.child_counts(hooks.spans, "distance.delta_upper", "cutnorm.exact") >= 1
+
+
+def test_first_full_cycle_matches_recorded_digests():
+    # the benchmark compares each risk CSV with perfbench/digests.json only
+    # when it runs; this runs the first full-size cycle of both risk
+    # workloads at the default seed, in a fresh interpreter with one BLAS
+    # thread as the digests were recorded, and only reads the digests
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path[:0] = sys.argv[1:]
+        import tracer, workloads
+        api = tracer.Hooks(spans=False).api
+        out = {}
+        for name in ("risk_graphon", "risk_matrix"):
+            items = workloads.make_items(workloads.workload(name), workloads.DEFAULT_SEED, 1)[1]
+            out[name] = [workloads.csv_digest(workloads.run_item(it, api)[1]) for it in items]
+        print(json.dumps(out))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(PERFBENCH.parent / "src")
+    run = subprocess.run([sys.executable, "-c", script, src, str(PERFBENCH)], env=env,
+                         capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout.splitlines()[-1])
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    for name, digests in got.items():
+        assert len(digests) > 1 and digests == recorded[name][: len(digests)], name

@@ -391,11 +391,12 @@ class TestHeuristic:
         _, S, T = reference_alternate_max(M, T0)
         S = np.hstack([S, (rng.uniform(size=(shape[0], 16)) < 0.5).astype(float)])
         T = np.hstack([T, (rng.uniform(size=(shape[1], 16)) < 0.5).astype(float)])
-        screen = ((S.T @ M) * T.T).sum(axis=1)
+        # screened from S^T M, and as the ascent screens, from its last product M^T S
+        screens = [((S.T @ M) * T.T).sum(axis=1), ((M.T @ S) * T).sum(axis=0)]
         worst = 0.0
         for r in range(S.shape[1]):
             exact = cutnorm._rectangle_sum(M, np.flatnonzero(S[:, r]), np.flatnonzero(T[:, r]))
-            worst = max(worst, abs(screen[r] - exact))
+            worst = max(worst, *(abs(screen[r] - exact) for screen in screens))
         mx = max(M.max(), -M.min())
         assert worst <= cutnorm._rectangle_margin(shape[0], shape[1], mx) / 16
 
@@ -433,6 +434,61 @@ class TestHeuristic:
                 want = copied_rectangle_sum_heuristic(M, restarts, 7)
                 assert repr(got[0]) == repr(want[0])
                 assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @staticmethod
+    def layouts(rng, order):
+        """Quarter-grid and uniform matrices of several shapes in one layout."""
+        for shape in [(9, 9), (40, 33), (130, 130), (7, 300)]:
+            for values in ["quarter", "uniform"]:
+                if values == "quarter":
+                    M = rng.integers(-4, 5, shape) * 0.25
+                else:
+                    M = rng.uniform(-1, 1, shape)
+                if order == "strided":
+                    yield np.repeat(M, 2, axis=0)[::2]
+                else:
+                    yield np.asarray(M, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_capped_ascent_matches_reference_at_the_same_cap(self, monkeypatch, order):
+        # no test shape reaches HEURISTIC_ITERS sweeps; patched down to 1, 2
+        # and 3, the cap cuts the ascent short, and the heuristic must still
+        # end where the reference ends when it reads the same cap
+        rng = np.random.default_rng(11)
+        cut_short = 0
+        for M in self.layouts(rng, order):
+            for restarts in (2, 8):
+                full = cutnorm._max_rectangle_sum_heuristic(M, restarts, 5)
+                for cap in (1, 2, 3):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(cutnorm, "HEURISTIC_ITERS", cap)
+                        mp.setitem(globals(), "HEURISTIC_ITERS", cap)
+                        got = cutnorm._max_rectangle_sum_heuristic(M, restarts, 5)
+                        want = reference_rectangle_sum_heuristic(M, restarts, 5)
+                    assert repr(got[0]) == repr(want[0])
+                    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                    cut_short += repr(got[0]) != repr(full[0])
+        assert cut_short > 0
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_ascent_started_at_its_fixed_point(self, order):
+        # started from the pair the ascent ended on, it stops after one
+        # sweep: the value and witness are the reference's from that start.
+        # A strided M reaches the ascent as the heuristic's C-ordered copy.
+        rng = np.random.default_rng(12)
+        for M in self.layouts(rng, order):
+            A = np.array(M, order="K")
+            margin = cutnorm._rectangle_margin(*A.shape, max(A.max(), -A.min()))
+            T0 = (rng.uniform(size=(A.shape[1], 6)) < 0.5).astype(float)
+            for sign in (1.0, -1.0):
+                _, S_end, T_end = reference_alternate_max(sign * M, T0)
+                vals, S, T = reference_alternate_max(sign * M, T_end)
+                assert np.array_equal(S, S_end) and np.array_equal(T, T_end)
+                r = int(np.argmax(vals))
+                val, rows, cols = cutnorm._alternate_max(A, T_end, sign, margin)
+                assert val == vals[r]
+                assert np.array_equal(rows, np.flatnonzero(S[:, r]))
+                assert np.array_equal(cols, np.flatnonzero(T[:, r]))
 
     def test_risk_matrix_shape_is_pinned(self):
         # n = 512 and 8 restarts, as in the matrix-level cut risk; recorded

@@ -6,11 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutgraphon import estimate
-from cutgraphon.core import AdjacencyMatrix
+from cutgraphon.core import AdjacencyMatrix, ProbMatrix, StepGraphon, empirical_graphon
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.estimate import (
     edge_density,
@@ -22,7 +22,7 @@ from cutgraphon.estimate import (
     fit_to_prob_matrix,
 )
 from cutgraphon.experiments import default_model
-from cutgraphon.sampling import sample_graph, sbm_spec
+from cutgraphon.sampling import ModelSpec, sample_graph, sbm_spec, theta_from_labels
 
 
 def random_graph(rng, n, p=0.5):
@@ -316,3 +316,63 @@ class TestLifting:
         P = fit_to_prob_matrix(fit)
         i, j = 0, 1
         assert P.values[i, j] == fit.block_values[fit.labels[i], fit.labels[j]]
+
+
+class TestUncheckedProducers:
+    """The matrices the package builds enter their types without the
+    constructors' checks or copy; each must be what the constructor it skips
+    accepts and returns, bit for bit, and read-only."""
+
+    @staticmethod
+    def assert_as_constructed(got, want):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert not got.flags.writeable
+
+    def assert_graphon_as_constructed(self, W):
+        ref = StepGraphon(W.values, W.weights)
+        self.assert_as_constructed(W.values, ref.values)
+        self.assert_as_constructed(W.weights, ref.weights)
+
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.sampled_from([0.05, 0.5, 1.0, 1.0 + 5e-13, 1.7]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @example(n=6, k=1, rho=1.0 + 5e-13, clip=False, top=True, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_each_passes_the_constructor_it_skips(self, n, k, rho, clip, top, seed):
+        # `top` puts 1.0 in W, so that at rho = 1 + 5e-13 theta has entries
+        # just above 1 that sampling accepts without `clip` and that the
+        # constructor would clip to 1; rho = 1.7 always samples with `clip`
+        rng = np.random.default_rng(seed)
+        V = rng.choice([0.0, 0.25, 0.5, 1.0], (k, k)) if seed % 2 else rng.uniform(0, 1, (k, k))
+        Q = (V + V.T) / 2
+        if top:
+            Q[0, 0] = 1.0
+        spec = ModelSpec(StepGraphon(Q, np.full(k, 1.0 / k)), rho)
+        clip = clip or spec.max_scaled_value > 1.0 + 1e-12
+        _, theta, A = sample_graph(spec, n, seed, clip=clip)
+        self.assert_as_constructed(A.values, AdjacencyMatrix(A.values).values)
+        self.assert_graphon_as_constructed(empirical_graphon(A))
+        fit = estimate_restricted_ls(A, min(k, n), rho=min(rho, 1.0), restarts=2, seed=seed)
+        for P in (theta, estimate_adjacency(A), estimate_mean(A), estimate_svt(A).prob,
+                  estimate_svt(A, threshold=0.0).prob, fit_to_prob_matrix(fit)):
+            self.assert_as_constructed(P.values, ProbMatrix(P.values).values)
+            self.assert_graphon_as_constructed(empirical_graphon(P))
+
+    def test_inputs_it_did_not_make_meet_the_constructors(self):
+        # a graphon symmetric only within tolerance, a fit and an observation
+        # that the package did not make are checked, and mended, as the
+        # public constructors check and mend them
+        z = np.array([0, 1, 0])
+        W = StepGraphon([[0.3, 0.3], [0.3 + 8e-10, 0.3]], [0.5, 0.5])
+        assert theta_from_labels(ModelSpec(W, 1.0), z).values[0, 1] == 0.3
+        with pytest.raises(ValidationError):          # 1.7 * 8e-10 exceeds 1e-9
+            theta_from_labels(ModelSpec(W, 1.7), z, clip=True)
+        A = AdjacencyMatrix(np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        assert not np.signbit(estimate_adjacency(A).values.diagonal()).any()
+        with pytest.raises(ValidationError):
+            fit_to_prob_matrix(estimate.BlockFit(z, np.array([[0.5, 2.0], [2.0, 0.5]]), 0.0, "hand"))
