@@ -23,8 +23,10 @@ private `_owning` class methods instead, frozen and not copied:
 `sampling.theta_from_labels` and `sample_adjacency`; `estimate_adjacency`
 (on A's own buffer), `estimate_mean`, `estimate_svt` and
 `fit_to_prob_matrix`; `blowup`, `StepGraphon.reweighted` and
-`empirical_graphon` of a ProbMatrix or AdjacencyMatrix.  Each holds the
-values the constructor would return for the same array, bit for bit.
+`empirical_graphon` of a ProbMatrix or AdjacencyMatrix; the packing
+families' elements (`packing.matrix_packing`) and shared value matrix
+(`packing._graphon_base`).  Each holds the values the constructor would
+return for the same array, bit for bit.
 """
 
 from __future__ import annotations

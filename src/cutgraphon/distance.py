@@ -406,6 +406,13 @@ def _greedy_match(cu: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     used up.  So t = min(free slots of a, free slots of b) pairs are assigned
     at once, and the result is the pair-by-pair greedy's, index for index.
 
+    The first minimum is found without a full argmin per pair: each run a
+    keeps its first cheapest usable column and that cost, and the first run
+    whose kept cost is least holds the row-major first minimum.  Using up
+    run b's columns changes only the kept columns of the runs that kept b
+    (every other run's first minimum lies elsewhere and stays), so only
+    those are found again.
+
     Matching the other way round, on (cu.T, l2, l1), gives the inverse
     permutation, ties included.  Among the free pairs of least cost, the
     row-major first (i, j) is column j's first, and no earlier column has
@@ -417,21 +424,29 @@ def _greedy_match(cu: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     next2 = np.searchsorted(l2, np.arange(u2)).tolist()
     end1 = next1[1:] + [len(l1)]
     end2 = next2[1:] + [len(l2)]
-    perm = np.empty(len(l1), dtype=int)
+    perm = [0] * len(l1)
     usable = cu.copy()
+    col = usable.argmin(axis=1)      # each run's first cheapest usable column ...
+    cost = usable[np.arange(u1), col]  # ... and its cost (inf once the run is used up)
     done = 0
     while done < len(l1):
-        a, b = divmod(int(np.argmin(usable)), u2)
-        t = min(end1[a] - next1[a], end2[b] - next2[b])
-        perm[next1[a] : next1[a] + t] = np.arange(next2[b], next2[b] + t)
-        next1[a] += t
-        next2[b] += t
+        a = int(cost.argmin())
+        b = int(col[a])
+        i, j = next1[a], next2[b]
+        t = min(end1[a] - i, end2[b] - j)
+        perm[i : i + t] = range(j, j + t)
+        next1[a] = i + t
+        next2[b] = j + t
         done += t
-        if next1[a] == end1[a]:
-            usable[a, :] = np.inf
-        if next2[b] == end2[b]:
+        if i + t == end1[a]:
+            cost[a] = np.inf
+            col[a] = -1
+        if j + t == end2[b]:
             usable[:, b] = np.inf
-    return perm
+            stale = np.flatnonzero(col == b)
+            col[stale] = usable[stale].argmin(axis=1)
+            cost[stale] = usable[stale, col[stale]]
+    return np.array(perm)
 
 
 def _rank_match(D1: np.ndarray, D2: np.ndarray) -> np.ndarray:
@@ -613,8 +628,10 @@ def _motif_densities(W: StepGraphon) -> list[float]:
     edge = w.d, cherry = w.d^2, triangle = w'(Q o X)w and square =
     w'(X o X)w, because X is symmetric whenever Q is.  X is built as B B'
     with B = Q diag(sqrt(w)), which numpy hands to BLAS syrk (half a gemm).
-    Each density is looked up by its motif's name, so a motif added to
-    DEFAULT_MOTIFS without a formula here raises KeyError.
+    B is not read again once X exists, so Q o X and then X o X are written
+    into B's buffer: besides Q, at most the two k x k arrays B and X are
+    alive.  Each density is looked up by its motif's name, so a motif added
+    to DEFAULT_MOTIFS without a formula here raises KeyError.
     `homomorphism_density` is the general route and this one's test oracle.
     """
     _check_contraction(W, "motif densities")
@@ -622,11 +639,13 @@ def _motif_densities(W: StepGraphon) -> list[float]:
     d = Q @ w
     B = Q * np.sqrt(w)
     X = B @ B.T
+    triangle = w @ np.multiply(Q, X, out=B) @ w
+    square = w @ np.multiply(X, X, out=B) @ w
     by_name = {
         "edge": w @ d,
         "cherry": w @ d**2,
-        "triangle": w @ (Q * X) @ w,
-        "square": w @ (X * X) @ w,
+        "triangle": triangle,
+        "square": square,
     }
     return [float(by_name[f.name]) for f in DEFAULT_MOTIFS]
 

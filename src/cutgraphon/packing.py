@@ -23,6 +23,7 @@ from ._rng import stream
 from .core import (
     ProbMatrix,
     StepGraphon,
+    _step_weights,
     format_matrix,
     format_stepgraphon,
     parse_matrix,
@@ -78,10 +79,11 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> V
     """
     if k1 < 8 or k1 % 2 != 0:
         raise ValidationError(f"need even k1 >= 8, got {k1}")
-    target = np.ceil(np.exp(k1 / 16.0))
-    if target > VG_TARGET_BUDGET:
-        raise BudgetError(f"code target {target:.0f} exceeds budget {VG_TARGET_BUDGET}")
-    target = max(int(target), 2)
+    # ceil(exp(k1/16)) > budget exactly when k1/16 > ln(budget), an integer;
+    # compared before exp, which overflows from k1 = 11358 on
+    if k1 / 16.0 > math.log(VG_TARGET_BUDGET):
+        raise BudgetError(f"code target ceil(exp({k1}/16)) exceeds budget {VG_TARGET_BUDGET}")
+    target = max(int(np.ceil(np.exp(k1 / 16.0))), 2)
     rng = stream(seed, "vg", k1)
     base = np.array([1] * (k1 // 2) + [-1] * (k1 // 2))
     kept = np.empty((target, k1), dtype=int)
@@ -276,9 +278,12 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
     kl = 16.0 * n**2 * eps**2 / (3.0 * rho)
     elements = []
     for u in code.vectors:
+        # exactly symmetric, inside [rho/4, 3*rho/4] off a zero diagonal: what
+        # the ProbMatrix constructor would return for it, so it is not copied
         vals = rho / 2.0 + eps * np.outer(u, u)
         np.fill_diagonal(vals, 0.0)
-        elements.append(ProbMatrix(vals))
+        vals.setflags(write=False)
+        elements.append(ProbMatrix._owning(vals))
     pairs = _draw_pairs(stream(seed, "matrix-pack-check"), M, MATRIX_PAIRS_TO_CHECK)
     checked = []
     for i, j in pairs:
@@ -343,13 +348,19 @@ def latent_kl_exact(u: np.ndarray, v: np.ndarray, n: int) -> float:
 
 def _graphon_base(block: np.ndarray) -> StepGraphon:
     """The family's shared values on equal steps: 1/2 except the {0,1}
-    cross block (1 + block)/2 between the k1 light and mk heavy steps."""
+    cross block (1 + block)/2 between the k1 light and mk heavy steps.
+
+    Q is exactly symmetric (the block and its transpose) with entries in
+    {0, 1/2, 1}, so it passes the StepGraphon checks by construction and
+    is frozen in place instead of checked and copied."""
     k1, mk = block.shape
-    Q = np.full((k1 + mk, k1 + mk), 0.5)
+    k = k1 + mk
+    Q = np.full((k, k), 0.5)
     cross = (1.0 + block) / 2.0
     Q[:k1, k1:] = cross
     Q[k1:, :k1] = cross.T
-    return StepGraphon(Q, np.full(k1 + mk, 1.0 / (k1 + mk)))
+    Q.setflags(write=False)
+    return StepGraphon._owning(Q, _step_weights(np.full(k, 1.0 / k), k))
 
 
 def _graphon_member(base: StepGraphon, u: np.ndarray, eps: float) -> StepGraphon:

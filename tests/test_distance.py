@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -755,6 +756,46 @@ class TestCountingLowerBound:
         np.testing.assert_allclose(
             distance._motif_densities(W),
             [homomorphism_density(f, W) for f in DEFAULT_MOTIFS], rtol=1e-12, atol=1e-15)
+
+    @staticmethod
+    def density_case(k, seed, shape):
+        """The graphons `test_fast_densities_match_einsum` draws."""
+        rng = np.random.default_rng(seed)
+        if shape == "random":
+            V = rng.uniform(0, 1, (k, k))
+            V = np.triu(V) + np.triu(V, 1).T
+        else:
+            k1 = int(rng.integers(0, k + 1))
+            V = np.full((k, k), 0.5)
+            V[:k1, k1:] = rng.integers(0, 2, (k1, k - k1))
+            V[k1:, :k1] = V[:k1, k1:].T
+        w = rng.uniform(0.01, 1.0, k)
+        return StepGraphon(V, w / w.sum())
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(["random", "packing"]))
+    @settings(max_examples=80, deadline=None)
+    def test_densities_in_place_keep_their_bits(self, k, seed, shape):
+        # the same expressions with every product in a fresh array
+        W = self.density_case(k, seed, shape)
+        Q, w = W.values, W.weights
+        d = Q @ w
+        B = Q * np.sqrt(w)
+        X = B @ B.T
+        fresh = [w @ d, w @ d**2, w @ (Q * X) @ w, w @ (X * X) @ w]
+        assert distance._motif_densities(W) == [float(t) for t in fresh]
+
+    def test_densities_hold_two_products(self):
+        # a k = 64 packing member's size: besides the values, only B = Q diag(sqrt w)
+        # and X = B B' may be alive; a fresh Q o X or X o X is a third array
+        k = 565
+        W = self.density_case(k, 0, "packing")
+        tracemalloc.start()
+        try:
+            distance._motif_densities(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * k * k * 8
 
     def test_densities_keep_the_contraction_budget(self):
         # broadcast values: a 4097-step graphon without its 134 MB

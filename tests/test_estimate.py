@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutgraphon import estimate
+from cutgraphon import estimate, packing
 from cutgraphon.core import AdjacencyMatrix, ProbMatrix, StepGraphon, empirical_graphon
 from cutgraphon.errors import BudgetError, ValidationError
 from cutgraphon.estimate import (
@@ -362,6 +362,16 @@ class TestUncheckedProducers:
                   estimate_svt(A, threshold=0.0).prob, fit_to_prob_matrix(fit)):
             self.assert_as_constructed(P.values, ProbMatrix(P.values).values)
             self.assert_graphon_as_constructed(empirical_graphon(P))
+
+    @pytest.mark.parametrize("k1, mk", [(1, 1), (3, 8), (32, 533)])
+    def test_graphon_packing_values(self, k1, mk):
+        block = np.where(np.random.default_rng(mk).random((k1, mk)) < 0.5, -1.0, 1.0)
+        self.assert_graphon_as_constructed(packing._graphon_base(block))
+
+    @pytest.mark.parametrize("n, rho", [(8, 1.0), (16, 0.3), (32, 0.8)])
+    def test_matrix_packing_elements(self, n, rho):
+        for P in packing.matrix_packing(n, rho, seed=n).elements:
+            self.assert_as_constructed(P.values, ProbMatrix(P.values).values)
 
     def test_inputs_it_did_not_make_meet_the_constructors(self):
         # a graphon symmetric only within tolerance, a fit and an observation

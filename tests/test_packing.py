@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ class TestVgCode:
         assert np.ceil(np.exp(128 / 16)) <= packing.VG_TARGET_BUDGET
         with pytest.raises(BudgetError):
             varshamov_gilbert_code(144)
+
+    @pytest.mark.parametrize("k1", [134, 11356, 20000])
+    def test_budget_is_checked_before_exp(self, k1):
+        # exp(k1/16) overflows from k1 = 11358 on, and at 11356 its ceiling
+        # has 309 digits; neither may reach the caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetError, match=r"^code target ceil\(exp\(\d+/16\)\) "
+                                                  r"exceeds budget 4096$"):
+                varshamov_gilbert_code(k1)
 
 
 class TestRademacherBlock:
@@ -363,6 +374,25 @@ class TestGraphonPacking:
         assert hashlib.sha256(values.tobytes()).hexdigest().startswith("6757dd31ff7405ed")
         weights = b"".join(W.weights.tobytes() for W in fam.elements)
         assert hashlib.sha256(weights).hexdigest().startswith("1a2d357f385a43fc")
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_value_matrix_is_built_without_copies(self):
+        # the 565 x 565 values (2.55 MB) are filled and frozen in place: a
+        # symmetry check's Q - Q' and a checked copy would add two more
+        block = rademacher_block_matrix(32, 533, seed=0).values
+        assert self.traced_peak(lambda: packing._graphon_base(block)) < 1.2 * 565**2 * 8
+
+    def test_packing_peak_holds_three_value_sized_arrays(self):
+        # the shared values, then one member's B and X in its motif densities
+        assert self.traced_peak(lambda: graphon_packing(64, 256, seed=0)) < 8.5e6
 
     def test_validation(self):
         with pytest.raises(ValidationError):
