@@ -18,15 +18,11 @@ by `StepGraphon.reweighted` shares its parent's frozen values rather than
 copying them.
 
 The public constructors check everything they are given.  Arrays that the
-package builds and that pass those checks by construction enter through the
-private `_owning` class methods instead, frozen and not copied:
-`sampling.theta_from_labels` and `sample_adjacency`; `estimate_adjacency`
-(on A's own buffer), `estimate_mean`, `estimate_svt` and
-`fit_to_prob_matrix`; `blowup`, `StepGraphon.reweighted` and
-`empirical_graphon` of a ProbMatrix or AdjacencyMatrix; the packing
-families' elements (`packing.matrix_packing`) and shared value matrix
-(`packing._graphon_base`).  Each holds the values the constructor would
-return for the same array, bit for bit.
+package builds and that pass those checks by construction take the one
+trusted route instead, the private `_owning` class method of ProbMatrix,
+AdjacencyMatrix, StepGraphon and Kernel: it freezes the arrays it is handed
+and wraps them, not copied, so their producer never writes to them again.
+Each holds the values the constructor would return for it, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,10 +46,13 @@ _SYM_TOL = 1e-9
 DENSE_BUDGET = 2**26
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _frozen(a) -> np.ndarray:
+    return _freeze(np.array(a, dtype=float, copy=True))
 
 
 def _check_dense(n: int) -> None:
@@ -115,16 +114,14 @@ class ProbMatrix:
             raise ValidationError("ProbMatrix diagonal must be zero")
         a = np.clip(a, 0.0, 1.0)  # a fresh array: caller input is never aliased
         np.fill_diagonal(a, 0.0)
-        a.setflags(write=False)
-        self.values = a
+        self.values = _freeze(a)
         self.n = a.shape[0]
 
     @classmethod
     def _owning(cls, values: np.ndarray) -> "ProbMatrix":
-        """A matrix on a frozen array that the constructor would return as it
-        is (checked, clipped into [0, 1], zero diagonal), not copied."""
+        """A matrix on `values` as the constructor would return them, frozen, not copied."""
         out = object.__new__(cls)
-        out.values, out.n = values, values.shape[0]
+        out.values, out.n = _freeze(values), values.shape[0]
         return out
 
     def __repr__(self):
@@ -149,10 +146,9 @@ class AdjacencyMatrix:
 
     @classmethod
     def _owning(cls, values: np.ndarray) -> "AdjacencyMatrix":
-        """An adjacency matrix on a frozen array that passes the constructor's
-        checks, not copied."""
+        """An adjacency matrix on `values` that pass its checks, frozen, not copied."""
         out = object.__new__(cls)
-        out.values, out.n = values, values.shape[0]
+        out.values, out.n = _freeze(values), values.shape[0]
         return out
 
     @property
@@ -190,9 +186,9 @@ class StepGraphon:
 
     @classmethod
     def _owning(cls, values: np.ndarray, weights: np.ndarray) -> "StepGraphon":
-        """A graphon on frozen arrays that pass the constructor's checks, not copied."""
+        """A graphon on arrays that pass its checks, frozen, not copied."""
         out = object.__new__(cls)
-        out.values, out.weights, out.k = values, weights, values.shape[0]
+        out.values, out.weights, out.k = _freeze(values), _freeze(weights), values.shape[0]
         return out
 
     def reweighted(self, weights) -> "StepGraphon":
@@ -219,13 +215,13 @@ class Kernel:
 
     Values lie in [-1,1]; weights are positive but need not sum to one
     (restrictions of a kernel to sub-rectangles are again Kernels).
-    Internal constructions (regularity residuals) may exceed the value
-    range and pass ``check_range=False``.
+    Regularity residuals, not proven to stay in [-1,1], are built through
+    `_owning`, which skips that check.
     """
 
     __slots__ = ("values", "row_weights", "col_weights", "q1", "q2")
 
-    def __init__(self, values, row_weights, col_weights, check_range: bool = True):
+    def __init__(self, values, row_weights, col_weights):
         v = np.asarray(values, dtype=float)
         if v.ndim != 2 or v.size == 0:
             raise ValidationError(f"Kernel values must be a nonempty 2-d array, got {v.shape}")
@@ -238,7 +234,7 @@ class Kernel:
             _check_finite(w, name)
             if np.any(w <= 0):
                 raise ValidationError(f"Kernel {name} must be strictly positive")
-        if check_range and np.max(np.abs(v)) > 1 + 1e-12:
+        if np.max(np.abs(v)) > 1 + 1e-12:
             raise ValidationError(
                 f"Kernel values exceed [-1,1] (max |v| = {np.max(np.abs(v))})"
             )
@@ -246,6 +242,15 @@ class Kernel:
         self.row_weights = _frozen(rw)
         self.col_weights = _frozen(cw)
         self.q1, self.q2 = v.shape
+
+    @classmethod
+    def _owning(cls, values: np.ndarray, row_weights, col_weights) -> "Kernel":
+        """A kernel on arrays that pass its checks, bar the range, frozen, not copied."""
+        out = object.__new__(cls)
+        out.values, out.row_weights, out.col_weights = map(
+            _freeze, (values, row_weights, col_weights))
+        out.q1, out.q2 = values.shape
+        return out
 
     def __repr__(self):
         return f"Kernel(q1={self.q1}, q2={self.q2})"
@@ -372,7 +377,6 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     idx = np.repeat(np.arange(W.k), counts)
     # a fresh gather of W's checked values: symmetric, finite and in range
     q = W.values.take(idx, axis=0).take(idx, axis=1)
-    q.setflags(write=False)
     return StepGraphon._owning(q, _step_weights(np.full(m, 1.0 / m), m))
 
 

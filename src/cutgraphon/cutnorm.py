@@ -395,10 +395,15 @@ def q_subset_upper_bound(K: Kernel, q: int) -> CutNormResult:
     plus the additive sampling term
         ( u * sqrt(q2 * sum beta^2) + v * sqrt(q1 * sum alpha^2) ) / sqrt(q)
     with u = sum alpha, v = sum beta. At q = max(q1, q2) the max term reaches
-    the exact cut norm, so the bound is exact-plus-additive there.
+    the exact cut norm, so the bound is exact-plus-additive there.  The
+    additive term assumes values in [-1, 1]; a kernel outside that
+    range (a regularity residual can be one) raises ValidationError.
     """
     if q < 1 or q > max(K.q1, K.q2):
         raise ValidationError(f"q must be in [1, max(q1,q2)], got {q}")
+    top = float(np.max(np.abs(K.values)))
+    if top > 1 + 1e-12:
+        raise ValidationError(f"q_subset_upper_bound needs |K| <= 1, got max |K| = {top}")
     # the subsets are counted before any is built
     n1, n2 = (sum(math.comb(k, s) for s in range(min(q, k) + 1)) for k in (K.q1, K.q2))
     if n1 * n2 > Q_SUBSET_PAIR_BUDGET:

@@ -48,7 +48,6 @@ def estimate_mean(A: AdjacencyMatrix) -> ProbMatrix:
     """Constant off-diagonal estimate at the empirical edge density."""
     T = np.full((A.n, A.n), edge_density(A))  # in [0, 1]: A has no loops
     np.fill_diagonal(T, 0.0)
-    T.setflags(write=False)
     return ProbMatrix._owning(T)
 
 
@@ -90,7 +89,6 @@ def estimate_svt(A: AdjacencyMatrix, threshold: Optional[float] = None) -> SvtEs
     raw = (raw + raw.T) / 2.0   # exactly symmetric: addition commutes
     clipped = np.clip(raw, 0.0, 1.0)
     np.fill_diagonal(clipped, 0.0)
-    clipped.setflags(write=False)
     return SvtEstimate(ProbMatrix._owning(clipped), raw, lam, int(keep.sum()))
 
 
@@ -109,7 +107,6 @@ class BlockFit:
     labels: np.ndarray
     block_values: np.ndarray
     objective: float
-    method: str
 
     def __post_init__(self):
         self.labels.setflags(write=False)
@@ -281,7 +278,7 @@ def estimate_restricted_ls(
             Q = _block_means(sT, counts, z, rho)
         obj = _objective(M, z, Q)
         if best is None or obj < best.objective - 1e-12:
-            best = BlockFit(z.copy(), Q, obj, "alternating")
+            best = BlockFit(z.copy(), Q, obj)
     return best
 
 
@@ -301,7 +298,7 @@ def exact_restricted_ls(A: AdjacencyMatrix, k: int, rho: float = 1.0) -> BlockFi
         Q = _block_means(*_block_sums(M, z, k), z, rho)
         obj = _objective(M, z, Q)
         if best is None or obj < best.objective - 1e-12:
-            best = BlockFit(z, Q, obj, "enumeration")
+            best = BlockFit(z, Q, obj)
     return best
 
 
@@ -318,6 +315,5 @@ def fit_to_prob_matrix(fit: BlockFit) -> ProbMatrix:
     np.fill_diagonal(T, 0.0)
     if not (np.array_equal(Q, Q.T) and Q.min(initial=0.0) >= 0.0 and Q.max(initial=0.0) <= 1.0):
         return ProbMatrix(T)
-    T.setflags(write=False)
     return ProbMatrix._owning(T)
 

@@ -211,7 +211,6 @@ class RiskRow:
 class RiskReport:
     rows: Tuple[RiskRow, ...]
     failures: Tuple[str, ...] = ()
-    config: Optional[ExperimentConfig] = None
 
 
 def default_model(k: int, rho: float = 1.0) -> ModelSpec:
@@ -339,7 +338,7 @@ def _run_cells(config: ExperimentConfig, pool) -> RiskReport:
                     n, k, rho, est, met,
                     float(arr.mean()), stderr, len(vals),
                     rate_formula(_theory_regime(met, config.level), n, k, rho)))
-    return RiskReport(tuple(rows), tuple(failures), config)
+    return RiskReport(tuple(rows), tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ class VgCode:
 
     vectors: np.ndarray          # M x k1, entries +-1
     separation: int              # certified min pairwise Hamming distance
-    target: int
     reached: bool
 
     def __post_init__(self):
@@ -101,7 +100,7 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> V
         size += 1
         if size >= target:
             break
-    return VgCode(kept[:size].copy(), sep, target, size >= target)
+    return VgCode(kept[:size].copy(), sep, size >= target)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,6 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
         # the ProbMatrix constructor would return for it, so it is not copied
         vals = rho / 2.0 + eps * np.outer(u, u)
         np.fill_diagonal(vals, 0.0)
-        vals.setflags(write=False)
         elements.append(ProbMatrix._owning(vals))
     pairs = _draw_pairs(stream(seed, "matrix-pack-check"), M, MATRIX_PAIRS_TO_CHECK)
     checked = []
@@ -359,7 +357,6 @@ def _graphon_base(block: np.ndarray) -> StepGraphon:
     cross = (1.0 + block) / 2.0
     Q[:k1, k1:] = cross
     Q[k1:, :k1] = cross.T
-    Q.setflags(write=False)
     return StepGraphon._owning(Q, _step_weights(np.full(k, 1.0 / k), k))
 
 

@@ -70,11 +70,11 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
     k0 = int(np.floor(np.log2(q0)))
     target = 1.0 / np.sqrt(k0)
     w = W.weights
-    R = W.values.astype(float).copy()
+    R = W.values.copy()
     terms = []
     stopped = False
     for _ in range(k0):
-        res = step_kernel_cut_norm_exact(Kernel(R, w, w, check_range=False))
+        res = step_kernel_cut_norm_exact(Kernel._owning(R.copy(), w, w))
         if res.value <= target:
             stopped = True
             break
@@ -83,17 +83,16 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
         lamT = w[T].sum()
         raw = float(np.einsum("a,b,ab->", w[S], w[T], R[np.ix_(S, T)]))
         a = raw / (lamS * lamT)
-        e0 = _energy(R, w)
+        e0 = terms[-1].energy_after if terms else _energy(R, w)
         R[np.ix_(S, T)] -= a
         e1 = _energy(R, w)
         terms.append(RegularityTerm(a, S, T, res.value, e0, e1))
     else:
-        res = step_kernel_cut_norm_exact(Kernel(R, w, w, check_range=False))
-    approx_vals = W.values - R
-    approx = Kernel(approx_vals, w, w, check_range=False)
+        res = step_kernel_cut_norm_exact(Kernel._owning(R.copy(), w, w))
+    approx = Kernel._owning(W.values - R, w, w)
     decomp = RegularityDecomposition(
         k0, float(target), tuple(terms),
-        Kernel(R, w, w, check_range=False), float(res.value), stopped,
+        Kernel._owning(R, w, w), float(res.value), stopped,
     )
     return approx, decomp
 

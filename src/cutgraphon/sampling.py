@@ -97,7 +97,6 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
     if not np.array_equal(Q, Q.T):
         return ProbMatrix(T)
     np.clip(T, 0.0, 1.0, out=T)
-    T.setflags(write=False)
     return ProbMatrix._owning(T)
 
 
@@ -113,7 +112,6 @@ def sample_adjacency(theta: ProbMatrix, seed: int = 0) -> AdjacencyMatrix:
     u = stream(seed, "adjacency").random((n, n))
     upper = np.triu(u < T, k=1)
     A = (upper | upper.T).astype(float)  # 0/1, symmetric, zero diagonal
-    A.setflags(write=False)
     return AdjacencyMatrix._owning(A)
 
 

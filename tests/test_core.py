@@ -90,11 +90,24 @@ class TestTypes:
         with pytest.raises(ValidationError):
             empirical_graphon(np.array([[0.0, 2.0], [2.0, 0.0]]))
 
-    def test_kernel_range_check_relaxable(self):
+    def test_kernel_rejects_values_outside_unit_range(self):
         with pytest.raises(ValidationError):
             Kernel([[2.0]], [1.0], [1.0])
-        k = Kernel([[2.0]], [1.0], [1.0], check_range=False)
-        assert k.values[0, 0] == 2.0
+        with pytest.raises(TypeError):
+            Kernel([[2.0]], [1.0], [1.0], check_range=False)
+
+    @pytest.mark.parametrize("make, arrays", [
+        (ProbMatrix._owning, (np.array([[0.0, 0.5], [0.5, 0.0]]),)),
+        (AdjacencyMatrix._owning, (np.array([[0.0, 1.0], [1.0, 0.0]]),)),
+        (StepGraphon._owning, (np.full((2, 2), 0.5), np.full(2, 0.5))),
+        (Kernel._owning, (np.array([[2.0, -3.0]]), np.ones(1), np.full(2, 0.5))),
+    ], ids=["prob", "adjacency", "graphon", "kernel"])
+    def test_owning_freezes_what_it_wraps_without_copying(self, make, arrays):
+        obj = make(*arrays)
+        held = [getattr(obj, f) for f in obj.__slots__]
+        for a in arrays:
+            assert any(h is a for h in held)
+            assert not a.flags.writeable
 
     def test_kernel_rejects_nonpositive_weights(self):
         with pytest.raises(ValidationError):

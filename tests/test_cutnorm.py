@@ -555,6 +555,24 @@ class TestSandwich:
         sw = cut_norm_sandwich_check(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert sw.inf1.value / sw.cut.value == pytest.approx(4.0, abs=1e-12)
 
+    def test_heuristic_routes_above_exact_budget(self):
+        n = 32
+        assert n > cutnorm.EXACT_BUDGET
+        b = np.random.default_rng(32).uniform(-1, 1, (n, n))
+        sw = cut_norm_sandwich_check(b, seed=5)
+        assert (sw.cut.method, sw.inf1.method) == ("heuristic", "heuristic")
+        S, T = sw.cut.witness_s, sw.cut.witness_t
+        # two sums of the same |S| |T| terms in different orders
+        bound = 2 * len(S) * len(T) * np.finfo(float).eps * np.abs(b[np.ix_(S, T)]).sum() / n**2
+        assert abs(matrix_witness_value(b, S, T) - sw.cut.value) <= bound
+        assert float(sw.inf1.witness_s @ b @ sw.inf1.witness_t) / n**2 == sw.inf1.value
+        again = cut_norm_sandwich_check(b, seed=5)
+        for r, r2 in ((sw.cut, again.cut), (sw.inf1, again.inf1)):
+            assert r.value == r2.value
+            assert np.array_equal(r.witness_s, r2.witness_s)
+            assert np.array_equal(r.witness_t, r2.witness_t)
+        assert sw.satisfied == again.satisfied
+
 
 class TestKernelBounds:
     def test_khintchine_on_checkerboard(self):
@@ -609,6 +627,20 @@ class TestKernelBounds:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_q_subset_rejects_values_outside_unit_range(self):
+        # a kernel only the package can build: through the unchecked route the
+        # additive term no longer covers the subset error, and q = 1 would
+        # certify 4.222222222222221 against the exact 4.444444444444444
+        w = np.full(3, 1 / 3)
+        k = Kernel._owning(np.array([[0.0, 0.0, 10.0], [0.0, 20.0, 0.0], [20.0, -10.0, 0.0]]), w, w)
+        assert step_kernel_cut_norm_exact(k).value == pytest.approx(4.444444444444444, abs=1e-12)
+        with pytest.raises(ValidationError, match=r"max \|K\| = 20.0"):
+            q_subset_upper_bound(k, 1)
+        edge = Kernel._owning(np.array([[1.0 + 1e-12, -1.0]]), np.ones(1), np.full(2, 0.5))
+        assert q_subset_upper_bound(edge, 1).method == "qsubset_upper"
+        with pytest.raises(ValidationError):
+            q_subset_upper_bound(Kernel._owning(np.array([[-1.0 - 2e-12]]), w[:1], w[:1]), 1)
 
     def test_q_subset_validates_q(self):
         k = Kernel([[0.5]], [1.0], [1.0])

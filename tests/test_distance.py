@@ -21,6 +21,7 @@ from cutgraphon.distance import (
     TRIANGLE,
     Motif,
     _greedy_match,
+    _rank_match,
     _row_cost,
     _search,
     common_refinement_m,
@@ -524,6 +525,25 @@ class TestDistances:
         B = StepGraphon(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
             delta_exact_tiny(A, B)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_swap_proposals_above_full_sweep_m(self, seed):
+        # m = 24 > FULL_SWEEP_M, so the descent tries random swap proposals;
+        # both graphons have three steps, and the descent beats every
+        # deterministic candidate on them
+        m = 24
+        assert m > distance.FULL_SWEEP_M
+        rng = np.random.default_rng(45)
+        W1, W2 = random_refinable(rng, m), random_refinable(rng, m)
+        assert (W1.k, W2.k) == (3, 3)
+        est = delta_upper(W1, W2, metric="l1", m=m, restarts=1, seed=seed)
+        assert est.method == "search"
+        assert permuted_difference_norm(W1, W2, est.permutation, m, "l1") == est.upper
+        D1, D2 = blowup(W1, m).values, blowup(W2, m).values
+        for perm in (np.arange(m), _rank_match(D1, D2), _greedy_match(*_row_cost(D1, D2))):
+            assert est.upper < permuted_difference_norm(W1, W2, perm, m, "l1")
+        again = delta_upper(W1, W2, metric="l1", m=m, restarts=1, seed=seed)
+        assert np.array_equal(again.permutation, est.permutation)
 
 
 # ---------------------------------------------------------------------------

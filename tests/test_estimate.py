@@ -385,4 +385,4 @@ class TestUncheckedProducers:
         A = AdjacencyMatrix(np.array([[-0.0, 1.0], [1.0, -0.0]]))
         assert not np.signbit(estimate_adjacency(A).values.diagonal()).any()
         with pytest.raises(ValidationError):
-            fit_to_prob_matrix(estimate.BlockFit(z, np.array([[0.5, 2.0], [2.0, 0.5]]), 0.0, "hand"))
+            fit_to_prob_matrix(estimate.BlockFit(z, np.array([[0.5, 2.0], [2.0, 0.5]]), 0.0))

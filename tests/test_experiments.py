@@ -4,11 +4,12 @@ import concurrent.futures
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cutgraphon import experiments
+from cutgraphon import core, experiments
 from cutgraphon.errors import ValidationError
 from cutgraphon.experiments import (
     CSV_HEADER,
@@ -268,6 +269,25 @@ class TestRlsWorker:
             assert len(threaded.failures) == 2
             assert all("estimator=rls" in f for f in threaded.failures)
             assert {r.estimator for r in threaded.rows} == {"adjacency", "svt"}
+
+    def test_sample_failure_isolated_per_replicate(self, monkeypatch):
+        # 8193^2 exceeds DENSE_BUDGET, so each n = 8193 replicate fails in
+        # sampling before anything is allocated, and the n = 16 rows stay
+        assert 8193**2 > core.DENSE_BUDGET
+        cfg = ExperimentConfig(ns=(16, 8193), ks=(2,), rhos=(1.0,),
+                               estimators=("adjacency", "rls"), reps=2)
+        tracemalloc.start()
+        try:
+            report, made = run_counting_workers(monkeypatch, cfg, cpus=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made == 1 and peak < 1 << 24
+        assert [f.split(": ")[:2] for f in report.failures] == [
+            [f"n=8193,k=2,rho=1.0,rep={rep}", "sample"] for rep in range(2)]
+        assert all("exceeds the budget" in f for f in report.failures)
+        assert [(r.n, r.estimator, r.reps) for r in report.rows] == [
+            (16, "adjacency", 2), (16, "rls", 2)]
 
     def test_no_worker_without_rls(self, monkeypatch):
         cfg = ExperimentConfig(ns=(16,), ks=(2,), rhos=(1.0,),

@@ -93,6 +93,28 @@ class TestCertificates:
                 drop = t.energy_before - t.energy_after
                 assert drop >= t.residual_cut**2 - 1e-12
 
+    def test_energies_chain_and_kernels_are_frozen(self):
+        # 0/1 values and a target of 1/sqrt(62): one of these needs 3 rounds
+        rng = np.random.default_rng(7)
+        rounds = 0
+        for _ in range(8):
+            V = rng.choice([0.0, 1.0], (10, 10))
+            w = rng.random(10) + 0.2
+            W = StepGraphon(np.triu(V) + np.triu(V, 1).T, w / w.sum())
+            w = W.weights
+            approx, dec = weak_regularity_approx(W, 2**62)
+            if dec.terms:
+                assert dec.terms[0].energy_before == pytest.approx(w @ W.values**2 @ w, rel=1e-12)
+                assert dec.terms[-1].energy_after == pytest.approx(
+                    w @ dec.residual.values**2 @ w, rel=1e-12)
+            for t, nxt in zip(dec.terms, dec.terms[1:]):
+                assert nxt.energy_before == t.energy_after
+            rounds = max(rounds, len(dec.terms))
+            for K in (approx, dec.residual):
+                assert not any(a.flags.writeable for a in (K.values, K.row_weights, K.col_weights))
+            assert not np.shares_memory(dec.residual.values, W.values)
+        assert rounds >= 3
+
     def test_high_contrast_needs_terms(self):
         # mean 0.75 exceeds the q0=16 target 0.5, forcing at least one round
         V = np.kron(np.array([[1.0, 1.0], [1.0, 0.0]]), np.ones((4, 4)))
