@@ -28,6 +28,7 @@ sandwich check  cut <= inf1 <= 4 * cut  that links the two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -43,6 +44,7 @@ EXACT_BUDGET = 24  # largest enumerated side for exact cut norms
 INF1_EXACT_BUDGET = 12  # largest n for the exact infinity-to-one norm
 HEURISTIC_ITERS = 100  # cap on alternating sweeps per heuristic restart
 Q_SUBSET_PAIR_BUDGET = 4_000_000  # row-subset x column-subset pairs in q_subset_upper_bound
+_START_COLUMNS = 32  # heuristic start columns kept by `_start_column`
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,23 @@ def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
 # alternating heuristic
 
 
+@functools.lru_cache(maxsize=_START_COLUMNS)
+def _start_column(n_cols: int, seed: int, tag: str, r: int) -> np.ndarray:
+    """Restart r's {0,1} starting vector, drawn from its own stream; frozen,
+    as it is built once and shared by every call that asks for it again."""
+    col = stream(seed, tag, r).integers(0, 2, size=n_cols).astype(float)
+    col.setflags(write=False)
+    return col
+
+
 def _heuristic_starts(n_cols: int, restarts: int, seed: int, tag: str):
-    """Column-stacked {0,1} starting vectors, one independent stream per restart."""
-    cols = [stream(seed, tag, r).integers(0, 2, size=n_cols) for r in range(restarts)]
+    """Column-stacked {0,1} starting vectors, one independent stream per restart.
+
+    Calls with one seed share their first columns (a search scores its
+    candidates at 4 restarts and its final value at 16 or more), so each
+    column comes from `_start_column`'s bounded cache, with the same draws.
+    """
+    cols = [_start_column(n_cols, seed, tag, r) for r in range(restarts)]
     return np.array(cols, dtype=float).T
 
 

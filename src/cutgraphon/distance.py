@@ -27,11 +27,16 @@ where rearrangements become permutations of [m]:
 `_norms` alone forms and measures aligned differences D1 - P D2 P^T, a
 chunked stack at a time (`_aligned`, which also feeds the cut screen; a
 chunk of one permutation is gathered with `take`), each value bit for bit
-its permutation's alone.  Both enumerations share
+its permutation's alone.  Both enumerations run
 `_min_over_permutations`: one permutation per distinct arrangement of the
 second graphon's equal steps, a batched cut screen with a proven rounding
 margin, exact values of the survivors, and one loop that keeps the first
 optimum in lexicographic order, bit-identical to scoring all m! one by one.
+They reach it through one bounded memo (`_enumerated`), keyed by m, the
+metric and the bytes of both blow-ups, so a pair that goes through
+`delta_upper` (m <= 6) and then `delta_exact_tiny`, or the same pair
+twice, is enumerated once: the second call gets the first one's
+permutation and value, bit for bit, in a fresh copy.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ DEFAULT_M_CAP = 64
 REFINE_TOL = 1e-9  # how far m * weight may sit from an integer and still refine
 EXACT_CUT_M = 12  # up to here the cut objective inside the search is exact
 ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
+_ENUMERATION_MEMO = 128  # enumerated pairs kept by `_enumerated` (about 0.2 MB at m = 8)
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
 _COST_BLOCK = 2**15  # elements per temporary while the row cost is filled
 _SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened or scored
@@ -358,6 +364,37 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
     return perms[best].astype(int), float(best_val)
 
 
+class _Pair(tuple):
+    """Memo key (m, metric, D1 bytes, D2 bytes) of one enumeration.
+
+    Keys are equal exactly when both blow-ups are the same bit for bit.  A
+    new key also carries the arrays it was made from, so that a miss
+    enumerates the caller's own arrays; `_enumerated` drops them once it
+    has used them.
+    """
+
+    def __new__(cls, D1: np.ndarray, D2: np.ndarray, metric: str):
+        key = super().__new__(cls, (D1.shape[0], metric, D1.tobytes(), D2.tobytes()))
+        key.arrays = (D1, D2)
+        return key
+
+
+@functools.lru_cache(maxsize=_ENUMERATION_MEMO)
+def _enumerated(key: _Pair):
+    """`_min_over_permutations` of the key's arrays, with the permutation frozen."""
+    D1, D2 = key.arrays
+    del key.arrays
+    perm, val = _min_over_permutations(D1, D2, key[1])
+    perm.setflags(write=False)
+    return perm, val
+
+
+def _enumerate(D1: np.ndarray, D2: np.ndarray, metric: str):
+    """`_min_over_permutations` through the memo; the permutation is the caller's own copy."""
+    perm, val = _enumerated(_Pair(D1, D2, metric))
+    return perm.copy(), val
+
+
 # ---------------------------------------------------------------------------
 # permutation search
 
@@ -570,12 +607,14 @@ def delta_upper(
     """Search upper bound on delta_metric via blow-up + permutation search.
 
     With m <= ENUMERATE_M the enumeration is exact (`_min_over_permutations`:
-    first optimum, bit-identical to trying every permutation), so ``upper``
-    equals `delta_exact_tiny` on the same blow-ups; `restarts` and `seed` then
-    play no part.  Otherwise the candidate alignments are: identity, row-mean
-    rank matching, greedy row matching, plus `restarts` random permutations;
-    when ``restarts > 0`` the most promising candidates then get pairwise-swap
-    local descent, and ``restarts=0`` returns the best candidate as it is.  The
+    first optimum, bit-identical to trying every permutation).  It goes
+    through the same memo as `delta_exact_tiny`, so on the same blow-ups the
+    two return one computation's permutation and value, and the second call
+    enumerates nothing; `restarts` and `seed` then play no part.  Otherwise
+    the candidate alignments are: identity, row-mean rank matching, greedy
+    row matching, plus `restarts` random permutations; when ``restarts > 0``
+    the most promising candidates then get pairwise-swap local descent, and
+    ``restarts=0`` returns the best candidate as it is.  The
     greedy matching runs on the runs of equal rows in the two blow-ups, u1 and
     u2 of them: a run pair at a time, on their u1 x u2 row cost.  That cost
     raises BudgetError when u1 * u2 * m > COST_BUDGET.  Candidates that
@@ -592,7 +631,7 @@ def delta_upper(
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
     if m <= ENUMERATE_M:
-        best_perm, best_val = _min_over_permutations(D1, D2, metric)
+        best_perm, best_val = _enumerate(D1, D2, metric)
     else:
         best_perm, best_val = _search(D1, D2, metric, restarts, seed)
     method = f"search-{_cut_mode(m)}-cut" if metric == "cut" else "search"
@@ -606,7 +645,9 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     First optimum, bit-identical to trying every permutation
     (`_min_over_permutations`): one permutation per distinct arrangement of
     W2's equal steps is scored, and for cut only those that a screen with a
-    proven margin leaves below the bound.
+    proven margin leaves below the bound.  A pair already enumerated, by
+    `delta_upper` at m <= ENUMERATE_M or by an earlier call, is read from
+    their shared memo instead: the same permutation and value, bit for bit.
     ``upper`` is the exact minimum over permutations of that refinement,
     which bounds delta_metric from above.
     """
@@ -617,7 +658,7 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
         raise ValidationError("weights do not refine exactly into m <= 8 equal steps")
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
-    best_perm, best_val = _min_over_permutations(D1, D2, metric)
+    best_perm, best_val = _enumerate(D1, D2, metric)
     return DistanceEstimate(best_val, metric, best_perm, m, "exact-enumeration")
 
 

@@ -67,7 +67,9 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
     """
     if q0 < 2:
         raise ValidationError("q0 must be >= 2 so at least one round is allowed")
-    k0 = int(np.floor(np.log2(q0)))
+    # floor(log2 q0) in integers: exact at any size, where a float log2
+    # rounds up just below a large power of two and fails from 2**64 on
+    k0 = int(q0).bit_length() - 1
     target = 1.0 / np.sqrt(k0)
     w = W.weights
     R = W.values.copy()

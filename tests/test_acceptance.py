@@ -5,6 +5,7 @@ with ``-s`` / ``-rA`` and in failure output) and then asserts, so a
 plain ``pytest -v`` run shows one pass/fail verdict per criterion.
 """
 
+import itertools
 import math
 import time
 
@@ -281,6 +282,7 @@ def test_criterion_09_fano_packings():
 def test_criterion_10_tiny_distance_exactness():
     rng = np.random.default_rng(1010)
     worst = 0.0
+    looped = []
     for i in range(50):
         pair = []
         for _ in range(2):
@@ -289,6 +291,14 @@ def test_criterion_10_tiny_distance_exactness():
         up = delta_upper(pair[0], pair[1], "cut", seed=i).upper
         exact = delta_exact_tiny(pair[0], pair[1], "cut").upper
         worst = max(worst, abs(up - exact))
+        if i < 5:
+            # at m = 6 both calls return one memoised enumeration, so the
+            # first pairs are also checked against a plain loop over all
+            # 720 permutations, each scored by the exact matrix cut norm
+            D1, D2 = pair[0].values, pair[1].values
+            plain = min(matrix_cut_norm_exact(D1 - D2[np.ix_(p, p)]).value
+                        for p in map(list, itertools.permutations(range(6))))
+            looped.append(exact == plain)
     W1 = StepGraphon(np.full((1, 1), 0.5), np.ones(1))
     W2 = StepGraphon(np.array([[0.6, 0.4], [0.4, 0.6]]), np.array([0.5, 0.5]))
     example = delta_upper(W1, W2, "cut").upper
@@ -300,9 +310,10 @@ def test_criterion_10_tiny_distance_exactness():
     # 0.100, the top of the factor-4 sandwich cut <= inf1 <= 4 cut.
     example_inf1 = inf1_norm(blowup(W1, 2).values - blowup(W2, 2).values).value
     example_ok = abs(example - 0.025) <= 1e-6 and abs(example_inf1 - 0.100) <= 1e-6
-    ok = worst <= 1e-6 and example_ok
+    ok = worst <= 1e-6 and example_ok and all(looped)
     _verdict(10, ok, f"worst |delta_upper - exact| {worst:.1e} (<=1e-6) over 50 "
-                     f"pairs; two-block example cut {example:.6f} (0.025+-1e-6), "
+                     f"pairs; exact equals a plain 720-permutation loop on "
+                     f"{sum(looped)}/5; two-block example cut {example:.6f} (0.025+-1e-6), "
                      f"inf1 {example_inf1:.6f} (0.100+-1e-6): {example_ok}")
 
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from cutgraphon import distance
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -51,7 +53,11 @@ def test_one_small_cycle_passes_its_checks(monkeypatch, name):
 def test_traced_certify_sees_exact_cut_passes(monkeypatch):
     # the enumeration measures its candidates through `distance._max_rectangle_sum`,
     # the name the tracer rebinds, so the pairs' exact cut passes are counted
-    # as `cutnorm.exact` spans under `distance.delta_upper`
+    # as `cutnorm.exact` spans under `distance.delta_upper`.  Those pairs may
+    # already sit in the enumeration memo (the untraced certify cycle above
+    # runs the same seed-0 pairs), so it starts empty here, and each pair's
+    # first enumeration is the traced one
+    distance._enumerated.cache_clear()
     workloads, tracer = load(monkeypatch, "workloads"), load(monkeypatch, "tracer")
     wl = workloads.workload("certify", small=True)
     _, items = workloads.make_items(wl, workloads.DEFAULT_SEED, 1)

@@ -251,6 +251,14 @@ class TestRegularity:
         code, _, _ = run(capsys, "regularity", "--input", str(path), "--q0", "1")
         assert code == 2
 
+    def test_q0_beyond_64_bits(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        save_stepgraphon(StepGraphon(np.full((2, 2), 0.9), np.full(2, 0.5)), path)
+        code, text, err = run(capsys, "regularity", "--input", str(path),
+                              "--q0", str(2**64))
+        assert code == 0 and "Traceback" not in err
+        assert "terms=1" in text
+
 
 class TestPacking:
     def test_matrix_family_saved(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from cutgraphon import (
     q_subset_upper_bound,
     step_kernel_cut_norm_exact,
 )
+from cutgraphon._rng import stream
 from cutgraphon.cutnorm import HEURISTIC_ITERS, kernel_witness_value, matrix_witness_value
 from cutgraphon.experiments import default_model
 from cutgraphon.sampling import sample_graph
@@ -331,6 +332,22 @@ class TestHeuristic:
             assert h <= e + 1e-12
             hits += h >= e - 1e-12
         assert hits >= 0.9 * trials
+
+    @given(st.integers(1, 300), st.integers(0, 40), st.integers(0, 2**63), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_cached_start_columns_keep_their_draws(self, n_cols, restarts, seed, warm):
+        # one stream per restart, as before the columns were cached: a call
+        # that warms some of them first changes no draw
+        cutnorm._heuristic_starts(n_cols, warm, seed, "cut-heur")
+        got = cutnorm._heuristic_starts(n_cols, restarts, seed, "cut-heur")
+        want = np.array([stream(seed, "cut-heur", r).integers(0, 2, size=n_cols)
+                         for r in range(restarts)], dtype=float).T
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and got.flags.writeable
+        info = cutnorm._start_column.cache_info()
+        assert info.currsize <= info.maxsize == cutnorm._START_COLUMNS
+        with pytest.raises(ValueError):
+            cutnorm._start_column(n_cols, seed, "cut-heur", 0)[0] = 2.0
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(0)

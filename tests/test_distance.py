@@ -686,6 +686,101 @@ class TestScreenedEnumeration:
 
 
 # ---------------------------------------------------------------------------
+# the enumeration memo
+
+
+def six_step_pair(seed):
+    """Two symmetric 6-step graphons with uniform values, as criterion 10 draws them."""
+    rng = np.random.default_rng(seed)
+    pair = []
+    for _ in range(2):
+        V = rng.uniform(0.0, 1.0, (6, 6))
+        pair.append(StepGraphon((V + V.T) / 2, np.full(6, 1.0 / 6)))
+    return pair
+
+
+class TestEnumerationMemo:
+    @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
+    @given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_entry_points_equal_the_uncached_enumeration(self, metric, m, seed, upper_first):
+        # either entry point may meet the pair first and fill the memo
+        rng = np.random.default_rng(seed)
+        W1, W2 = random_refinable(rng, m), random_refinable(rng, m)
+        mm = common_refinement_m(W1, W2, cap=8)[0]
+        calls = [lambda: delta_exact_tiny(W1, W2, metric)]
+        if mm <= ENUMERATE_M:
+            calls.insert(0 if upper_first else 1, lambda: delta_upper(W1, W2, metric))
+        ests = [call() for call in calls]
+        D1, D2 = blowup(W1, mm).values, blowup(W2, mm).values
+        perm, val = distance._min_over_permutations(D1, D2, metric)
+        for est in ests:
+            assert est.m == mm and est.permutation.dtype == perm.dtype
+            assert np.array_equal(est.permutation, perm) and repr(est.upper) == repr(val)
+        # the plain loop takes about 5 s for a cut pair at m = 8, where
+        # test_cut_at_eight_steps_is_pinned holds the uncached enumeration
+        if mm < 8 or metric != "cut":
+            ref_perm, ref_val = reference_min_over_permutations(D1, D2, metric)
+            assert np.array_equal(perm, ref_perm) and repr(val) == repr(ref_val)
+
+    def test_a_pair_is_enumerated_once(self, monkeypatch):
+        distance._enumerated.cache_clear()
+        calls = []
+        plain = distance._min_over_permutations
+
+        def counted(D1, D2, metric):
+            calls.append((D1, D2, metric))
+            return plain(D1, D2, metric)
+
+        monkeypatch.setattr(distance, "_min_over_permutations", counted)
+        W1, W2 = six_step_pair(12)
+        up = delta_upper(W1, W2, "cut", seed=3)
+        ex = delta_exact_tiny(W1, W2, "cut")
+        # the enumeration ran once, on the caller's own blow-ups (a graphon
+        # of six equal steps is its own blow-up)
+        assert len(calls) == 1
+        assert calls[0][0] is W1.values and calls[0][1] is W2.values and calls[0][2] == "cut"
+        assert np.array_equal(up.permutation, ex.permutation) and up.upper == ex.upper
+        assert up.permutation is not ex.permutation
+        # another metric is another key
+        delta_exact_tiny(W1, W2, "l1")
+        assert len(calls) == 2
+
+    def test_keys_tell_pairs_apart(self):
+        # pairs that share one graphon, or hold the same two in the other
+        # order, and one pair under every metric, each get their own entry
+        W1, W2 = six_step_pair(14)
+        W3 = six_step_pair(15)[0]
+        for metric in ("cut", "l1", "l2"):
+            for A, B in [(W1, W2), (W1, W3), (W3, W2), (W2, W1)]:
+                est = delta_exact_tiny(A, B, metric)
+                perm, val = distance._min_over_permutations(A.values, B.values, metric)
+                assert np.array_equal(est.permutation, perm) and repr(est.upper) == repr(val)
+
+    def test_a_returned_permutation_is_the_callers_own(self):
+        W1, W2 = six_step_pair(13)
+        first = delta_exact_tiny(W1, W2, "cut")
+        want = first.permutation.copy()
+        first.permutation[:] = 0
+        delta_upper(W1, W2, "cut").permutation[0] = 99
+        again = delta_exact_tiny(W1, W2, "cut")
+        assert np.array_equal(again.permutation, want) and again.permutation.flags.writeable
+
+    def test_memo_stays_within_its_bound(self):
+        distance._enumerated.cache_clear()
+        bound = distance._ENUMERATION_MEMO
+        one = StepGraphon(np.full((1, 1), 0.5), np.ones(1))
+        for i in range(bound + 20):
+            W = StepGraphon(np.full((1, 1), i / (2 * bound)), np.ones(1))
+            assert delta_exact_tiny(W, one, "l1").upper == abs(i / (2 * bound) - 0.5)
+        info = distance._enumerated.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+        assert info.misses == bound + 20
+        assert delta_exact_tiny(W, one, "l1").upper == abs(i / (2 * bound) - 0.5)
+        assert distance._enumerated.cache_info().hits == 1
+
+
+# ---------------------------------------------------------------------------
 # the stacked evaluator
 
 

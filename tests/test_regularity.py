@@ -41,6 +41,12 @@ class TestValidationAndBudget:
             assert dec.target == pytest.approx(1.0 / np.sqrt(k0))
             assert len(dec.terms) <= k0
 
+    def test_round_count_is_exact_at_large_q0(self):
+        # a float log2 rounds 2**60 - 1 up to 60 and rejects ints from 2**64
+        W = StepGraphon(np.full((2, 2), 0.9), np.full(2, 0.5))
+        for q0, k0 in [(2**60 - 1, 59), (2**60, 60), (2**64, 64), (2**70 + 5, 70), (3.5, 1)]:
+            assert weak_regularity_approx(W, q0)[1].max_terms == k0
+
 
 class TestSmallCases:
     def test_constant_recovered_in_one_term(self):
