@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def _encode(tag) -> int:
     if isinstance(tag, (int, np.integer)):
@@ -26,6 +28,11 @@ def _encode(tag) -> int:
 
 
 def stream(seed: int, *tags) -> np.random.Generator:
-    """Return a Generator on an independent Philox stream for (seed, *tags)."""
+    """Return a Generator on an independent Philox stream for (seed, *tags).
+
+    A negative seed raises ValidationError.
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     entropy = (int(seed),) + tuple(_encode(t) for t in tags)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:   # an undecodable input file too
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -2,15 +2,21 @@
 
 Two families of objects live here:
 
-* matrices on n vertices — edge-probability matrices and adjacency
-  matrices, with the L1 norm normalized so it agrees with the kernel
-  picture: ``l1_norm(B) = sum|B_ij| / n^2``;
-* step kernels on [0,1] — symmetric step graphons (values in [0,1]) and
+* matrices on n vertices: edge-probability matrices (ProbMatrix), and
+  adjacency matrices, which are the ProbMatrix subclass with 0/1 entries.
+  The L1 norm is normalized so it agrees with the kernel picture:
+  ``l1_norm(B) = sum|B_ij| / n^2``;
+* step kernels on [0,1]: symmetric step graphons (values in [0,1]) and
   general rectangular step kernels (values in [-1,1]), whose L1 norm is the
   weighted integral sum(w_a w_b |K_ab|).
 
 Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
+
+The symmetric types hold exactly symmetric values.  Their input is
+accepted when it is symmetric within _SYM_TOL = 1e-9, and stored as its
+symmetric part (a + a.T) / 2, which is the input itself, bit for bit, when
+that is exactly symmetric.
 
 All types are immutable: constructors copy and freeze their arrays, so
 instances can be shared freely across threads/processes.  A graphon made
@@ -19,10 +25,11 @@ copying them.
 
 The public constructors check everything they are given.  Arrays that the
 package builds and that pass those checks by construction take the one
-trusted route instead, the private `_owning` class method of ProbMatrix,
-AdjacencyMatrix, StepGraphon and Kernel: it freezes the arrays it is handed
-and wraps them, not copied, so their producer never writes to them again.
-Each holds the values the constructor would return for it, bit for bit.
+trusted route instead, the private `_owning` class method of ProbMatrix
+(and so of AdjacencyMatrix), StepGraphon and Kernel: it freezes the arrays
+it is handed and wraps them, not copied, so their producer never writes to
+them again.  Each holds the values the constructor would return for it,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -98,7 +105,11 @@ def _step_weights(weights, k: int) -> np.ndarray:
 
 
 class ProbMatrix:
-    """Symmetric n x n matrix of edge probabilities, zero diagonal."""
+    """Symmetric n x n matrix of edge probabilities, zero diagonal.
+
+    Entries within 1e-12 of [0, 1] are clipped into it, and the diagonal is
+    stored as +0.0.
+    """
 
     __slots__ = ("values", "n")
 
@@ -112,7 +123,7 @@ class ProbMatrix:
             )
         if np.max(np.abs(np.diag(a)), initial=0.0) > 1e-12:
             raise ValidationError("ProbMatrix diagonal must be zero")
-        a = np.clip(a, 0.0, 1.0)  # a fresh array: caller input is never aliased
+        a = np.clip((a + a.T) / 2, 0.0, 1.0)  # a fresh array: caller input is never aliased
         np.fill_diagonal(a, 0.0)
         self.values = _freeze(a)
         self.n = a.shape[0]
@@ -128,28 +139,20 @@ class ProbMatrix:
         return f"ProbMatrix(n={self.n})"
 
 
-class AdjacencyMatrix:
-    """Simple-graph adjacency matrix: 0/1 entries, symmetric, zero diagonal."""
+class AdjacencyMatrix(ProbMatrix):
+    """Simple-graph adjacency matrix: a ProbMatrix whose entries are exactly 0 or 1.
 
-    __slots__ = ("values", "n")
+    An observed graph is itself a (degenerate) edge-probability matrix, so
+    every function that takes a ProbMatrix takes an AdjacencyMatrix.
+    """
+
+    __slots__ = ()
 
     def __init__(self, values):
         a = np.asarray(values, dtype=float)
-        _check_finite(a, "AdjacencyMatrix values")
-        _check_symmetric(a, "AdjacencyMatrix")
         if not np.all((a == 0.0) | (a == 1.0)):
             raise ValidationError("AdjacencyMatrix entries must be exactly 0 or 1")
-        if a.size and np.any(np.diag(a) != 0.0):
-            raise ValidationError("AdjacencyMatrix diagonal must be zero")
-        self.values = _frozen(a)
-        self.n = a.shape[0]
-
-    @classmethod
-    def _owning(cls, values: np.ndarray) -> "AdjacencyMatrix":
-        """An adjacency matrix on `values` that pass its checks, frozen, not copied."""
-        out = object.__new__(cls)
-        out.values, out.n = _freeze(values), values.shape[0]
-        return out
+        ProbMatrix.__init__(self, a)
 
     @property
     def edge_count(self) -> int:
@@ -162,7 +165,8 @@ class AdjacencyMatrix:
 class StepGraphon:
     """Symmetric step function on [0,1]^2 with k steps.
 
-    ``values`` is the k x k symmetric block-value matrix, ``weights`` the
+    ``values`` is the k x k symmetric block-value matrix (one symmetric
+    within _SYM_TOL is stored as its exactly symmetric part), ``weights`` the
     step lengths (positive, summing to 1 — see WEIGHT_SUM_TOL /
     WEIGHT_RENORM_TOL for the accept/renormalize/reject rule). Values must
     lie in [0,1]. A scaled model rho*W is a `ModelSpec`; sampling rejects
@@ -180,7 +184,7 @@ class StepGraphon:
             raise ValidationError("StepGraphon values must be nonnegative")
         if q.size and q.max() > 1 + 1e-12:
             raise ValidationError(f"StepGraphon values exceed 1 (max {q.max()})")
-        self.values = _frozen(q)
+        self.values = _freeze((q + q.T) / 2)
         self.weights = w
         self.k = q.shape[0]
 
@@ -280,7 +284,7 @@ class LatentSample:
 
 
 def _as_matrix(obj) -> np.ndarray | None:
-    if isinstance(obj, (ProbMatrix, AdjacencyMatrix)):
+    if isinstance(obj, ProbMatrix):
         return obj.values
     if isinstance(obj, np.ndarray):
         return obj
@@ -319,9 +323,9 @@ def l1_norm(obj) -> float:
 def empirical_graphon(mat) -> StepGraphon:
     """The n-step graphon of a matrix: equal weights 1/n, block values B_ij.
 
-    A ProbMatrix or AdjacencyMatrix lends the graphon its frozen values,
-    which already pass the StepGraphon checks; a raw array is checked and
-    copied by the constructor.
+    A ProbMatrix (an AdjacencyMatrix too) lends the graphon its frozen
+    values, which already pass the StepGraphon checks; a raw array is
+    checked and copied by the constructor.
     """
     a = _as_matrix(mat)
     if a is None:

@@ -219,14 +219,15 @@ def _permutation_table(m: int) -> np.ndarray:
 def _arrangements(D2: np.ndarray) -> np.ndarray:
     """The lexicographically first permutation of each distinct arrangement of D2's steps.
 
-    Indices in one run of equal rows and equal columns of D2 are
-    interchangeable: permutations that differ only within runs give a
-    bit-identical D2[p][:, p].  Among them the lexicographically first keeps
-    each run's indices in increasing order.  Returns a table with one
-    permutation per row, in lexicographic order.
+    Indices in one run of equal rows of D2 are interchangeable, since D2
+    is exactly symmetric and so equal rows are equal columns: permutations
+    that differ only within runs give a bit-identical D2[p][:, p].  Among
+    them the lexicographically first keeps each run's indices in
+    increasing order.  Returns a table with one permutation per row, in
+    lexicographic order.
     """
     table = _permutation_table(D2.shape[0])
-    _, runs = _row_runs(np.hstack((D2, D2.T)))
+    _, runs = _row_runs(D2)
     keep = np.ones(len(table), dtype=bool)
     for i in np.flatnonzero(runs[1:] == runs[:-1]).tolist():
         keep &= (table == i).argmax(axis=1) < (table == i + 1).argmax(axis=1)

@@ -37,11 +37,9 @@ SVT_C = 2.1  # spectral threshold in units of sqrt(n * edge density)
 
 
 def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
-    """The observation itself as a (degenerate) probability matrix, on A's
-    frozen 0/1 values."""
-    if np.signbit(A.values.diagonal()).any():
-        return ProbMatrix(A.values)   # the constructor writes +0.0 over a -0.0 diagonal
-    return ProbMatrix._owning(A.values)
+    """The observation itself: an AdjacencyMatrix is a (degenerate) ProbMatrix,
+    so A is returned as it is."""
+    return A
 
 
 def estimate_mean(A: AdjacencyMatrix) -> ProbMatrix:

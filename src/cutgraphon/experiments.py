@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ValidationError("every rho must lie in (0, 1]")
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad or not self.estimators:
             raise ValidationError(f"unknown estimators {sorted(bad)}; "
@@ -215,6 +217,8 @@ class RiskReport:
 
 def default_model(k: int, rho: float = 1.0) -> ModelSpec:
     """Fixed banded two-value kernel; the harness model for every cell."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     if k == 1:
         return ModelSpec(StepGraphon(np.array([[0.5]]), np.array([1.0])), rho)
     a = np.arange(k)
@@ -373,7 +377,10 @@ def fit_rate_slope(report: RiskReport, varying: str,
     f = transform if transform is not None else (lambda v: v)
     xs, ys = [], []
     for key, r in sorted(seen.items()):
-        tx = f(key)
+        try:
+            tx = f(key)
+        except (ArithmeticError, ValueError):
+            raise ValidationError(f"transform is undefined at {varying}={key}") from None
         if tx <= 0 or r.mean_risk <= 0:
             raise ValidationError("transform(axis) and mean_risk must be positive for log fits")
         xs.append(math.log(tx))

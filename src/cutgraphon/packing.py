@@ -349,8 +349,8 @@ def _graphon_base(block: np.ndarray) -> StepGraphon:
     cross block (1 + block)/2 between the k1 light and mk heavy steps.
 
     Q is exactly symmetric (the block and its transpose) with entries in
-    {0, 1/2, 1}, so it passes the StepGraphon checks by construction and
-    is frozen in place instead of checked and copied."""
+    {0, 1/2, 1}: the values the StepGraphon constructor would store, so
+    it is frozen in place instead of checked and copied."""
     k1, mk = block.shape
     k = k1 + mk
     Q = np.full((k, k), 0.5)

@@ -76,9 +76,8 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
 
     More than DENSE_BUDGET entries (see `core`) raise BudgetError.  The
     matrix is finite and in [0, 1 + 1e-12] by the checks here, and exactly
-    symmetric when Q is, so it is clipped and frozen in place as the
-    ProbMatrix constructor would clip a copy; a Q that is symmetric only
-    within tolerance leaves the checks to that constructor.
+    symmetric because the graphon's values are, so it is clipped and frozen
+    in place as the ProbMatrix constructor would clip a copy.
     """
     z = np.asarray(labels, dtype=int)
     _check_dense(z.size)
@@ -94,8 +93,6 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
             "clip explicitly if that is intended"
         )
     np.fill_diagonal(T, 0.0)
-    if not np.array_equal(Q, Q.T):
-        return ProbMatrix(T)
     np.clip(T, 0.0, 1.0, out=T)
     return ProbMatrix._owning(T)
 

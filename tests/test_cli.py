@@ -15,6 +15,7 @@ from cutgraphon.core import (
     save_matrix,
     save_stepgraphon,
 )
+from cutgraphon.experiments import RiskReport, RiskRow, format_csv
 
 
 def run(capsys, *argv):
@@ -103,6 +104,22 @@ def graph_file(tmp_path, capsys):
     return path
 
 
+@pytest.mark.parametrize("argv", [
+    "sample --n 10", "estimate --estimator rls --input {A}", "cutnorm --input {A}"],
+    ids=["sample", "estimate", "cutnorm"])
+def test_negative_seed_exits_2(argv, graph_file, capsys):
+    code, _, err = run(capsys, *argv.format(A=graph_file).split(), "--seed", "-1")
+    assert code == 2 and "invalid input" in err
+
+
+@pytest.mark.parametrize("command, option", [("cutnorm", "--input"), ("risk", "--config")])
+def test_undecodable_file_exits_2(command, option, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, command, option, str(path))
+    assert code == 2 and "invalid input" in err
+
+
 class TestSample:
     def test_writes_symmetric_binary_matrix(self, graph_file):
         A = load_matrix(graph_file)
@@ -132,6 +149,11 @@ class TestSample:
         code, _, err = run(capsys, "sample", "--k", "2", "--n", "0")
         assert code == 2
         assert "invalid input" in err
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_bad_k_exits_2(self, k, capsys):
+        code, _, err = run(capsys, "sample", "--k", k, "--n", "10")
+        assert code == 2 and "invalid input" in err
 
     def test_oversized_theta_exits_3(self, capsys):
         # 300000^2 probabilities would take 671 GiB
@@ -320,6 +342,14 @@ class TestRiskAndSlope:
         assert code == 0
         slope = float(out.split("slope=")[1].split()[0])
         assert -1.0 < slope < 0.0
+
+    def test_slope_transform_undefined_at_k_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "risk.csv"
+        path.write_text(format_csv(RiskReport(tuple(
+            RiskRow(64, k, 1.0, "adjacency", "cut", 0.5 / k, 0.0, 1, 0.1) for k in (1, 2, 4, 8)))))
+        code, _, err = run(capsys, "slope", "--input", str(path), "--varying", "k",
+                           "--transform", "k-over-logk")
+        assert code == 2 and "invalid input" in err and "k=1" in err
 
     def test_risk_without_config_exits_2(self, capsys):
         assert run(capsys, "risk")[0] == 2

@@ -74,6 +74,26 @@ class TestTypes:
         with pytest.raises(ValidationError):
             AdjacencyMatrix([[0.0, 0.5], [0.5, 0.0]])
 
+    @pytest.mark.parametrize("values", [
+        [[0.0, np.nan], [np.nan, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 0.0]],
+        [[0.0, 1.0, 0.0]]], ids=["nan", "asymmetric", "diagonal", "not-square"])
+    def test_adjacency_rejects_what_a_prob_matrix_rejects(self, values):
+        with pytest.raises(ValidationError):
+            AdjacencyMatrix(values)
+
+    def test_adjacency_is_a_prob_matrix_with_a_positive_zero_diagonal(self):
+        A = AdjacencyMatrix(np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        assert isinstance(A, ProbMatrix)
+        assert not np.signbit(A.values.diagonal()).any()
+
+    @pytest.mark.parametrize("make", [ProbMatrix, lambda a: StepGraphon(a, np.full(3, 1 / 3))],
+                             ids=["prob", "graphon"])
+    def test_input_symmetric_within_tolerance_is_stored_symmetric(self, make):
+        a = np.array([[0.0, 0.3, 0.6], [0.3 + 8e-10, 0.0, 0.2], [0.6, 0.2 - 5e-10, 0.0]])
+        v = make(a).values
+        assert np.array_equal(v, v.T)
+        assert v.tobytes() == ((a + a.T) / 2).tobytes()
+
     def test_adjacency_edge_count(self):
         a = AdjacencyMatrix([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
         assert a.edge_count == 2
@@ -104,7 +124,7 @@ class TestTypes:
     ], ids=["prob", "adjacency", "graphon", "kernel"])
     def test_owning_freezes_what_it_wraps_without_copying(self, make, arrays):
         obj = make(*arrays)
-        held = [getattr(obj, f) for f in obj.__slots__]
+        held = [getattr(obj, f) for c in type(obj).__mro__ for f in getattr(c, "__slots__", ())]
         for a in arrays:
             assert any(h is a for h in held)
             assert not a.flags.writeable

@@ -668,6 +668,26 @@ class TestScreenedEnumeration:
         want = sorted(first.values())
         assert distance._arrangements(D2).tolist() == [list(p) for p in want]
 
+    @given(st.integers(1, 7), st.integers(1, 4), st.booleans(), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_arrangements_of_a_symmetric_blowup_scan_its_rows_alone(self, m, k, nudge, seed):
+        # a graphon's values are exactly symmetric, even when its input was
+        # symmetric only within tolerance, so in its blow-up equal rows are
+        # equal columns: the runs of rows and columns side by side are the same
+        rng = np.random.default_rng(seed)
+        k = min(k, m)
+        V = rng.choice([0.0, 0.25, 0.5, 1.0], (k, k))
+        V = np.triu(V) + np.triu(V, 1).T
+        if nudge and k > 1 and V[0, -1] > 0:
+            V[0, -1] -= 5e-10
+        counts = rng.multinomial(m - k, np.full(k, 1.0 / k)) + 1
+        D2 = blowup(StepGraphon(V, counts / m), m).values
+        row_runs = distance._row_runs
+        with mock.patch.object(distance, "_row_runs",
+                               lambda D: row_runs(np.hstack((D, D.T)))):
+            want = distance._arrangements(D2)
+        assert np.array_equal(distance._arrangements(D2), want)
+
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8], ids=lambda m: f"cut-{m}")
     def test_screen_error_is_far_inside_margin(self, m):
         # every screened value against the scalar cut: the screen tries the

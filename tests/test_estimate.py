@@ -110,7 +110,7 @@ class TestSimpleEstimators:
     def test_identity(self):
         rng = np.random.default_rng(0)
         A = random_graph(rng, 10)
-        assert np.array_equal(estimate_adjacency(A).values, A.values)
+        assert estimate_adjacency(A) is A
 
     def test_mean_value(self):
         A = AdjacencyMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
@@ -379,9 +379,11 @@ class TestUncheckedProducers:
         # public constructors check and mend them
         z = np.array([0, 1, 0])
         W = StepGraphon([[0.3, 0.3], [0.3 + 8e-10, 0.3]], [0.5, 0.5])
-        assert theta_from_labels(ModelSpec(W, 1.0), z).values[0, 1] == 0.3
-        with pytest.raises(ValidationError):          # 1.7 * 8e-10 exceeds 1e-9
-            theta_from_labels(ModelSpec(W, 1.7), z, clip=True)
+        theta = theta_from_labels(ModelSpec(W, 1.0), z).values
+        assert np.array_equal(theta, theta.T) and theta[0, 1] == W.values[0, 1]
+        theta = theta_from_labels(ModelSpec(W, 1.7), z, clip=True).values
+        assert np.array_equal(theta, theta.T)         # 1.7 * 8e-10 would exceed 1e-9
+        assert theta[0, 1] == 1.7 * W.values[0, 1]
         A = AdjacencyMatrix(np.array([[-0.0, 1.0], [1.0, -0.0]]))
         assert not np.signbit(estimate_adjacency(A).values.diagonal()).any()
         with pytest.raises(ValidationError):

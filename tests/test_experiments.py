@@ -94,6 +94,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="repeated"):
             ExperimentConfig(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        # sub-seeds are drawn outside each cell's error handling, so a
+        # negative seed must not get that far
+        with pytest.raises(ValidationError, match="seed"):
+            parse_config("n=32\nk=2\nrho=1\nseed=-1\n")
+
     @pytest.mark.parametrize("line", ["restarts=2", "outdir=/tmp/out"])
     def test_retired_keys_rejected(self, line):
         # search restarts are module constants; `risk --out` sets the directory
