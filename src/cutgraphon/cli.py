@@ -95,8 +95,8 @@ def _cmd_sample(args) -> int:
     spec = _load_model(args)
     _, theta, A = sample_graph(spec, args.n, seed=args.seed, clip=args.clip)
     if args.theta:
-        save_matrix(theta.values, args.theta)
-    _write_or_print(format_matrix(A.values), args.out)
+        save_matrix(theta, args.theta)
+    _write_or_print(format_matrix(A), args.out)
     if args.out:
         print(f"sampled n={args.n} rho={args.rho} edges={int(A.values.sum() // 2)} -> {args.out}")
     return 0
@@ -121,7 +121,7 @@ def _cmd_estimate(args) -> int:
                                      restarts=args.restarts, seed=args.seed)
         phat = fit_to_prob_matrix(fit)
         note = f"rls k={fit.k} objective={fit.objective:.6g}"
-    _write_or_print(format_matrix(phat.values), args.out)
+    _write_or_print(format_matrix(phat), args.out)
     if args.out:
         print(f"estimated {note} -> {args.out}")
     return 0

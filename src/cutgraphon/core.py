@@ -13,6 +13,12 @@ Two families of objects live here:
 Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
 
+One rule says what a matrix argument is, in this module and in `cutnorm`:
+a ProbMatrix (so an AdjacencyMatrix too), or anything numpy converts to a
+nonempty, square, finite float array.  `_as_matrix` applies it and raises
+ValidationError on anything else, a StepGraphon or a Kernel included: a
+step object is not measured as the matrix of its block values.
+
 The symmetric types hold exactly symmetric values.  Their input is
 accepted when it is symmetric within _SYM_TOL = 1e-9, and stored as its
 symmetric part (a + a.T) / 2, which is the input itself, bit for bit, when
@@ -73,11 +79,15 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains nan/inf")
 
 
+def _check_square(a: np.ndarray, what: str) -> None:
+    if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{what} must be a nonempty square 2-d array, got shape {a.shape}")
+
+
 def _check_symmetric(a: np.ndarray, what: str) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be square, got shape {a.shape}")
+    _check_square(a, what)
     # fl(x - y) = -fl(y - x), so the signed maximum is the largest |a - a.T|
-    if a.shape[0] and np.max(a - a.T) > _SYM_TOL:
+    if np.max(a - a.T) > _SYM_TOL:
         raise ValidationError(f"{what} is not symmetric (tol {_SYM_TOL})")
 
 
@@ -117,11 +127,11 @@ class ProbMatrix:
         a = np.asarray(values, dtype=float)
         _check_finite(a, "ProbMatrix values")
         _check_symmetric(a, "ProbMatrix")
-        if a.size and (a.min() < -1e-12 or a.max() > 1 + 1e-12):
+        if a.min() < -1e-12 or a.max() > 1 + 1e-12:
             raise ValidationError(
                 f"ProbMatrix entries must lie in [0,1]; range [{a.min()}, {a.max()}]"
             )
-        if np.max(np.abs(np.diag(a)), initial=0.0) > 1e-12:
+        if np.max(np.abs(np.diag(a))) > 1e-12:
             raise ValidationError("ProbMatrix diagonal must be zero")
         a = np.clip((a + a.T) / 2, 0.0, 1.0)  # a fresh array: caller input is never aliased
         np.fill_diagonal(a, 0.0)
@@ -180,9 +190,9 @@ class StepGraphon:
         _check_finite(q, "StepGraphon values")
         _check_symmetric(q, "StepGraphon values")
         w = _step_weights(weights, q.shape[0])
-        if q.size and q.min() < 0:
+        if q.min() < 0:
             raise ValidationError("StepGraphon values must be nonnegative")
-        if q.size and q.max() > 1 + 1e-12:
+        if q.max() > 1 + 1e-12:
             raise ValidationError(f"StepGraphon values exceed 1 (max {q.max()})")
         self.values = _freeze((q + q.T) / 2)
         self.weights = w
@@ -283,12 +293,19 @@ class LatentSample:
 # norms
 
 
-def _as_matrix(obj) -> np.ndarray | None:
+def _as_matrix(obj) -> np.ndarray:
+    """The values of a matrix argument: a ProbMatrix's own, which its
+    constructor checked, or `obj` as a float array that is nonempty, square
+    and finite; anything else raises ValidationError."""
     if isinstance(obj, ProbMatrix):
         return obj.values
-    if isinstance(obj, np.ndarray):
-        return obj
-    return None
+    try:
+        a = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"expected a matrix, got {type(obj).__name__}: {e}") from None
+    _check_square(a, "a matrix")
+    _check_finite(a, "a matrix")
+    return a
 
 
 def _kernel_parts(obj):
@@ -302,18 +319,16 @@ def _kernel_parts(obj):
 def l1_norm(obj) -> float:
     """Normalized entrywise L1 norm.
 
-    Matrices (or raw square arrays): sum|B_ij| / n^2. Step objects: the
-    integral sum_a,b w_a w_b |K_ab|.
+    Step objects (StepGraphon, Kernel): the integral sum_a,b w_a w_b |K_ab|.
+    Anything else is a matrix argument (see the module docstring):
+    sum|B_ij| / n^2.
     """
-    a = _as_matrix(obj)
-    if a is not None:
-        n = a.shape[0]
-        return float(np.abs(a).sum() / n**2)
     parts = _kernel_parts(obj)
-    if parts is None:
-        raise ValidationError(f"l1_norm: unsupported type {type(obj)!r}")
-    v, rw, cw = parts
-    return float(rw @ np.abs(v) @ cw)
+    if parts is not None:
+        v, rw, cw = parts
+        return float(rw @ np.abs(v) @ cw)
+    a = _as_matrix(obj)
+    return float(np.abs(a).sum() / a.shape[0]**2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +338,17 @@ def l1_norm(obj) -> float:
 def empirical_graphon(mat) -> StepGraphon:
     """The n-step graphon of a matrix: equal weights 1/n, block values B_ij.
 
-    A ProbMatrix (an AdjacencyMatrix too) lends the graphon its frozen
-    values, which already pass the StepGraphon checks; a raw array is
-    checked and copied by the constructor.
+    `mat` is a matrix argument (see the module docstring).  A ProbMatrix
+    (an AdjacencyMatrix too) lends the graphon its frozen values, which
+    already pass the StepGraphon checks; any other matrix is checked and
+    copied by the StepGraphon constructor.
     """
     a = _as_matrix(mat)
-    if a is None:
-        raise ValidationError(f"empirical_graphon expects a matrix, got {type(mat)!r}")
     n = a.shape[0]
-    if n == 0:
-        raise ValidationError("empirical_graphon: empty matrix")
     weights = np.full(n, 1.0 / n)
-    if isinstance(mat, np.ndarray):
-        return StepGraphon(a, weights)
-    return StepGraphon._owning(a, _step_weights(weights, n))
+    if isinstance(mat, ProbMatrix):
+        return StepGraphon._owning(a, _step_weights(weights, n))
+    return StepGraphon(a, weights)
 
 
 def blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:
@@ -398,30 +410,34 @@ def format_stepgraphon(W: StepGraphon) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_stepgraphon(text: str) -> StepGraphon:
+def _parse_record(text: str, kind: str, lead: int) -> np.ndarray:
+    """The lead + n rows of n floats of a '<kind> n' record, n >= 1."""
     toks = text.split()
-    if len(toks) < 2 or toks[0] != "stepgraphon":
-        raise ValidationError("expected 'stepgraphon k' header")
+    if len(toks) < 2 or toks[0] != kind:
+        raise ValidationError(f"expected '{kind} n' header")
     try:
-        k = int(toks[1])
+        n = int(toks[1])
     except ValueError:
-        raise ValidationError(f"bad step count {toks[1]!r}") from None
-    need = 2 + k + k * k
-    if k <= 0 or len(toks) != need:
-        raise ValidationError(f"stepgraphon record needs {need} tokens, got {len(toks)}")
+        raise ValidationError(f"bad {kind} size {toks[1]!r}") from None
+    need = 2 + (lead + n) * n
+    if n <= 0 or len(toks) != need:
+        raise ValidationError(f"{kind} record needs {need} tokens, got {len(toks)}")
     try:
         nums = [float(t) for t in toks[2:]]
     except ValueError as e:
-        raise ValidationError(f"bad float in stepgraphon record: {e}") from None
-    w = np.array(nums[:k])
-    q = np.array(nums[k:]).reshape(k, k)
-    return StepGraphon(q, w)
+        raise ValidationError(f"bad float in {kind} record: {e}") from None
+    return np.array(nums).reshape(lead + n, n)
+
+
+def parse_stepgraphon(text: str) -> StepGraphon:
+    """Parse a 'stepgraphon k' record: the k weights, then the k x k values."""
+    rows = _parse_record(text, "stepgraphon", 1)
+    return StepGraphon(rows[1:], rows[0])
 
 
 def format_matrix(mat) -> str:
+    """The 'matrix n' record of a matrix argument (see the module docstring)."""
     a = _as_matrix(mat)
-    if a is None:
-        raise ValidationError(f"format_matrix expects a matrix, got {type(mat)!r}")
     lines = [f"matrix {a.shape[0]}"]
     lines += [_fmt_row(r) for r in a]
     return "\n".join(lines) + "\n"
@@ -429,25 +445,13 @@ def format_matrix(mat) -> str:
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse a 'matrix n' record to a raw array (wrap it yourself as needed)."""
-    toks = text.split()
-    if len(toks) < 2 or toks[0] != "matrix":
-        raise ValidationError("expected 'matrix n' header")
-    try:
-        n = int(toks[1])
-    except ValueError:
-        raise ValidationError(f"bad size {toks[1]!r}") from None
-    if n <= 0 or len(toks) != 2 + n * n:
-        raise ValidationError(f"matrix record needs {2 + n * n} tokens, got {len(toks)}")
-    try:
-        nums = [float(t) for t in toks[2:]]
-    except ValueError as e:
-        raise ValidationError(f"bad float in matrix record: {e}") from None
-    return np.array(nums).reshape(n, n)
+    return _parse_record(text, "matrix", 0)
 
 
 def save_stepgraphon(W: StepGraphon, path) -> None:
+    text = format_stepgraphon(W)  # before opening: a rejected W leaves the file as it was
     with open(path, "w") as fh:
-        fh.write(format_stepgraphon(W))
+        fh.write(text)
 
 
 def load_stepgraphon(path) -> StepGraphon:
@@ -456,8 +460,9 @@ def load_stepgraphon(path) -> StepGraphon:
 
 
 def save_matrix(mat, path) -> None:
+    text = format_matrix(mat)  # before opening: a rejected mat leaves the file as it was
     with open(path, "w") as fh:
-        fh.write(format_matrix(mat))
+        fh.write(text)
 
 
 def load_matrix(path) -> np.ndarray:

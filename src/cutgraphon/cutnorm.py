@@ -2,7 +2,8 @@
 
 Conventions (callers convert between them explicitly):
 
-* matrix cut norm of an n x n array B:
+* matrix cut norm of an n x n matrix argument B (a ProbMatrix or a
+  nonempty, square, finite array, by `core`'s one rule):
       (1/n^2) * max_{S,T subsets of [n]} | sum_{i in S, j in T} B_ij |
 * step-kernel cut norm of a kernel K with step weights (alpha, beta):
       max_{S,T} | sum_{a in S, b in T} alpha_a beta_b K_ab |
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import Kernel, l1_norm
+from .core import Kernel, _as_matrix, l1_norm
 from .errors import BudgetError, ValidationError
 
 EXACT_BUDGET = 24  # largest enumerated side for exact cut norms
@@ -66,16 +67,6 @@ class CutNormResult:
     method: str
 
 
-def _as_array(B) -> np.ndarray:
-    a = getattr(B, "values", B)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix contains nan/inf")
-    return a
-
-
 def _distinct_indices(idx, n: int, what: str) -> np.ndarray:
     """idx as an array of distinct integers in range(n), else ValidationError."""
     a = np.asarray(idx)
@@ -87,7 +78,7 @@ def _distinct_indices(idx, n: int, what: str) -> np.ndarray:
 
 def matrix_witness_value(B, S, T) -> float:
     """Replay a subset-pair certificate of distinct indices: |sum B[S, T]| / n^2."""
-    a = _as_array(B)
+    a = _as_matrix(B)
     n = a.shape[0]
     S, T = _distinct_indices(S, n, "S"), _distinct_indices(T, n, "T")
     if len(S) == 0 or len(T) == 0:
@@ -160,8 +151,13 @@ def _best_rectangle(M: np.ndarray):
 
 
 def matrix_cut_norm_exact(B) -> CutNormResult:
-    """Exact matrix cut norm by subset enumeration (n <= EXACT_BUDGET)."""
-    a = _as_array(B)
+    """Exact matrix cut norm by subset enumeration (n <= EXACT_BUDGET).
+
+    B is a matrix argument (a ProbMatrix or a nonempty, square, finite
+    array; see `core`).  A step graphon W is not one: its cut norm is
+    ``step_kernel_cut_norm_exact(Kernel(W.values, W.weights, W.weights))``.
+    """
+    a = _as_matrix(B)
     n = a.shape[0]
     raw, rows, cols = _best_rectangle(a)
     return CutNormResult(raw / n**2, rows, cols, "exact")
@@ -311,8 +307,11 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
 
 
 def matrix_cut_norm_heuristic(B, restarts: int = 16, seed: int = 0) -> CutNormResult:
-    """Lower-bound the matrix cut norm; the witness subsets replay the value."""
-    a = _as_array(B)
+    """Lower-bound the matrix cut norm; the witness subsets replay the value.
+
+    B is a matrix argument, as for `matrix_cut_norm_exact`.
+    """
+    a = _as_matrix(B)
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     n = a.shape[0]
@@ -332,12 +331,12 @@ def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
     signs heuristic, which needs restarts >= 1. Witnesses are the sign
     vectors (f, g).
     """
-    a = _as_array(B)
+    a = _as_matrix(B)
     n = a.shape[0]
     if n <= INF1_EXACT_BUDGET:
-        idx = np.arange(1 << max(n - 1, 0), dtype=np.int64)
-        G = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1)) & 1)
-        G = np.hstack([np.ones((G.shape[0], 1)), G]) if n > 1 else np.ones((1, 1))
+        idx = np.arange(1 << (n - 1), dtype=np.int64)
+        G = np.hstack([np.ones((idx.size, 1)),
+                       1.0 - 2.0 * ((idx[:, None] >> np.arange(n - 1)) & 1)])
         rowvals = np.abs(G @ a.T).sum(axis=1)
         j = int(np.argmax(rowvals))
         g = G[j]
@@ -375,7 +374,7 @@ def cut_norm_sandwich_check(B, seed: int = 0, restarts: int = 32) -> SandwichRes
     always come back True (up to 1e-12 roundoff); with heuristic routes a
     False only signals an undersized certificate, not a counterexample.
     """
-    a = _as_array(B)
+    a = _as_matrix(B)
     n = a.shape[0]
     # first, so that restarts=0 on the heuristic route fails before any enumeration
     inf1 = inf1_norm(a, seed=seed, restarts=restarts)

@@ -592,7 +592,7 @@ class DistanceEstimate:
 
     upper: float
     metric: str
-    permutation: Optional[np.ndarray]
+    permutation: np.ndarray
     m: int
     method: str
 

@@ -450,12 +450,9 @@ def save_packing_family(family: PackingFamily, directory) -> None:
     """Write one record file per element plus a key=value metadata sidecar."""
     os.makedirs(directory, exist_ok=True)
     for i, el in enumerate(family.elements):
-        path = os.path.join(directory, f"element_{i:04d}.txt")
-        with open(path, "w") as fh:
-            if family.kind == "matrix":
-                fh.write(format_matrix(el.values))
-            else:
-                fh.write(format_stepgraphon(el))
+        text = format_matrix(el) if family.kind == "matrix" else format_stepgraphon(el)
+        with open(os.path.join(directory, f"element_{i:04d}.txt"), "w") as fh:
+            fh.write(text)
     with open(os.path.join(directory, "metadata.txt"), "w") as fh:
         fh.write(f"kind={family.kind}\n")
         fh.write(f"count={family.size}\n")

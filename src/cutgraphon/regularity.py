@@ -51,7 +51,7 @@ class RegularityDecomposition:
     terms: Tuple[RegularityTerm, ...]
     residual: Kernel
     final_cut: float         # exact cut norm of the final residual
-    stopped_early: bool
+    stopped_early: bool      # fewer than max_terms rounds reached the target
 
 
 def _energy(R: np.ndarray, w: np.ndarray) -> float:
@@ -74,11 +74,9 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
     w = W.weights
     R = W.values.copy()
     terms = []
-    stopped = False
-    for _ in range(k0):
+    while True:
         res = step_kernel_cut_norm_exact(Kernel._owning(R.copy(), w, w))
-        if res.value <= target:
-            stopped = True
+        if res.value <= target or len(terms) == k0:
             break
         S, T = res.witness_s, res.witness_t
         lamS = w[S].sum()
@@ -89,12 +87,10 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
         R[np.ix_(S, T)] -= a
         e1 = _energy(R, w)
         terms.append(RegularityTerm(a, S, T, res.value, e0, e1))
-    else:
-        res = step_kernel_cut_norm_exact(Kernel._owning(R.copy(), w, w))
     approx = Kernel._owning(W.values - R, w, w)
     decomp = RegularityDecomposition(
         k0, float(target), tuple(terms),
-        Kernel._owning(R, w, w), float(res.value), stopped,
+        Kernel._owning(R, w, w), float(res.value), len(terms) < k0,
     )
     return approx, decomp
 

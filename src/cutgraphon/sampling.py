@@ -85,9 +85,7 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
         raise ValidationError("labels out of range for the graphon's steps")
     Q = spec.graphon.values
     T = spec.rho * Q.take(z, axis=0).take(z, axis=1)
-    if clip:
-        np.minimum(T, 1.0, out=T)
-    elif spec.max_scaled_value > 1.0 + 1e-12:
+    if not clip and spec.max_scaled_value > 1.0 + 1e-12:
         raise ValidationError(
             f"rho * max(W) = {spec.max_scaled_value:.6g} exceeds 1; "
             "clip explicitly if that is intended"
