@@ -13,11 +13,14 @@ Two families of objects live here:
 Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
 
-One rule says what a matrix argument is, in this module and in `cutnorm`:
-a ProbMatrix (so an AdjacencyMatrix too), or anything numpy converts to a
-nonempty, square, finite float array.  `_as_matrix` applies it and raises
-ValidationError on anything else, a StepGraphon or a Kernel included: a
-step object is not measured as the matrix of its block values.
+One rule covers the array arguments, here and in the other modules.  An
+array converts by `_as_array` to a nonempty, finite float array of the
+dimension asked for; a matrix (`_as_matrix`) is a ProbMatrix (so an
+AdjacencyMatrix too) or such an array that is square, so a step object is
+not measured as the matrix of its block values.  An index array
+(`_as_indices`) is a 1-d integer array, possibly empty, in range(n).  A
+graphon that is stored or written (ModelSpec, the records) must be a
+StepGraphon.  Anything else raises ValidationError.
 
 The symmetric types hold exactly symmetric values.  Their input is
 accepted when it is symmetric within _SYM_TOL = 1e-9, and stored as its
@@ -74,28 +77,38 @@ def _check_dense(n: int) -> None:
                           f"{DENSE_BUDGET} elements")
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+def _as_array(obj, what: str, ndim: int) -> np.ndarray:
+    """`obj` as a nonempty, finite float array of `ndim` dimensions, else ValidationError."""
+    try:
+        a = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{what}: expected numbers, got {type(obj).__name__}: {e}") from None
+    if a.ndim != ndim or a.size == 0:
+        raise ValidationError(f"{what} must be a nonempty {ndim}-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} contains nan/inf")
+    return a
 
 
-def _check_square(a: np.ndarray, what: str) -> None:
-    if a.ndim != 2 or a.size == 0 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be a nonempty square 2-d array, got shape {a.shape}")
+def _as_indices(idx, n: int, what: str) -> np.ndarray:
+    """`idx` as a 1-d integer array, possibly empty, in range(n), else ValidationError."""
+    try:
+        a = np.asarray(idx)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{what}: expected integers, got {type(idx).__name__}: {e}") from None
+    if a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n):
+        raise ValidationError(f"{what} must be a 1-d array of integers in range({n})")
+    return a.astype(int, copy=False)  # an empty list converts to floats
 
 
 def _check_symmetric(a: np.ndarray, what: str) -> None:
-    _check_square(a, what)
     # fl(x - y) = -fl(y - x), so the signed maximum is the largest |a - a.T|
-    if np.max(a - a.T) > _SYM_TOL:
-        raise ValidationError(f"{what} is not symmetric (tol {_SYM_TOL})")
+    if a.shape[0] != a.shape[1] or np.max(a - a.T) > _SYM_TOL:
+        raise ValidationError(f"{what} is not symmetric (tol {_SYM_TOL}), shape {a.shape}")
 
 
 def _normalize_weights(w, what: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError(f"{what} must be a nonempty 1-d vector")
-    _check_finite(w, what)
+    w = _as_array(w, what, 1)
     if np.any(w <= 0):
         raise ValidationError(f"{what} must be strictly positive")
     gap = abs(float(w.sum()) - 1.0)
@@ -114,6 +127,16 @@ def _step_weights(weights, k: int) -> np.ndarray:
     return _frozen(w)
 
 
+def _prob_values(values, what: str) -> np.ndarray:
+    """A fresh copy of a square array symmetric within _SYM_TOL with entries
+    within 1e-12 of [0, 1]: its symmetric part clipped into [0, 1]."""
+    a = _as_array(values, what, 2)
+    _check_symmetric(a, what)
+    if a.min() < -1e-12 or a.max() > 1 + 1e-12:
+        raise ValidationError(f"{what} must lie in [0,1]; range [{a.min()}, {a.max()}]")
+    return np.clip((a + a.T) / 2, 0.0, 1.0)
+
+
 class ProbMatrix:
     """Symmetric n x n matrix of edge probabilities, zero diagonal.
 
@@ -124,16 +147,9 @@ class ProbMatrix:
     __slots__ = ("values", "n")
 
     def __init__(self, values):
-        a = np.asarray(values, dtype=float)
-        _check_finite(a, "ProbMatrix values")
-        _check_symmetric(a, "ProbMatrix")
-        if a.min() < -1e-12 or a.max() > 1 + 1e-12:
-            raise ValidationError(
-                f"ProbMatrix entries must lie in [0,1]; range [{a.min()}, {a.max()}]"
-            )
-        if np.max(np.abs(np.diag(a))) > 1e-12:
+        a = _prob_values(values, "ProbMatrix values")  # fresh: caller input is never aliased
+        if a.diagonal().max() > 1e-12:
             raise ValidationError("ProbMatrix diagonal must be zero")
-        a = np.clip((a + a.T) / 2, 0.0, 1.0)  # a fresh array: caller input is never aliased
         np.fill_diagonal(a, 0.0)
         self.values = _freeze(a)
         self.n = a.shape[0]
@@ -159,7 +175,7 @@ class AdjacencyMatrix(ProbMatrix):
     __slots__ = ()
 
     def __init__(self, values):
-        a = np.asarray(values, dtype=float)
+        a = _as_array(values, "AdjacencyMatrix values", 2)
         if not np.all((a == 0.0) | (a == 1.0)):
             raise ValidationError("AdjacencyMatrix entries must be exactly 0 or 1")
         ProbMatrix.__init__(self, a)
@@ -186,8 +202,7 @@ class StepGraphon:
     __slots__ = ("values", "weights", "k")
 
     def __init__(self, values, weights):
-        q = np.asarray(values, dtype=float)
-        _check_finite(q, "StepGraphon values")
+        q = _as_array(values, "StepGraphon values", 2)
         _check_symmetric(q, "StepGraphon values")
         w = _step_weights(weights, q.shape[0])
         if q.min() < 0:
@@ -236,22 +251,13 @@ class Kernel:
     __slots__ = ("values", "row_weights", "col_weights", "q1", "q2")
 
     def __init__(self, values, row_weights, col_weights):
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 2 or v.size == 0:
-            raise ValidationError(f"Kernel values must be a nonempty 2-d array, got {v.shape}")
-        _check_finite(v, "Kernel values")
-        rw = np.asarray(row_weights, dtype=float)
-        cw = np.asarray(col_weights, dtype=float)
-        for w, name, m in ((rw, "row_weights", v.shape[0]), (cw, "col_weights", v.shape[1])):
-            if w.ndim != 1 or w.shape[0] != m:
-                raise ValidationError(f"Kernel {name} must have length {m}")
-            _check_finite(w, name)
-            if np.any(w <= 0):
-                raise ValidationError(f"Kernel {name} must be strictly positive")
-        if np.max(np.abs(v)) > 1 + 1e-12:
-            raise ValidationError(
-                f"Kernel values exceed [-1,1] (max |v| = {np.max(np.abs(v))})"
-            )
+        v = _as_array(values, "Kernel values", 2)
+        rw = _as_array(row_weights, "Kernel row_weights", 1)
+        cw = _as_array(col_weights, "Kernel col_weights", 1)
+        if (rw.shape[0], cw.shape[0]) != v.shape or rw.min() <= 0 or cw.min() <= 0:
+            raise ValidationError(f"Kernel weights must be strictly positive, of lengths {v.shape}")
+        if np.abs(v).max() > 1 + 1e-12:
+            raise ValidationError(f"Kernel values exceed [-1,1] (max |v| = {np.abs(v).max()})")
         self.values = _frozen(v)
         self.row_weights = _frozen(rw)
         self.col_weights = _frozen(cw)
@@ -277,10 +283,8 @@ class LatentSample:
     positions: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        if p.ndim != 1:
-            raise ValidationError("latent positions must be a 1-d vector")
-        if p.size and (p.min() < 0.0 or p.max() >= 1.0):
+        p = _as_array(self.positions, "latent positions", 1)
+        if p.min() < 0.0 or p.max() >= 1.0:
             raise ValidationError("latent positions must lie in [0,1)")
         object.__setattr__(self, "positions", _frozen(p))
 
@@ -299,12 +303,9 @@ def _as_matrix(obj) -> np.ndarray:
     and finite; anything else raises ValidationError."""
     if isinstance(obj, ProbMatrix):
         return obj.values
-    try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"expected a matrix, got {type(obj).__name__}: {e}") from None
-    _check_square(a, "a matrix")
-    _check_finite(a, "a matrix")
+    a = _as_array(obj, "a matrix", 2)
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError(f"a matrix must be square, got shape {a.shape}")
     return a
 
 
@@ -358,7 +359,7 @@ def blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:
     lower index. Always sums to m; a step may receive 0 slots if its weight
     is far below 1/m.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _as_array(weights, "blow-up weights", 1)
     raw = w * m
     base = np.floor(raw + 1e-12).astype(int)
     short = m - int(base.sum())
@@ -367,7 +368,7 @@ def blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:
         # the entries with the smallest remainders
         order = np.lexsort((np.arange(len(w)), raw - base))
         take = [i for i in order if base[i] > 0][: -short]
-        base[np.asarray(take, dtype=int)] -= 1
+        base[take] -= 1
     elif short > 0:
         frac = raw - base
         order = np.lexsort((np.arange(len(w)), -frac))
@@ -405,6 +406,8 @@ def _fmt_row(row: Sequence[float]) -> str:
 
 
 def format_stepgraphon(W: StepGraphon) -> str:
+    if not isinstance(W, StepGraphon):
+        raise ValidationError(f"expected a StepGraphon, got {type(W).__name__}")
     lines = [f"stepgraphon {W.k}", _fmt_row(W.weights)]
     lines += [_fmt_row(r) for r in W.values]
     return "\n".join(lines) + "\n"

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import Kernel, _as_matrix, l1_norm
+from .core import Kernel, _as_indices, _as_matrix, l1_norm
 from .errors import BudgetError, ValidationError
 
 EXACT_BUDGET = 24  # largest enumerated side for exact cut norms
@@ -68,10 +68,9 @@ class CutNormResult:
 
 
 def _distinct_indices(idx, n: int, what: str) -> np.ndarray:
-    """idx as an array of distinct integers in range(n), else ValidationError."""
-    a = np.asarray(idx)
-    if a.size and (a.ndim != 1 or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n
-                   or len(set(a.tolist())) < a.size):
+    """idx by `core._as_indices`, its entries distinct, else ValidationError."""
+    a = _as_indices(idx, n, what)
+    if len(set(a.tolist())) < a.size:
         raise ValidationError(f"{what} must hold distinct integers in range({n})")
     return a
 
@@ -175,22 +174,22 @@ def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
 
 
 @functools.lru_cache(maxsize=_START_COLUMNS)
-def _start_column(n_cols: int, seed: int, tag: str, r: int) -> np.ndarray:
+def _start_column(n_cols: int, seed: int, r: int) -> np.ndarray:
     """Restart r's {0,1} starting vector, drawn from its own stream; frozen,
     as it is built once and shared by every call that asks for it again."""
-    col = stream(seed, tag, r).integers(0, 2, size=n_cols).astype(float)
+    col = stream(seed, "cut-heur", r).integers(0, 2, size=n_cols).astype(float)
     col.setflags(write=False)
     return col
 
 
-def _heuristic_starts(n_cols: int, restarts: int, seed: int, tag: str):
+def _heuristic_starts(n_cols: int, restarts: int, seed: int):
     """Column-stacked {0,1} starting vectors, one independent stream per restart.
 
     Calls with one seed share their first columns (a search scores its
     candidates at 4 restarts and its final value at 16 or more), so each
     column comes from `_start_column`'s bounded cache, with the same draws.
     """
-    cols = [_start_column(n_cols, seed, tag, r) for r in range(restarts)]
+    cols = [_start_column(n_cols, seed, r) for r in range(restarts)]
     return np.array(cols, dtype=float).T
 
 
@@ -293,7 +292,7 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     if not (M.flags.c_contiguous or M.flags.f_contiguous):
         M = np.array(M, order="K")   # `_rectangle_sum` needs C or F order
     k2 = M.shape[1]
-    rand = _heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
+    rand = _heuristic_starts(k2, max(restarts - 2, 0), seed)
     ones = np.ones((k2, 1))
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))

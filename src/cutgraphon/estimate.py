@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import AdjacencyMatrix, ProbMatrix
+from .core import AdjacencyMatrix, ProbMatrix, _as_indices, _freeze, _prob_values
 from .errors import BudgetError, ValidationError
 
 ENUM_BUDGET = 2_000_000
@@ -99,7 +99,8 @@ class BlockFit:
     """A k-block fit: node labels, block value matrix, squared error.
 
     ``objective`` is the off-diagonal squared error
-    sum_{i != j} (A_ij - Q[z_i, z_j])^2.
+    sum_{i != j} (A_ij - Q[z_i, z_j])^2.  The labels are nonempty, in range(k);
+    the block values are checked and stored by `ProbMatrix`'s rule for entries.
     """
 
     labels: np.ndarray
@@ -107,8 +108,12 @@ class BlockFit:
     objective: float
 
     def __post_init__(self):
-        self.labels.setflags(write=False)
-        self.block_values.setflags(write=False)
+        Q = _prob_values(self.block_values, "BlockFit block values")
+        z = _as_indices(self.labels, Q.shape[0], "BlockFit labels")
+        if z.size == 0:
+            raise ValidationError("BlockFit labels must be nonempty")
+        object.__setattr__(self, "labels", _freeze(z))
+        object.__setattr__(self, "block_values", _freeze(Q))
 
     @property
     def k(self) -> int:
@@ -303,15 +308,11 @@ def exact_restricted_ls(A: AdjacencyMatrix, k: int, rho: float = 1.0) -> BlockFi
 def fit_to_prob_matrix(fit: BlockFit) -> ProbMatrix:
     """Materialize a block fit as an n x n probability matrix.
 
-    The fits made here have exactly symmetric block values in [0, rho]
-    (integer block sums over symmetric pair counts, clipped), so their
-    gather is frozen as it is; any other BlockFit goes through the
-    ProbMatrix constructor's checks.
+    A BlockFit holds exactly symmetric block values in [0, 1], so the gather
+    with a zero diagonal is what the ProbMatrix constructor would return.
     """
     Q = fit.block_values
     T = Q.take(fit.labels, axis=0).take(fit.labels, axis=1)
     np.fill_diagonal(T, 0.0)
-    if not (np.array_equal(Q, Q.T) and Q.min(initial=0.0) >= 0.0 and Q.max(initial=0.0) <= 1.0):
-        return ProbMatrix(T)
     return ProbMatrix._owning(T)
 

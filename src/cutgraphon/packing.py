@@ -23,6 +23,7 @@ from ._rng import stream
 from .core import (
     ProbMatrix,
     StepGraphon,
+    _as_array,
     _step_weights,
     format_matrix,
     format_stepgraphon,
@@ -302,10 +303,9 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
 
 def _perturbation_pair(u, v):
     """u and v as float vectors of one length k1 >= 1, the light step count."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or u.size == 0 or v.shape != u.shape:
-        raise ValidationError("perturbations must be two nonempty vectors of one length")
+    u, v = _as_array(u, "perturbation u", 1), _as_array(v, "perturbation v", 1)
+    if v.shape != u.shape:
+        raise ValidationError("perturbations must be two vectors of one length")
     return u, v
 
 

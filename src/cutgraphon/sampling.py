@@ -10,12 +10,14 @@ depend only on (seed, purpose) and never on call order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import stream
-from .core import AdjacencyMatrix, LatentSample, ProbMatrix, StepGraphon, _check_dense
+from .core import (AdjacencyMatrix, LatentSample, ProbMatrix, StepGraphon, _as_array,
+                   _as_indices, _check_dense)
 from .errors import ValidationError
 
 
@@ -27,7 +29,9 @@ class ModelSpec:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.rho) or self.rho <= 0:
+        if not isinstance(self.graphon, StepGraphon):
+            raise ValidationError(f"expected a StepGraphon, got {type(self.graphon).__name__}")
+        if not (isinstance(self.rho, numbers.Real) and 0 < self.rho < np.inf):
             raise ValidationError(f"rho must be positive and finite, got {self.rho}")
 
     @property
@@ -64,8 +68,8 @@ def step_labels(W: StepGraphon, positions: np.ndarray) -> np.ndarray:
 
     Step a owns the half-open interval [b_a, b_{a+1}).
     """
-    x = np.asarray(positions, dtype=float)
-    if x.size and (x.min() < 0 or x.max() >= 1):
+    x = _as_array(positions, "positions", 1)
+    if x.min() < 0 or x.max() >= 1:
         raise ValidationError("positions must lie in [0, 1)")
     b = W.boundaries()
     return np.clip(np.searchsorted(b, x, side="right") - 1, 0, W.k - 1)
@@ -79,10 +83,10 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
     symmetric because the graphon's values are, so it is clipped and frozen
     in place as the ProbMatrix constructor would clip a copy.
     """
-    z = np.asarray(labels, dtype=int)
+    z = _as_indices(labels, spec.graphon.k, "labels")
+    if z.size == 0:
+        raise ValidationError("labels must be nonempty")
     _check_dense(z.size)
-    if z.size and (z.min() < 0 or z.max() >= spec.graphon.k):
-        raise ValidationError("labels out of range for the graphon's steps")
     Q = spec.graphon.values
     T = spec.rho * Q.take(z, axis=0).take(z, axis=1)
     if not clip and spec.max_scaled_value > 1.0 + 1e-12:

@@ -88,7 +88,7 @@ def reference_alternate_max(M, T0):
 def reference_rectangle_sum_heuristic(M, restarts, seed):
     """Ascent on M and -M; the first best restart, then the first sign, wins."""
     k2 = M.shape[1]
-    rand = cutnorm._heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
+    rand = cutnorm._heuristic_starts(k2, max(restarts - 2, 0), seed)
     ones = np.ones((k2, 1))
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
@@ -133,7 +133,7 @@ def copied_rectangle_sum_heuristic(M, restarts, seed):
     if not (M.flags.c_contiguous or M.flags.f_contiguous):
         M = np.array(M, order="K")
     k2 = M.shape[1]
-    rand = cutnorm._heuristic_starts(k2, max(restarts - 2, 0), seed, "cut-heur")
+    rand = cutnorm._heuristic_starts(k2, max(restarts - 2, 0), seed)
     ones = np.ones((k2, 1))
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
@@ -338,8 +338,8 @@ class TestHeuristic:
     def test_cached_start_columns_keep_their_draws(self, n_cols, restarts, seed, warm):
         # one stream per restart, as before the columns were cached: a call
         # that warms some of them first changes no draw
-        cutnorm._heuristic_starts(n_cols, warm, seed, "cut-heur")
-        got = cutnorm._heuristic_starts(n_cols, restarts, seed, "cut-heur")
+        cutnorm._heuristic_starts(n_cols, warm, seed)
+        got = cutnorm._heuristic_starts(n_cols, restarts, seed)
         want = np.array([stream(seed, "cut-heur", r).integers(0, 2, size=n_cols)
                          for r in range(restarts)], dtype=float).T
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -347,7 +347,7 @@ class TestHeuristic:
         info = cutnorm._start_column.cache_info()
         assert info.currsize <= info.maxsize == cutnorm._START_COLUMNS
         with pytest.raises(ValueError):
-            cutnorm._start_column(n_cols, seed, "cut-heur", 0)[0] = 2.0
+            cutnorm._start_column(n_cols, seed, 0)[0] = 2.0
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
-"""Every module under src/cutgraphon uses each name it imports, and every
-name the benchmark's tracer rebinds exists."""
+"""Every module under src/cutgraphon uses each name it imports and converts
+arguments only through core's checked coercions, and every name the
+benchmark's tracer rebinds exists."""
 
 import ast
 import importlib
@@ -36,6 +37,38 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the checked coercions: every other conversion of an argument goes through them
+COERCIONS = {("core", "_as_array"), ("core", "_as_indices")}
+
+
+def stray_asarray_calls(package: Path):
+    """(module, top-level definition, line) of each asarray call under
+    `package` outside COERCIONS."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", None))
+            found += [(*where, node.lineno) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and where not in COERCIONS
+                      and "asarray" in (getattr(node.func, "attr", None),
+                                        getattr(node.func, "id", None))]
+    return found
+
+
+def test_checker_flags_asarray_outside_the_coercions(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import numpy as np\n\ndef _as_array(x):\n    return np.asarray(x)\n\n"
+        "def f(x):\n    return np.asarray(x)\n")
+    (tmp_path / "m.py").write_text(
+        "from numpy import asarray\nimport numpy as np\n\nclass A:\n"
+        "    def f(self, x):\n        return np.array(x), asarray(x)\n")
+    assert stray_asarray_calls(tmp_path) == [("core", "f", 7), ("m", "A", 6)]
+
+
+def test_only_the_coercions_call_asarray():
+    assert stray_asarray_calls(PACKAGE) == []
 
 
 def rebound_names(source: str):

@@ -1,8 +1,11 @@
-"""One rule for matrix arguments: a ProbMatrix, or a nonempty, square, finite array.
+"""One rule for public arguments: arrays, index arrays and stored graphons.
 
 Every public entry point that takes a matrix converts it through
 `core._as_matrix`, so each rejects the same inputs with ValidationError and
 takes a nested list or a ProbMatrix exactly as it takes the equal array.
+The constructors and the other array and index arguments convert through
+`core._as_array` and `core._as_indices`, and a graphon that is stored or
+written must be a StepGraphon, so each malformed argument raises ValidationError.
 """
 
 import numpy as np
@@ -13,20 +16,29 @@ from hypothesis.extra.numpy import arrays
 
 from cutgraphon import (
     AdjacencyMatrix,
+    BlockFit,
     Kernel,
+    LatentSample,
+    ModelSpec,
     ProbMatrix,
     StepGraphon,
     ValidationError,
     cut_norm_sandwich_check,
     empirical_graphon,
     inf1_norm,
+    kl_bound,
     l1_norm,
+    latent_kl_exact,
     matrix_cut_norm_exact,
     matrix_cut_norm_heuristic,
+    sample_theta,
     save_matrix,
+    save_stepgraphon,
+    step_labels,
 )
 from cutgraphon.core import format_matrix, format_stepgraphon, parse_matrix, parse_stepgraphon
 from cutgraphon.cutnorm import CutNormResult, SandwichResult, matrix_witness_value
+from cutgraphon.sampling import theta_from_labels
 
 
 def _saved(B, path):
@@ -71,6 +83,15 @@ def _outcome(result):
                 result.method)
     if isinstance(result, StepGraphon):
         return (result.values.tobytes(), result.weights.tobytes())
+    if isinstance(result, Kernel):
+        return (result.values.tobytes(), result.row_weights.tobytes(),
+                result.col_weights.tobytes())
+    if isinstance(result, ProbMatrix):
+        return (type(result), result.values.tobytes())
+    if isinstance(result, LatentSample):
+        return result.positions.tobytes()
+    if isinstance(result, BlockFit):
+        return (result.labels.dtype, result.labels.tobytes(), result.block_values.tobytes())
     return result
 
 
@@ -106,13 +127,76 @@ def test_rejected_save_leaves_the_file_as_it_was(tmp_path):
         assert path.read_bytes() == before
 
 
-@pytest.mark.parametrize("form", ["nested list", "ProbMatrix"])
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS) + ["l1_norm"])
+# each constructor with its array arguments as nested lists
+CONSTRUCTORS = {
+    "ProbMatrix": (ProbMatrix, [[[0.0, 0.3], [0.3, 0.0]]]),
+    "AdjacencyMatrix": (AdjacencyMatrix, [[[0.0, 1.0], [1.0, 0.0]]]),
+    "StepGraphon": (StepGraphon, [[[0.1, 0.3], [0.3, 0.9]], [0.25, 0.75]]),
+    "Kernel": (Kernel, [[[0.5, -0.5]], [1.0], [0.25, 0.5]]),
+    "LatentSample": (LatentSample, [[0.1, 0.7, 0.0]]),
+    "BlockFit": (lambda z, q: BlockFit(z, q, 0.0), [[0, 1, 1], [[0.5, 0.2], [0.2, 0.1]]]),
+}
+FORMS = [(entry, form) for entry in sorted(ENTRY_POINTS) + ["l1_norm"]
+         for form in ("ProbMatrix", "nested list")]
+FORMS += [(name, "nested list") for name in sorted(CONSTRUCTORS)]
+
+
+@pytest.mark.parametrize("entry, form", FORMS)
 def test_other_forms_are_the_equal_array(entry, form, tmp_path):
+    if entry in CONSTRUCTORS:
+        make, args = CONSTRUCTORS[entry]
+        assert _outcome(make(*args)) == _outcome(make(*map(np.array, args)))
+        return
     rows = [[0.0, 0.3, 0.2], [0.3, 0.0, 0.5], [0.2, 0.5, 0.0]]
     B = rows if form == "nested list" else ProbMatrix(rows)
     f = ENTRY_POINTS.get(entry, lambda B, path: l1_norm(B))
     assert _outcome(f(B, tmp_path / "b.txt")) == _outcome(f(np.array(rows), tmp_path / "a.txt"))
+
+
+_W = StepGraphon([[0.5, 0.1], [0.1, 0.5]], [0.5, 0.5])
+_SPEC = ModelSpec(_W, 1.0)
+_NAN = float("nan")
+_PAIR = np.array([[0.5, 0.2], [0.2, 0.5]])
+
+
+# each malformed argument as f(path) for a scratch file path; each raised
+# another exception type, or was accepted, before one rule covered it
+BAD_ARGUMENTS = {
+    "ProbMatrix-string": lambda path: ProbMatrix("abc"),
+    "AdjacencyMatrix-string": lambda path: AdjacencyMatrix("x"),
+    "Kernel-string values": lambda path: Kernel("x", [1], [1]),
+    "Kernel-string weights": lambda path: Kernel([[0.1]], "a", [1]),
+    "StepGraphon-dict values": lambda path: StepGraphon({}, [1.0]),
+    "StepGraphon-string weights": lambda path: StepGraphon([[0.5]], "a"),
+    "format_stepgraphon-array": lambda path: format_stepgraphon(np.zeros((2, 2))),
+    "save_stepgraphon-array": lambda path: save_stepgraphon(np.zeros((2, 2)), path),
+    "LatentSample-nan": lambda path: LatentSample([_NAN, 0.2]),
+    "LatentSample-empty": lambda path: LatentSample([]),
+    "LatentSample-string": lambda path: LatentSample("abc"),
+    "step_labels-nan": lambda path: step_labels(_W, [_NAN, 0.2]),
+    "step_labels-2d": lambda path: step_labels(_W, [[0.2, 0.7]]),
+    "step_labels-string": lambda path: step_labels(_W, "abc"),
+    "theta_from_labels-float": lambda path: theta_from_labels(_SPEC, [0.7, 1.2]),
+    "theta_from_labels-empty": lambda path: theta_from_labels(_SPEC, []),
+    "theta_from_labels-2d": lambda path: theta_from_labels(_SPEC, [[0, 1]]),
+    "theta_from_labels-string": lambda path: theta_from_labels(_SPEC, "ab"),
+    "sample_theta-empty": lambda path: sample_theta(_SPEC, LatentSample([])),
+    "ModelSpec-string rho": lambda path: ModelSpec(_W, "a"),
+    "ModelSpec-array graphon": lambda path: ModelSpec(np.eye(2)),
+    "kl_bound-string": lambda path: kl_bound("ab", "ab", 10, 0.05),
+    "kl_bound-nan": lambda path: kl_bound([_NAN, 0.05], [0.05, -0.05], 10, 0.05),
+    "latent_kl_exact-nan": lambda path: latent_kl_exact([_NAN, 0.05], [0.05, -0.05], 10),
+    "BlockFit-label 5": lambda path: BlockFit(np.array([0, 5]), 0.5 * np.eye(2), 0.0),
+    "BlockFit-float labels": lambda path: BlockFit(np.array([0.0, 1.0]), _PAIR, 0.0),
+    "BlockFit-value 2": lambda path: BlockFit(np.array([0, 1]), 4 * _PAIR, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_malformed_arguments_raise_validation_error(case, tmp_path):
+    with pytest.raises(ValidationError):
+        BAD_ARGUMENTS[case](tmp_path / "w.txt")
+    assert not (tmp_path / "w.txt").exists()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
