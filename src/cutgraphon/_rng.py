@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .core import _as_int
 
 
 def _encode(tag) -> int:
@@ -30,9 +30,7 @@ def _encode(tag) -> int:
 def stream(seed: int, *tags) -> np.random.Generator:
     """Return a Generator on an independent Philox stream for (seed, *tags).
 
-    A negative seed raises ValidationError.
+    A seed that is not an integer >= 0 raises ValidationError.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    entropy = (int(seed),) + tuple(_encode(t) for t in tags)
+    entropy = (_as_int(seed, "seed", 0),) + tuple(_encode(t) for t in tags)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

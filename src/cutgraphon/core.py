@@ -13,14 +13,17 @@ Two families of objects live here:
 Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
 
-One rule covers the array arguments, here and in the other modules.  An
-array converts by `_as_array` to a nonempty, finite float array of the
-dimension asked for; a matrix (`_as_matrix`) is a ProbMatrix (so an
-AdjacencyMatrix too) or such an array that is square, so a step object is
-not measured as the matrix of its block values.  An index array
+One rule covers the arguments of every public entry point, here and in the
+other modules.  An array converts by `_as_array` to a nonempty, finite float
+array of the dimension asked for; a matrix (`_as_matrix`) is a ProbMatrix
+(so an AdjacencyMatrix too) or such an array that is square, so a step
+object is not measured as the matrix of its block values.  An index array
 (`_as_indices`) is a 1-d integer array, possibly empty, in range(n).  A
-graphon that is stored or written (ModelSpec, the records) must be a
-StepGraphon.  Anything else raises ValidationError.
+scalar is an integer (`_as_int`) or a finite real (`_as_real`) in its
+parameter's interval, a numpy scalar too but never a bool.  A value type
+(StepGraphon, AdjacencyMatrix, ModelSpec, ...) must be that type
+(`_expect`), checked where it is first read.  Anything else raises
+ValidationError.
 
 The symmetric types hold exactly symmetric values.  Their input is
 accepted when it is symmetric within _SYM_TOL = 1e-9, and stored as its
@@ -43,6 +46,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,6 +103,30 @@ def _as_indices(idx, n: int, what: str) -> np.ndarray:
     if a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n):
         raise ValidationError(f"{what} must be a 1-d array of integers in range({n})")
     return a.astype(int, copy=False)  # an empty list converts to floats
+
+
+def _as_int(x, what: str, lo: int, hi=np.inf) -> int:
+    """`x`, an integral number that is not a bool, in [lo, hi] as an int, else ValidationError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x <= hi:
+        raise ValidationError(f"{what} must be an integer in [{lo}, {hi}], got {x!r}")
+    return int(x)
+
+
+def _as_real(x, what: str, lo=-np.inf, hi=np.inf, lo_open: bool = False):
+    """`x` itself, unconverted (a large int stays exact), if it is a finite real
+    that is not a bool, in [lo, hi] or with `lo_open` in (lo, hi]; else ValidationError."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not (-np.inf < x < np.inf and (lo < x if lo_open else lo <= x) and x <= hi)):
+        raise ValidationError(f"{what} must be a finite real in "
+                              f"{'(' if lo_open else '['}{lo}, {hi}], got {x!r}")
+    return x
+
+
+def _expect(obj, cls, what: str):
+    """`obj` itself if it is a `cls`, else ValidationError."""
+    if not isinstance(obj, cls):
+        raise ValidationError(f"{what}: expected a {cls.__name__}, got {type(obj).__name__}")
+    return obj
 
 
 def _check_symmetric(a: np.ndarray, what: str) -> None:
@@ -385,8 +413,7 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     (StepGraphon is immutable). An m x m blow-up above DENSE_BUDGET
     elements raises BudgetError.
     """
-    if m < W.k:
-        raise ValidationError(f"blowup target m={m} below step count k={W.k}")
+    m = _as_int(m, "blowup target m", _expect(W, StepGraphon, "W").k)
     if W.k == m and np.all(W.weights == 1.0 / m):
         return W
     _check_dense(m)
@@ -406,9 +433,7 @@ def _fmt_row(row: Sequence[float]) -> str:
 
 
 def format_stepgraphon(W: StepGraphon) -> str:
-    if not isinstance(W, StepGraphon):
-        raise ValidationError(f"expected a StepGraphon, got {type(W).__name__}")
-    lines = [f"stepgraphon {W.k}", _fmt_row(W.weights)]
+    lines = [f"stepgraphon {_expect(W, StepGraphon, 'W').k}", _fmt_row(W.weights)]
     lines += [_fmt_row(r) for r in W.values]
     return "\n".join(lines) + "\n"
 

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import Kernel, _as_indices, _as_matrix, l1_norm
+from .core import Kernel, _as_indices, _as_int, _as_matrix, _expect, l1_norm
 from .errors import BudgetError, ValidationError
 
 EXACT_BUDGET = 24  # largest enumerated side for exact cut norms
@@ -86,7 +86,7 @@ def matrix_witness_value(B, S, T) -> float:
 
 
 def kernel_witness_value(K: Kernel, S, T) -> float:
-    S, T = _distinct_indices(S, K.q1, "S"), _distinct_indices(T, K.q2, "T")
+    S, T = _distinct_indices(S, _expect(K, Kernel, "K").q1, "S"), _distinct_indices(T, K.q2, "T")
     if len(S) == 0 or len(T) == 0:
         return 0.0
     sub = K.values[np.ix_(S, T)]
@@ -164,7 +164,7 @@ def matrix_cut_norm_exact(B) -> CutNormResult:
 
 def step_kernel_cut_norm_exact(K: Kernel) -> CutNormResult:
     """Exact cut norm of a step kernel (weighted-integral convention)."""
-    M = K.row_weights[:, None] * K.values * K.col_weights[None, :]
+    M = _expect(K, Kernel, "K").row_weights[:, None] * K.values * K.col_weights[None, :]
     raw, rows, cols = _best_rectangle(M)
     return CutNormResult(raw, rows, cols, "exact")
 
@@ -311,10 +311,8 @@ def matrix_cut_norm_heuristic(B, restarts: int = 16, seed: int = 0) -> CutNormRe
     B is a matrix argument, as for `matrix_cut_norm_exact`.
     """
     a = _as_matrix(B)
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     n = a.shape[0]
-    raw, rows, cols = _max_rectangle_sum_heuristic(a, restarts, seed)
+    raw, rows, cols = _max_rectangle_sum_heuristic(a, _as_int(restarts, "restarts", 1), seed)
     return CutNormResult(raw / n**2, rows, cols, "heuristic")
 
 
@@ -341,10 +339,8 @@ def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
         g = G[j]
         f = np.where(a @ g >= 0, 1.0, -1.0)
         return CutNormResult(float(rowvals[j]) / n**2, f, g, "exact")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     best_val, best_f, best_g = -np.inf, None, None
-    for r in range(restarts):
+    for r in range(_as_int(restarts, "restarts", 1)):
         rng = stream(seed, "inf1", r)
         g = 1.0 - 2.0 * rng.integers(0, 2, size=n)
         for _ in range(HEURISTIC_ITERS):
@@ -413,8 +409,7 @@ def q_subset_upper_bound(K: Kernel, q: int) -> CutNormResult:
     additive term assumes values in [-1, 1]; a kernel outside that
     range (a regularity residual can be one) raises ValidationError.
     """
-    if q < 1 or q > max(K.q1, K.q2):
-        raise ValidationError(f"q must be in [1, max(q1,q2)], got {q}")
+    q = _as_int(q, "q", 1, max(_expect(K, Kernel, "K").q1, K.q2))
     top = float(np.max(np.abs(K.values)))
     if top > 1 + 1e-12:
         raise ValidationError(f"q_subset_upper_bound needs |K| <= 1, got max |K| = {top}")
@@ -445,5 +440,5 @@ def q_subset_upper_bound(K: Kernel, q: int) -> CutNormResult:
 
 def khintchine_lower_bound(K: Kernel) -> CutNormResult:
     """Cut norm >= (integral of |K|) / (4 * sqrt(2 * q2)) for a q1 x q2 step kernel."""
-    val = l1_norm(K) / (4.0 * np.sqrt(2.0 * K.q2))
+    val = l1_norm(_expect(K, Kernel, "K")) / (4.0 * np.sqrt(2.0 * K.q2))
     return CutNormResult(float(val), None, None, "khintchine_lower")

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import stream
-from .core import StepGraphon, blowup
+from .core import StepGraphon, _as_int, _expect, blowup
 from .cutnorm import (CutNormResult, _distinct_indices, _max_rectangle_sum,
                       _max_rectangle_sum_heuristic)
 from .errors import BudgetError, ValidationError
@@ -90,9 +90,7 @@ class Motif:
     name: str = ""
 
     def __post_init__(self):
-        q = self.num_vertices
-        if q < 1:
-            raise ValidationError("motif needs at least one vertex")
+        q = _as_int(self.num_vertices, "motif num_vertices", 1)
         seen = set()
         for e in self.edges:
             if len(e) != 2:
@@ -134,9 +132,9 @@ def homomorphism_density(motif: Motif, W: StepGraphon) -> float:
     Evaluated by tensor contraction (einsum), which eliminates indices one
     at a time instead of enumerating all k^q maps.
     """
-    if motif.num_vertices > len(_MOTIF_LETTERS):
+    if _expect(motif, Motif, "motif").num_vertices > len(_MOTIF_LETTERS):
         raise BudgetError(f"motifs with more than {len(_MOTIF_LETTERS)} vertices are not supported")
-    _check_contraction(W, "homomorphism_density")
+    _check_contraction(_expect(W, StepGraphon, "W"), "homomorphism_density")
     letters = _MOTIF_LETTERS[: motif.num_vertices]
     subs = []
     ops = []
@@ -164,7 +162,7 @@ def common_refinement_m(W1: StepGraphon, W2: StepGraphon, cap: int = DEFAULT_M_C
 
     Returns (m, exact_flag). m never drops below max(k1, k2).
     """
-    lo = max(W1.k, W2.k)
+    lo = max(_expect(W1, StepGraphon, "W1").k, _expect(W2, StepGraphon, "W2").k)
     for m in range(lo, cap + 1):
         if _exactly_refinable(W1, m) and _exactly_refinable(W2, m):
             return m, True
@@ -623,12 +621,10 @@ def delta_upper(
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    if restarts < 0:
-        raise ValidationError("restarts must be >= 0")
+    restarts = _as_int(restarts, "restarts", 0)
     if m is None:
         m = common_refinement_m(W1, W2)[0]
-    if m < max(W1.k, W2.k):
-        raise ValidationError(f"m={m} below max step count {max(W1.k, W2.k)}")
+    m = _as_int(m, "m", max(_expect(W1, StepGraphon, "W1").k, _expect(W2, StepGraphon, "W2").k))
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
     if m <= ENUMERATE_M:
@@ -676,7 +672,7 @@ def _motif_densities(W: StepGraphon) -> list[float]:
     to DEFAULT_MOTIFS without a formula here raises KeyError.
     `homomorphism_density` is the general route and this one's test oracle.
     """
-    _check_contraction(W, "motif densities")
+    _check_contraction(_expect(W, StepGraphon, "W"), "motif densities")
     Q, w = W.values, W.weights
     d = Q @ w
     B = Q * np.sqrt(w)

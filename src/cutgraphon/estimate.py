@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import AdjacencyMatrix, ProbMatrix, _as_indices, _freeze, _prob_values
+from .core import (AdjacencyMatrix, ProbMatrix, _as_indices, _as_int, _as_real, _expect,
+                   _freeze, _prob_values)
 from .errors import BudgetError, ValidationError
 
 ENUM_BUDGET = 2_000_000
@@ -39,18 +40,19 @@ SVT_C = 2.1  # spectral threshold in units of sqrt(n * edge density)
 def estimate_adjacency(A: AdjacencyMatrix) -> ProbMatrix:
     """The observation itself: an AdjacencyMatrix is a (degenerate) ProbMatrix,
     so A is returned as it is."""
-    return A
+    return _expect(A, AdjacencyMatrix, "A")
 
 
 def estimate_mean(A: AdjacencyMatrix) -> ProbMatrix:
     """Constant off-diagonal estimate at the empirical edge density."""
-    T = np.full((A.n, A.n), edge_density(A))  # in [0, 1]: A has no loops
+    p = edge_density(A)  # in [0, 1]: A has no loops
+    T = np.full((A.n, A.n), p)
     np.fill_diagonal(T, 0.0)
     return ProbMatrix._owning(T)
 
 
 def edge_density(A: AdjacencyMatrix) -> float:
-    n = A.n
+    n = _expect(A, AdjacencyMatrix, "A").n
     return float(A.values.sum() / (n * (n - 1))) if n > 1 else 0.0
 
 
@@ -73,12 +75,12 @@ def estimate_svt(A: AdjacencyMatrix, threshold: Optional[float] = None) -> SvtEs
     """Eigenvalue truncation of the adjacency matrix.
 
     Keeps the eigenpairs with |eigenvalue| >= threshold, which defaults to
-    SVT_C*sqrt(n*edge_density(A)); a given `threshold` replaces the formula
-    (0 keeps every eigenpair).
+    SVT_C*sqrt(n*edge_density(A)); a given `threshold`, a finite real >= 0,
+    replaces the formula (0 keeps every eigenpair).
     """
-    M = A.values
+    M = _expect(A, AdjacencyMatrix, "A").values
     if threshold is not None:
-        lam = float(threshold)
+        lam = float(_as_real(threshold, "threshold", 0))
     else:
         lam = SVT_C * np.sqrt(A.n * edge_density(A))
     w, V = np.linalg.eigh(M)
@@ -262,16 +264,12 @@ def estimate_restricted_ls(
     alternates label sweeps with block-mean refreshes until the labels
     stop moving.  Best objective across restarts wins.
     """
-    if not 1 <= k <= A.n:
-        raise ValidationError(f"k must lie in [1, n], got k={k}, n={A.n}")
-    if not (0 < rho <= 1):
-        raise ValidationError("rho must lie in (0, 1]")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    k = _as_int(k, "k", 1, _expect(A, AdjacencyMatrix, "A").n)
+    rho = _as_real(rho, "rho", 0, 1, lo_open=True)
     M = A.values
     n = A.n
     best = None
-    for r in range(restarts):
+    for r in range(_as_int(restarts, "restarts", 1)):
         z = stream(seed, "rls", r).integers(0, k, size=n)
         sT, counts = _block_sums(M, z, k)
         Q = _block_means(sT, counts, z, rho)
@@ -287,11 +285,9 @@ def estimate_restricted_ls(
 
 def exact_restricted_ls(A: AdjacencyMatrix, k: int, rho: float = 1.0) -> BlockFit:
     """Global minimum by enumerating all k^n labelings (small n only)."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if not (0 < rho <= 1):
-        raise ValidationError("rho must lie in (0, 1]")
-    n = A.n
+    k = _as_int(k, "k", 1)
+    rho = _as_real(rho, "rho", 0, 1, lo_open=True)
+    n = _expect(A, AdjacencyMatrix, "A").n
     if k**n > ENUM_BUDGET:
         raise BudgetError(f"k^n = {k**n} exceeds enumeration budget {ENUM_BUDGET}")
     M = A.values
@@ -311,7 +307,7 @@ def fit_to_prob_matrix(fit: BlockFit) -> ProbMatrix:
     A BlockFit holds exactly symmetric block values in [0, 1], so the gather
     with a zero diagonal is what the ProbMatrix constructor would return.
     """
-    Q = fit.block_values
+    Q = _expect(fit, BlockFit, "fit").block_values
     T = Q.take(fit.labels, axis=0).take(fit.labels, axis=1)
     np.fill_diagonal(T, 0.0)
     return ProbMatrix._owning(T)

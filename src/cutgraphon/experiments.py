@@ -43,7 +43,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import StepGraphon, empirical_graphon
+from .core import StepGraphon, _as_int, _as_real, _expect, empirical_graphon
 from .cutnorm import matrix_cut_norm_heuristic
 from .distance import delta_upper
 from .errors import ValidationError
@@ -93,16 +93,14 @@ class ExperimentConfig:
             raise ValidationError(f"level must be matrix or graphon, got {self.level!r}")
         if not self.ns or not self.ks or not self.rhos:
             raise ValidationError("grids over n, k and rho must be non-empty")
-        if any(n < 2 for n in self.ns):
-            raise ValidationError("every n must be >= 2")
-        if any(k < 1 for k in self.ks):
-            raise ValidationError("every k must be >= 1")
-        if any(not (0.0 < r <= 1.0) for r in self.rhos):
-            raise ValidationError("every rho must lie in (0, 1]")
-        if self.reps < 1:
-            raise ValidationError("reps must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        # stored as Python scalars, which the CSV prints and parses back
+        checked = {"ns": tuple(_as_int(n, "every n", 2) for n in self.ns),
+                   "ks": tuple(_as_int(k, "every k", 1) for k in self.ks),
+                   "rhos": tuple(float(_as_real(r, "every rho", 0, 1, lo_open=True))
+                                 for r in self.rhos),
+                   "reps": _as_int(self.reps, "reps", 1), "seed": _as_int(self.seed, "seed", 0)}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad or not self.estimators:
             raise ValidationError(f"unknown estimators {sorted(bad)}; "
@@ -173,9 +171,8 @@ def rate_formula(regime: str, n: int, k: int, rho: float) -> float:
     """
     if regime not in ("Cut", "Frobenius", "L1", "L2graphon", "L1graphon"):
         raise ValidationError(f"unknown regime {regime!r}")
-    if n < 2 or k < 1 or not (0.0 < rho <= 1.0):
-        raise ValidationError(f"need n >= 2, k >= 1, rho in (0, 1], "
-                              f"got n={n}, k={k}, rho={rho}")
+    n, k = _as_int(n, "n", 2), _as_int(k, "k", 1)
+    rho = _as_real(rho, "rho", 0, 1, lo_open=True)
     if k == 1:
         return min(math.sqrt(rho) / n, rho)
     logk = math.log(k)
@@ -217,9 +214,7 @@ class RiskReport:
 
 def default_model(k: int, rho: float = 1.0) -> ModelSpec:
     """Fixed banded two-value kernel; the harness model for every cell."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if k == 1:
+    if _as_int(k, "k", 1) == 1:
         return ModelSpec(StepGraphon(np.array([[0.5]]), np.array([1.0])), rho)
     a = np.arange(k)
     band = np.abs(a[:, None] + a[None, :] - (k - 1)) <= k // 4
@@ -248,10 +243,9 @@ def _run_estimator(name: str, A, k: int, rho: float, seed: int, rls_fit):
         return estimate_mean(A)
     if name == "svt":
         return estimate_svt(A).prob
-    if name == "rls":
-        fit = rls_fit.result() if rls_fit is not None else _fit_rls(A, k, rho, seed)
-        return fit_to_prob_matrix(fit)
-    raise ValidationError(f"unknown estimator {name!r}")
+    # rls: the config admits no other name
+    fit = rls_fit.result() if rls_fit is not None else _fit_rls(A, k, rho, seed)
+    return fit_to_prob_matrix(fit)
 
 
 def _reads_difference(metric: str, level: str) -> bool:
@@ -293,7 +287,7 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
     rls fit runs on one worker thread while this thread fits and measures
     the other estimators; the worker lives only for this call.
     """
-    if "rls" in config.estimators and _usable_cpus() > 1:
+    if "rls" in _expect(config, ExperimentConfig, "config").estimators and _usable_cpus() > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as pool:
             return _run_cells(config, pool)
@@ -481,7 +475,7 @@ def format_svg(report: RiskReport) -> str:
 
     parts.append(f'<rect x="{box[0]}" y="{box[1]}" width="{box[2]-box[0]}" '
                  f'height="{box[3]-box[1]}" fill="none" stroke="#999"/>')
-    for i, x in enumerate(sorted(set(xs))):
+    for x in sorted(set(xs)):
         px, _ = to_xy(x, math.exp(ly0))
         parts.append(f'<line x1="{px:.1f}" y1="{box[3]}" x2="{px:.1f}" '
                      f'y2="{box[3]+5}" stroke="#333"/>')
@@ -510,6 +504,7 @@ def format_svg(report: RiskReport) -> str:
 
 
 def emit(report: RiskReport, fmt: str, path) -> None:
+    _expect(report, RiskReport, "report")
     if fmt == "csv":
         payload = format_csv(report)
     elif fmt == "svg":

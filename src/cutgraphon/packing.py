@@ -24,6 +24,9 @@ from .core import (
     ProbMatrix,
     StepGraphon,
     _as_array,
+    _as_int,
+    _as_real,
+    _expect,
     _step_weights,
     format_matrix,
     format_stepgraphon,
@@ -77,7 +80,7 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> V
     target vector; in the latter case the achieved code is returned with
     ``reached`` unset.  A target above VG_TARGET_BUDGET raises BudgetError.
     """
-    if k1 < 8 or k1 % 2 != 0:
+    if _as_int(k1, "k1", 8) % 2 != 0:
         raise ValidationError(f"need even k1 >= 8, got {k1}")
     # ceil(exp(k1/16)) > budget exactly when k1/16 > ln(budget), an integer;
     # compared before exp, which overflows from k1 = 11358 on
@@ -183,9 +186,8 @@ def rademacher_block_matrix(k1: int, mk: int, seed: int = 0) -> RademacherBlockM
     (ii) is spot-checked on PROPERTY_II_SAMPLES tuples, so k1 must admit
     the spot check's two disjoint row sets.
     """
-    if mk < 8:
-        raise ValidationError(f"need mk >= 8, got {mk}")
-    _row_set_size(k1)
+    mk = _as_int(mk, "mk", 8)
+    _row_set_size(_as_int(k1, "k1", 1))
     rng = stream(seed, "hadamard", k1, mk)
     for t in range(1, BLOCK_TRIES + 1):
         B = np.where(rng.random((k1, mk)) < 0.5, -1.0, 1.0)
@@ -266,9 +268,8 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
     give the same matrix.  Pairwise cut norms are spot-checked against
     the proven eps/14 bound.
     """
-    if not (0.0 < rho <= 1.0):
-        raise ValidationError(f"rho must be in (0, 1], got {rho}")
-    if n < 8 or n % 2 != 0:
+    rho = _as_real(rho, "rho", 0, 1, lo_open=True)
+    if _as_int(n, "n", 8) % 2 != 0:
         raise ValidationError(f"need even n >= 8, got {n}")
     code = varshamov_gilbert_code(n, seed, two_sided=True)
     M = code.size
@@ -316,12 +317,11 @@ def kl_bound(u: np.ndarray, v: np.ndarray, n: int, eps: float) -> float:
     """
     u, v = _perturbation_pair(u, v)
     k1 = u.size
-    if eps < 0 or eps > 1.0 / (8.0 * k1) + 1e-15:
-        raise ValidationError(f"need 0 <= eps <= 1/(8*k1), got eps={eps}, k1={k1}")
+    eps = _as_real(eps, "eps", 0, 1.0 / (8.0 * k1) + 1e-15)
     if eps > 0 and (np.any(np.abs(np.abs(u) - eps) > 1e-12)
                     or np.any(np.abs(np.abs(v) - eps) > 1e-12)):
         raise ValidationError("perturbation entries must be +-eps")
-    return 32.0 * n * k1**2 * eps**2 / 3.0
+    return 32.0 * _as_int(n, "n", 1) * k1**2 * eps**2 / 3.0
 
 
 def latent_kl_exact(u: np.ndarray, v: np.ndarray, n: int) -> float:
@@ -341,7 +341,7 @@ def latent_kl_exact(u: np.ndarray, v: np.ndarray, n: int) -> float:
     pv = 1.0 / (2.0 * k1) + v
     if np.any(pu <= 0) or np.any(pv <= 0):
         raise ValidationError("perturbations push a label probability below 0")
-    return float(n * np.sum(pu * np.log(pu / pv)))
+    return float(_as_int(n, "n", 1) * np.sum(pu * np.log(pu / pv)))
 
 
 def _graphon_base(block: np.ndarray) -> StepGraphon:
@@ -393,12 +393,11 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     Both cases build dense (rho = 1) families and take no sparsity
     parameter; `matrix_packing` is the family that scales with rho.
     """
-    if k == 2:
-        return _graphon_packing_two(n)
+    if _as_int(k, "k", 2) == 2:
+        return _graphon_packing_two(_as_int(n, "n", 1))
     if k < 64 or k % 32 != 0:
         raise ValidationError(f"need k=2 or a multiple of 32 with k >= 64, got {k}")
-    if k > n:
-        raise ValidationError(f"need k <= n, got k={k}, n={n}")
+    n = _as_int(n, "n", k)
     k1 = k // 2
     mk = int(np.ceil(128.0 * np.log(k)))
     eps = np.sqrt(3.0 / (4096.0 * n * k1))
@@ -448,6 +447,7 @@ def _graphon_packing_two(n: int) -> PackingFamily:
 
 def save_packing_family(family: PackingFamily, directory) -> None:
     """Write one record file per element plus a key=value metadata sidecar."""
+    _expect(family, PackingFamily, "family")
     os.makedirs(directory, exist_ok=True)
     for i, el in enumerate(family.elements):
         text = format_matrix(el) if family.kind == "matrix" else format_stepgraphon(el)
@@ -486,8 +486,7 @@ def load_packing_family(directory) -> PackingFamily:
         raise ValidationError(f"metadata sidecar missing key {e}") from None
     except ValueError as e:
         raise ValidationError(f"bad metadata sidecar value: {e}") from None
-    if count < 1:
-        raise ValidationError(f"metadata sidecar count must be >= 1, got {count}")
+    count = _as_int(count, "metadata sidecar count", 1)
     elements = []
     for i in range(count):
         path = os.path.join(directory, f"element_{i:04d}.txt")

@@ -19,9 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Kernel, StepGraphon
+from .core import Kernel, StepGraphon, _as_real, _expect
 from .cutnorm import step_kernel_cut_norm_exact
-from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -65,13 +64,11 @@ def weak_regularity_approx(W: StepGraphon, q0: int) -> Tuple[Kernel, RegularityD
     values exactly, and the final residual's cut norm is at most
     1/sqrt(k0) whenever W's values lie in [0, 1].
     """
-    if q0 < 2:
-        raise ValidationError("q0 must be >= 2 so at least one round is allowed")
-    # floor(log2 q0) in integers: exact at any size, where a float log2
+    # floor(log2 q0) >= 1 in integers: exact at any size, where a float log2
     # rounds up just below a large power of two and fails from 2**64 on
-    k0 = int(q0).bit_length() - 1
+    k0 = int(_as_real(q0, "q0", 2)).bit_length() - 1
     target = 1.0 / np.sqrt(k0)
-    w = W.weights
+    w = _expect(W, StepGraphon, "W").weights
     R = W.values.copy()
     terms = []
     while True:

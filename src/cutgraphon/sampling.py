@@ -10,14 +10,13 @@ depend only on (seed, purpose) and never on call order.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import stream
 from .core import (AdjacencyMatrix, LatentSample, ProbMatrix, StepGraphon, _as_array,
-                   _as_indices, _check_dense)
+                   _as_indices, _as_int, _as_real, _check_dense, _expect)
 from .errors import ValidationError
 
 
@@ -29,10 +28,8 @@ class ModelSpec:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.graphon, StepGraphon):
-            raise ValidationError(f"expected a StepGraphon, got {type(self.graphon).__name__}")
-        if not (isinstance(self.rho, numbers.Real) and 0 < self.rho < np.inf):
-            raise ValidationError(f"rho must be positive and finite, got {self.rho}")
+        _expect(self.graphon, StepGraphon, "graphon")
+        _as_real(self.rho, "rho", 0, lo_open=True)
 
     @property
     def max_scaled_value(self) -> float:
@@ -45,22 +42,16 @@ def sbm_spec(k: int, p_in: float, p_out: float, rho: float = 1.0) -> ModelSpec:
     Q has p_in on the diagonal and p_out off it; communities have equal
     weights.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    for name, v in (("p_in", p_in), ("p_out", p_out)):
-        if not (0.0 <= v <= 1.0):
-            raise ValidationError(f"{name} must lie in [0,1], got {v}")
-    Q = np.full((k, k), float(p_out))
-    np.fill_diagonal(Q, float(p_in))
+    k = _as_int(k, "k", 1)
+    Q = np.full((k, k), float(_as_real(p_out, "p_out", 0, 1)))
+    np.fill_diagonal(Q, float(_as_real(p_in, "p_in", 0, 1)))
     return ModelSpec(StepGraphon(Q, np.full(k, 1.0 / k)), rho)
 
 
 def sample_latents(n: int, seed: int = 0) -> LatentSample:
     """n i.i.d. uniform latent positions."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
     rng = stream(seed, "latents")
-    return LatentSample(rng.random(n))
+    return LatentSample(rng.random(_as_int(n, "n", 1)))
 
 
 def step_labels(W: StepGraphon, positions: np.ndarray) -> np.ndarray:
@@ -71,7 +62,7 @@ def step_labels(W: StepGraphon, positions: np.ndarray) -> np.ndarray:
     x = _as_array(positions, "positions", 1)
     if x.min() < 0 or x.max() >= 1:
         raise ValidationError("positions must lie in [0, 1)")
-    b = W.boundaries()
+    b = _expect(W, StepGraphon, "W").boundaries()
     return np.clip(np.searchsorted(b, x, side="right") - 1, 0, W.k - 1)
 
 
@@ -83,7 +74,7 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
     symmetric because the graphon's values are, so it is clipped and frozen
     in place as the ProbMatrix constructor would clip a copy.
     """
-    z = _as_indices(labels, spec.graphon.k, "labels")
+    z = _as_indices(labels, _expect(spec, ModelSpec, "spec").graphon.k, "labels")
     if z.size == 0:
         raise ValidationError("labels must be nonempty")
     _check_dense(z.size)
@@ -101,12 +92,14 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
 
 def sample_theta(spec: ModelSpec, latents: LatentSample, clip: bool = False) -> ProbMatrix:
     """Theta for the given latent draw; errors if rho*max(W) > 1 unless `clip` truncates at 1."""
-    return theta_from_labels(spec, step_labels(spec.graphon, latents.positions), clip=clip)
+    positions = _expect(latents, LatentSample, "latents").positions
+    return theta_from_labels(spec, step_labels(_expect(spec, ModelSpec, "spec").graphon, positions),
+                             clip=clip)
 
 
 def sample_adjacency(theta: ProbMatrix, seed: int = 0) -> AdjacencyMatrix:
     """Independent Bernoulli edges above the diagonal, symmetrized."""
-    T = theta.values
+    T = _expect(theta, ProbMatrix, "theta").values
     n = T.shape[0]
     u = stream(seed, "adjacency").random((n, n))
     upper = np.triu(u < T, k=1)
@@ -120,6 +113,7 @@ def sample_graph(spec: ModelSpec, n: int, seed: int = 0, clip: bool = False):
     n with more than DENSE_BUDGET entries in Theta raises BudgetError before
     anything is drawn.
     """
+    n = _as_int(n, "n", 1)
     _check_dense(n)
     lat = sample_latents(n, seed)
     theta = sample_theta(spec, lat, clip)

@@ -1,6 +1,7 @@
 """Every module under src/cutgraphon uses each name it imports and converts
-arguments only through core's checked coercions, and every name the
-benchmark's tracer rebinds exists."""
+arguments only through core's checked coercions (arrays through `_as_array`
+and `_as_indices`, scalars through `_as_int` and `_as_real`), and every name
+the benchmark's tracer rebinds exists."""
 
 import ast
 import importlib
@@ -41,20 +42,36 @@ def test_no_unused_imports(path):
 
 # the checked coercions: every other conversion of an argument goes through them
 COERCIONS = {("core", "_as_array"), ("core", "_as_indices")}
+# the scalar coercions: the only readers of the numeric tower
+SCALAR_COERCIONS = {("core", "_as_int"), ("core", "_as_real")}
+TOWER = {"Integral", "Real"}
 
 
-def stray_asarray_calls(package: Path):
-    """(module, top-level definition, line) of each asarray call under
-    `package` outside COERCIONS."""
+def stray_nodes(package: Path, allowed, matches):
+    """(module, top-level definition, line) of each AST node under `package`
+    that `matches`, outside the definitions in `allowed`."""
     found = []
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             where = (path.stem, getattr(top, "name", None))
             found += [(*where, node.lineno) for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and where not in COERCIONS
-                      and "asarray" in (getattr(node.func, "attr", None),
-                                        getattr(node.func, "id", None))]
+                      if where not in allowed and matches(node)]
     return found
+
+
+def stray_asarray_calls(package: Path):
+    """Each asarray call under `package` outside COERCIONS."""
+    return stray_nodes(package, COERCIONS, lambda node: (
+        isinstance(node, ast.Call)
+        and "asarray" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))))
+
+
+def stray_tower_names(package: Path):
+    """Each use of numbers.Integral or numbers.Real under `package` outside SCALAR_COERCIONS."""
+    return stray_nodes(package, SCALAR_COERCIONS, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in TOWER
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        and bool(TOWER & {alias.name for alias in node.names})))
 
 
 def test_checker_flags_asarray_outside_the_coercions(tmp_path):
@@ -69,6 +86,21 @@ def test_checker_flags_asarray_outside_the_coercions(tmp_path):
 
 def test_only_the_coercions_call_asarray():
     assert stray_asarray_calls(PACKAGE) == []
+
+
+def test_checker_flags_the_numeric_tower_outside_the_coercions(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import numbers\n\ndef _as_int(x):\n    return isinstance(x, numbers.Integral)\n\n"
+        "def _as_real(x):\n    return isinstance(x, numbers.Real)\n\n"
+        "def f(x):\n    return isinstance(x, numbers.Real)\n")
+    (tmp_path / "m.py").write_text(
+        "from numbers import Integral\nimport numbers\n\nclass A:\n"
+        "    def f(self, x):\n        return isinstance(x, numbers.Integral)\n")
+    assert stray_tower_names(tmp_path) == [("core", "f", 10), ("m", None, 1), ("m", "A", 6)]
+
+
+def test_only_the_scalar_coercions_read_the_numeric_tower():
+    assert stray_tower_names(PACKAGE) == []
 
 
 def rebound_names(source: str):

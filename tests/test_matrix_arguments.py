@@ -1,11 +1,12 @@
-"""One rule for public arguments: arrays, index arrays and stored graphons.
+"""One rule for public arguments: arrays, index arrays, scalars and value types.
 
 Every public entry point that takes a matrix converts it through
 `core._as_matrix`, so each rejects the same inputs with ValidationError and
 takes a nested list or a ProbMatrix exactly as it takes the equal array.
 The constructors and the other array and index arguments convert through
-`core._as_array` and `core._as_indices`, and a graphon that is stored or
-written must be a StepGraphon, so each malformed argument raises ValidationError.
+`core._as_array` and `core._as_indices`, the scalars through `core._as_int`
+and `core._as_real`, and a value type must be that type (`core._expect`), so
+each malformed argument raises ValidationError.
 """
 
 import numpy as np
@@ -17,27 +18,61 @@ from hypothesis.extra.numpy import arrays
 from cutgraphon import (
     AdjacencyMatrix,
     BlockFit,
+    ExperimentConfig,
     Kernel,
     LatentSample,
     ModelSpec,
+    Motif,
     ProbMatrix,
     StepGraphon,
     ValidationError,
+    blowup,
     cut_norm_sandwich_check,
+    default_model,
+    delta_cut_lower,
+    delta_exact_tiny,
+    delta_upper,
+    edge_density,
+    emit,
     empirical_graphon,
+    estimate_adjacency,
+    estimate_mean,
+    estimate_restricted_ls,
+    estimate_svt,
+    exact_restricted_ls,
+    fit_to_prob_matrix,
+    graphon_packing,
+    homomorphism_density,
     inf1_norm,
+    khintchine_lower_bound,
     kl_bound,
     l1_norm,
     latent_kl_exact,
     matrix_cut_norm_exact,
     matrix_cut_norm_heuristic,
+    matrix_packing,
+    q_subset_upper_bound,
+    rademacher_block_matrix,
+    rate_formula,
+    run_risk_experiment,
+    sample_adjacency,
+    sample_graph,
+    sample_latents,
     sample_theta,
     save_matrix,
+    save_packing_family,
     save_stepgraphon,
+    sbm_spec,
+    step_kernel_cut_norm_exact,
     step_labels,
+    varshamov_gilbert_code,
+    weak_regularity_approx,
 )
 from cutgraphon.core import format_matrix, format_stepgraphon, parse_matrix, parse_stepgraphon
-from cutgraphon.cutnorm import CutNormResult, SandwichResult, matrix_witness_value
+from cutgraphon.cutnorm import (CutNormResult, SandwichResult, kernel_witness_value,
+                                matrix_witness_value)
+from cutgraphon.distance import EDGE, common_refinement_m
+from cutgraphon.experiments import format_csv, parse_csv
 from cutgraphon.sampling import theta_from_labels
 
 
@@ -157,6 +192,10 @@ _W = StepGraphon([[0.5, 0.1], [0.1, 0.5]], [0.5, 0.5])
 _SPEC = ModelSpec(_W, 1.0)
 _NAN = float("nan")
 _PAIR = np.array([[0.5, 0.2], [0.2, 0.5]])
+_A = AdjacencyMatrix([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_K = Kernel([[0.5, -0.5], [0.0, 0.25]], [0.5, 0.5], [0.5, 0.5])
+_EPS = np.array([0.05, -0.05])
+_Z2 = np.zeros((2, 2))  # an array where a value type belongs
 
 
 # each malformed argument as f(path) for a scratch file path; each raised
@@ -189,6 +228,80 @@ BAD_ARGUMENTS = {
     "BlockFit-label 5": lambda path: BlockFit(np.array([0, 5]), 0.5 * np.eye(2), 0.0),
     "BlockFit-float labels": lambda path: BlockFit(np.array([0.0, 1.0]), _PAIR, 0.0),
     "BlockFit-value 2": lambda path: BlockFit(np.array([0, 1]), 4 * _PAIR, 0.0),
+    # scalars: an integer or a finite real in the parameter's interval
+    "stream-float seed": lambda path: sample_latents(5, seed=2.5),
+    "blowup-float m": lambda path: blowup(_W, 4.5),
+    "ModelSpec-bool rho": lambda path: ModelSpec(_W, True),
+    "sbm_spec-float k": lambda path: sbm_spec(2.5, 0.5, 0.1),
+    "sbm_spec-string p_in": lambda path: sbm_spec(2, "0.5", 0.1),
+    "sbm_spec-string p_out": lambda path: sbm_spec(2, 0.5, "0.1"),
+    "sample_latents-float n": lambda path: sample_latents(2.5),
+    "sample_graph-float n": lambda path: sample_graph(_SPEC, 3.5),
+    "estimate_restricted_ls-float k": lambda path: estimate_restricted_ls(_A, 1.5),
+    "estimate_restricted_ls-string rho": lambda path: estimate_restricted_ls(_A, 2, rho="a"),
+    "estimate_restricted_ls-float restarts":
+        lambda path: estimate_restricted_ls(_A, 2, restarts=2.5),
+    "exact_restricted_ls-float k": lambda path: exact_restricted_ls(_A, 1.5),
+    "exact_restricted_ls-string rho": lambda path: exact_restricted_ls(_A, 2, rho="a"),
+    "estimate_svt-nan threshold": lambda path: estimate_svt(_A, threshold=_NAN),
+    "matrix_cut_norm_heuristic-float restarts":
+        lambda path: matrix_cut_norm_heuristic(_PAIR, restarts=2.5),
+    "inf1_norm-float restarts": lambda path: inf1_norm(np.eye(13), restarts=2.5),
+    "q_subset_upper_bound-float q": lambda path: q_subset_upper_bound(_K, 1.5),
+    "Motif-float num_vertices": lambda path: Motif(2.5, ((0, 1),)),
+    "delta_upper-float restarts": lambda path: delta_upper(_W, _W, "l1", m=8, restarts=1.5),
+    "delta_upper-float m": lambda path: delta_upper(_W, _W, m=2.5),
+    "weak_regularity_approx-inf q0": lambda path: weak_regularity_approx(_W, float("inf")),
+    "varshamov_gilbert_code-float k1": lambda path: varshamov_gilbert_code(8.0),
+    "rademacher_block_matrix-float k1": lambda path: rademacher_block_matrix(8.5, 16),
+    "rademacher_block_matrix-float mk": lambda path: rademacher_block_matrix(8, 8.5),
+    "matrix_packing-float n": lambda path: matrix_packing(16.0, 1.0),
+    "matrix_packing-string rho": lambda path: matrix_packing(16, "a"),
+    "kl_bound-negative n": lambda path: kl_bound(_EPS, -_EPS, -3, 0.05),
+    "kl_bound-nan eps": lambda path: kl_bound(_EPS, -_EPS, 10, _NAN),
+    "latent_kl_exact-negative n": lambda path: latent_kl_exact(_EPS, -_EPS, -3),
+    "graphon_packing-float k": lambda path: graphon_packing(2.0, 64),
+    "graphon_packing-negative n": lambda path: graphon_packing(2, -3),
+    "graphon_packing-float n": lambda path: graphon_packing(64, 64.5),
+    "ExperimentConfig-float n": lambda path: ExperimentConfig(ns=(32.5,), ks=(2,), rhos=(1.0,)),
+    "ExperimentConfig-float k": lambda path: ExperimentConfig(ns=(32,), ks=(2.5,), rhos=(1.0,)),
+    "ExperimentConfig-bool rho": lambda path: ExperimentConfig(ns=(32,), ks=(2,), rhos=(True,)),
+    "ExperimentConfig-float reps":
+        lambda path: ExperimentConfig(ns=(32,), ks=(2,), rhos=(1.0,), reps=2.5),
+    "ExperimentConfig-float seed":
+        lambda path: ExperimentConfig(ns=(32,), ks=(2,), rhos=(1.0,), seed=2.5),
+    "rate_formula-float n": lambda path: rate_formula("Cut", 100.5, 4, 1.0),
+    "rate_formula-float k": lambda path: rate_formula("Cut", 100, 4.5, 1.0),
+    "rate_formula-bool rho": lambda path: rate_formula("Cut", 100, 4, True),
+    "default_model-float k": lambda path: default_model(2.5),
+    # value types: the type itself, checked where it is first read
+    "estimate_adjacency-array": lambda path: estimate_adjacency(_Z2),
+    "estimate_mean-array": lambda path: estimate_mean(_Z2),
+    "edge_density-array": lambda path: edge_density(_Z2),
+    "estimate_svt-array": lambda path: estimate_svt(_Z2),
+    "estimate_restricted_ls-array": lambda path: estimate_restricted_ls(_Z2, 1),
+    "exact_restricted_ls-array": lambda path: exact_restricted_ls(_Z2, 1),
+    "fit_to_prob_matrix-array": lambda path: fit_to_prob_matrix(_Z2),
+    "sample_adjacency-array": lambda path: sample_adjacency(_Z2),
+    "sample_theta-array spec": lambda path: sample_theta(_Z2, LatentSample([0.2])),
+    "sample_theta-array latents": lambda path: sample_theta(_SPEC, np.array([0.1, 0.5])),
+    "theta_from_labels-graphon spec": lambda path: theta_from_labels(_W, [0, 1]),
+    "step_labels-array": lambda path: step_labels(_Z2, [0.2]),
+    "blowup-array": lambda path: blowup(_Z2, 4),
+    "common_refinement_m-array": lambda path: common_refinement_m(_Z2, _W),
+    "delta_upper-array": lambda path: delta_upper(_W, _Z2),
+    "delta_exact_tiny-array": lambda path: delta_exact_tiny(_Z2, _W),
+    "delta_cut_lower-array": lambda path: delta_cut_lower(_Z2, _W),
+    "homomorphism_density-tuple motif": lambda path: homomorphism_density((2, ((0, 1),)), _W),
+    "homomorphism_density-array graphon": lambda path: homomorphism_density(EDGE, _Z2),
+    "weak_regularity_approx-array": lambda path: weak_regularity_approx(_Z2, 4),
+    "step_kernel_cut_norm_exact-graphon": lambda path: step_kernel_cut_norm_exact(_W),
+    "kernel_witness_value-array": lambda path: kernel_witness_value(_Z2, [0], [0]),
+    "q_subset_upper_bound-array": lambda path: q_subset_upper_bound(_Z2, 1),
+    "khintchine_lower_bound-array": lambda path: khintchine_lower_bound(np.eye(2)),
+    "run_risk_experiment-dict": lambda path: run_risk_experiment({"ns": (8,)}),
+    "emit-array": lambda path: emit(_Z2, "csv", path),
+    "save_packing_family-tuple": lambda path: save_packing_family((_W, _W), path),
 }
 
 
@@ -197,6 +310,20 @@ def test_malformed_arguments_raise_validation_error(case, tmp_path):
     with pytest.raises(ValidationError):
         BAD_ARGUMENTS[case](tmp_path / "w.txt")
     assert not (tmp_path / "w.txt").exists()
+
+
+def test_numpy_scalars_give_the_bytes_of_python_scalars():
+    spec = default_model(4, 0.5)
+    np_draw = sample_graph(spec, np.int64(16), np.int64(3))
+    py_draw = sample_graph(spec, 16, 3)
+    assert [x.tobytes() for x in (np_draw[0].positions, np_draw[1].values, np_draw[2].values)] \
+        == [x.tobytes() for x in (py_draw[0].positions, py_draw[1].values, py_draw[2].values)]
+    grid = dict(ns=(16,), ks=(2,), estimators=("adjacency", "svt"), reps=2)
+    np_csv = format_csv(run_risk_experiment(ExperimentConfig(
+        rhos=(np.float64(0.5),), seed=np.int64(1), **grid)))
+    py_csv = format_csv(run_risk_experiment(ExperimentConfig(rhos=(0.5,), seed=1, **grid)))
+    assert np_csv == py_csv
+    assert format_csv(parse_csv(np_csv)) == py_csv
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
