@@ -14,13 +14,15 @@ Callers converting between the two pictures do so explicitly (a matrix is
 the step kernel of its empirical graphon, with equal weights 1/n).
 
 One rule covers the arguments of every public entry point, here and in the
-other modules.  An array converts by `_as_array` to a nonempty, finite float
-array of the dimension asked for; a matrix (`_as_matrix`) is a ProbMatrix
-(so an AdjacencyMatrix too) or such an array that is square, so a step
-object is not measured as the matrix of its block values.  An index array
-(`_as_indices`) is a 1-d integer array, possibly empty, in range(n).  A
-scalar is an integer (`_as_int`) or a finite real (`_as_real`) in its
-parameter's interval, a numpy scalar too but never a bool.  A value type
+other modules.  Arrays are read C-ordered, a Fortran-ordered or strided one
+copied once, so no value depends on the caller's memory layout.  An array
+(`_as_array`) is a nonempty, finite float array of the dimension asked for;
+a matrix (`_as_matrix`) is a ProbMatrix (so an AdjacencyMatrix too) or such
+an array that is square, so a step object is not measured as the matrix of
+its block values.  An index array (`_as_indices`) is a 1-d integer array,
+possibly empty, in range(n), and a container (`_as_tuple`) the tuple of its
+items.  A scalar is an integer (`_as_int`) or a finite real (`_as_real`) in
+its parameter's interval, a numpy scalar too but never a bool.  A value type
 (StepGraphon, AdjacencyMatrix, ModelSpec, ...) must be that type
 (`_expect`), checked where it is first read.  Anything else raises
 ValidationError.
@@ -82,9 +84,9 @@ def _check_dense(n: int) -> None:
 
 
 def _as_array(obj, what: str, ndim: int) -> np.ndarray:
-    """`obj` as a nonempty, finite float array of `ndim` dimensions, else ValidationError."""
+    """`obj` as a nonempty, finite, C-ordered `ndim`-d float array, else ValidationError."""
     try:
-        a = np.asarray(obj, dtype=float)
+        a = np.asarray(obj, dtype=float, order="C")
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{what}: expected numbers, got {type(obj).__name__}: {e}") from None
     if a.ndim != ndim or a.size == 0:
@@ -95,14 +97,22 @@ def _as_array(obj, what: str, ndim: int) -> np.ndarray:
 
 
 def _as_indices(idx, n: int, what: str) -> np.ndarray:
-    """`idx` as a 1-d integer array, possibly empty, in range(n), else ValidationError."""
+    """`idx` as a C-ordered 1-d integer array, possibly empty, in range(n), else ValidationError."""
     try:
-        a = np.asarray(idx)
+        a = np.asarray(idx, order="C")
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{what}: expected integers, got {type(idx).__name__}: {e}") from None
     if a.ndim != 1 or a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n):
         raise ValidationError(f"{what} must be a 1-d array of integers in range({n})")
     return a.astype(int, copy=False)  # an empty list converts to floats
+
+
+def _as_tuple(obj, what: str) -> tuple:
+    """The items of the iterable `obj` as a tuple, else ValidationError."""
+    try:
+        return tuple(obj)
+    except TypeError:
+        raise ValidationError(f"{what}: expected a sequence, got {type(obj).__name__}") from None
 
 
 def _as_int(x, what: str, lo: int, hi=np.inf) -> int:

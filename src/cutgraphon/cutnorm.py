@@ -194,21 +194,18 @@ def _heuristic_starts(n_cols: int, restarts: int, seed: int):
 
 
 def _rectangle_sum(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """sum M[rows, cols], added one term at a time in M's memory order.
+    """sum M[rows, cols] of a C-ordered M, added one term at a time, row by row.
 
     That is how einsum("ir,ij,jr->r", S, M, T) adds each column's rectangle
     when there are two or more columns: the restart axis r runs innermost
-    and the terms come in M's memory order, row-major for a C-ordered M and
-    column-major otherwise (the heuristic's M is always C- or F-ordered).
-    The 0/1 factors are exact, and the terms outside the rectangle add
-    zeros, which change no sum.  So this is bit for bit that einsum's value.
-    The terms are gathered once, in that order, and summed in place.
+    and the terms come in M's memory order, which is row-major.  The 0/1
+    factors are exact, and the terms outside the rectangle add zeros, which
+    change no sum.  So this is bit for bit that einsum's value.  The terms
+    are gathered once, in that order, and summed in place.
     """
     if len(rows) == 0 or len(cols) == 0:
         return 0.0
-    X = (M.take(rows, axis=0).take(cols, axis=1) if M.flags.c_contiguous
-         else M.T.take(cols, axis=0).take(rows, axis=1))
-    terms = X.reshape(-1)
+    terms = M.take(rows, axis=0).take(cols, axis=1).reshape(-1)
     return float(np.cumsum(terms, out=terms)[-1])
 
 
@@ -288,9 +285,7 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray, sign: float, margin: float):
 
 
 def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
-    """Certificate lower bound on max |sum M[S,T]|: `_alternate_max` for sign +1, then -1."""
-    if not (M.flags.c_contiguous or M.flags.f_contiguous):
-        M = np.array(M, order="K")   # `_rectangle_sum` needs C or F order
+    """Certificate lower bound on max |sum M[S,T]| of a C-ordered M: `_alternate_max` for +1, -1."""
     k2 = M.shape[1]
     rand = _heuristic_starts(k2, max(restarts - 2, 0), seed)
     ones = np.ones((k2, 1))

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rng import stream
-from .core import StepGraphon, _as_int, _expect, blowup
+from .core import StepGraphon, _as_indices, _as_int, _as_tuple, _expect, blowup
 from .cutnorm import (CutNormResult, _distinct_indices, _max_rectangle_sum,
                       _max_rectangle_sum_heuristic)
 from .errors import BudgetError, ValidationError
@@ -91,20 +91,14 @@ class Motif:
 
     def __post_init__(self):
         q = _as_int(self.num_vertices, "motif num_vertices", 1)
-        seen = set()
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValidationError(f"bad edge {e!r}")
-            i, j = e
-            if not (0 <= i < q and 0 <= j < q):
-                raise ValidationError(f"edge {e!r} out of range for {q} vertices")
-            if i == j:
-                raise ValidationError("loops are not allowed in motifs")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValidationError(f"duplicate edge {e!r}")
-            seen.add(key)
-        object.__setattr__(self, "edges", tuple((min(i, j), max(i, j)) for i, j in self.edges))
+        edges = []
+        for e in _as_tuple(self.edges, "motif edges"):
+            ends = tuple(sorted(_as_indices(e, q, f"motif edge {e!r}").tolist()))
+            if len(ends) != 2 or ends[0] == ends[1] or ends in edges:
+                raise ValidationError(f"motif edge {e!r} must join two distinct vertices "
+                                      "and be listed once: no loops, no duplicates")
+            edges.append(ends)
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def edge_count(self) -> int:
@@ -163,6 +157,7 @@ def common_refinement_m(W1: StepGraphon, W2: StepGraphon, cap: int = DEFAULT_M_C
     Returns (m, exact_flag). m never drops below max(k1, k2).
     """
     lo = max(_expect(W1, StepGraphon, "W1").k, _expect(W2, StepGraphon, "W2").k)
+    cap = _as_int(cap, "common refinement cap", 1)
     for m in range(lo, cap + 1):
         if _exactly_refinable(W1, m) and _exactly_refinable(W2, m):
             return m, True

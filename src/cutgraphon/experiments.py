@@ -43,7 +43,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import StepGraphon, _as_int, _as_real, _expect, empirical_graphon
+from .core import StepGraphon, _as_int, _as_real, _as_tuple, _expect, empirical_graphon
 from .cutnorm import matrix_cut_norm_heuristic
 from .distance import delta_upper
 from .errors import ValidationError
@@ -91,24 +91,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.level not in ("matrix", "graphon"):
             raise ValidationError(f"level must be matrix or graphon, got {self.level!r}")
-        if not self.ns or not self.ks or not self.rhos:
-            raise ValidationError("grids over n, k and rho must be non-empty")
+        grids = {name: _as_tuple(getattr(self, name), name)
+                 for name in ("ns", "ks", "rhos", "estimators", "metrics")}
+        if not all(grids.values()):
+            raise ValidationError("grids over n, k, rho, estimator and metric must be non-empty")
+        for axis, known in (("estimators", ESTIMATORS), ("metrics", METRICS)):
+            bad = [x for x in grids[axis] if x not in known]
+            if bad:
+                raise ValidationError(f"unknown {axis} {bad}; choose from {known}")
         # stored as Python scalars, which the CSV prints and parses back
-        checked = {"ns": tuple(_as_int(n, "every n", 2) for n in self.ns),
-                   "ks": tuple(_as_int(k, "every k", 1) for k in self.ks),
+        checked = {**grids, "ns": tuple(_as_int(n, "every n", 2) for n in grids["ns"]),
+                   "ks": tuple(_as_int(k, "every k", 1) for k in grids["ks"]),
                    "rhos": tuple(float(_as_real(r, "every rho", 0, 1, lo_open=True))
-                                 for r in self.rhos),
+                                 for r in grids["rhos"]),
                    "reps": _as_int(self.reps, "reps", 1), "seed": _as_int(self.seed, "seed", 0)}
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        bad = set(self.estimators) - set(ESTIMATORS)
-        if bad or not self.estimators:
-            raise ValidationError(f"unknown estimators {sorted(bad)}; "
-                                  f"choose from {ESTIMATORS}")
-        bad = set(self.metrics) - set(METRICS)
-        if bad or not self.metrics:
-            raise ValidationError(f"unknown metrics {sorted(bad)}; "
-                                  f"choose from {METRICS}")
         for axis, grid in (("n", self.ns), ("k", self.ks), ("rho", self.rhos),
                            ("estimator", self.estimators), ("metric", self.metrics)):
             if len(set(grid)) != len(grid):

@@ -376,7 +376,7 @@ class TestHeuristic:
         st.integers(2, 16),
         st.integers(0, 10_000),
         st.sampled_from(["integer", "tenths", "uniform"]),
-        st.sampled_from(["C", "F", "strided"]),
+        st.sampled_from(["C", "strided"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_einsum_reference(self, n1, n2, restarts, seed, values, order):
@@ -389,8 +389,6 @@ class TestHeuristic:
             M = rng.integers(-2, 3, (n1, n2)) * (1.0 if values == "integer" else 0.1)
         if order == "strided":       # a view on every other row of a larger matrix
             M = np.repeat(M, 2, axis=0)[::2]
-        else:
-            M = np.asarray(M, order=order)
         raw, rows, cols = cutnorm._max_rectangle_sum_heuristic(M, restarts, seed)
         ref_raw, ref_rows, ref_cols = reference_rectangle_sum_heuristic(M, restarts, seed)
         assert repr(raw) == repr(ref_raw)
@@ -417,10 +415,11 @@ class TestHeuristic:
         mx = max(M.max(), -M.min())
         assert worst <= cutnorm._rectangle_margin(shape[0], shape[1], mx) / 16
 
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order", ["C"])
     def test_exact_sum_is_einsum(self, order):
         # two or more restart columns: einsum adds each rectangle term by
-        # term in M's memory order
+        # term in M's memory order, row-major for the C-ordered M that
+        # `_rectangle_sum` requires
         rng = np.random.default_rng(5)
         M = np.asarray(rng.uniform(-1, 1, (90, 70)), order=order)
         S = (rng.uniform(size=(90, 6)) < 0.5).astype(float)
@@ -431,7 +430,7 @@ class TestHeuristic:
             assert repr(got) == repr(float(want[r]))
 
     @pytest.mark.parametrize("restarts", [1, 2, 4, 8, 16])
-    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("order", ["C", "strided"])
     def test_negative_pass_matches_copy_of_minus_m(self, order, restarts):
         # the negative pass negates M's products and sums instead of copying
         # -M; quarter grids make ties in every comparison and many restarts
@@ -445,8 +444,6 @@ class TestHeuristic:
                     M = rng.uniform(-1, 1, shape)
                 if order == "strided":
                     M = np.repeat(M, 2, axis=0)[::2]
-                else:
-                    M = np.asarray(M, order=order)
                 got = cutnorm._max_rectangle_sum_heuristic(M, restarts, 7)
                 want = copied_rectangle_sum_heuristic(M, restarts, 7)
                 assert repr(got[0]) == repr(want[0])
@@ -461,12 +458,9 @@ class TestHeuristic:
                     M = rng.integers(-4, 5, shape) * 0.25
                 else:
                     M = rng.uniform(-1, 1, shape)
-                if order == "strided":
-                    yield np.repeat(M, 2, axis=0)[::2]
-                else:
-                    yield np.asarray(M, order=order)
+                yield np.repeat(M, 2, axis=0)[::2] if order == "strided" else M
 
-    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("order", ["C", "strided"])
     def test_capped_ascent_matches_reference_at_the_same_cap(self, monkeypatch, order):
         # no test shape reaches HEURISTIC_ITERS sweeps; patched down to 1, 2
         # and 3, the cap cuts the ascent short, and the heuristic must still
@@ -487,14 +481,15 @@ class TestHeuristic:
                     cut_short += repr(got[0]) != repr(full[0])
         assert cut_short > 0
 
-    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("order", ["C", "strided"])
     def test_ascent_started_at_its_fixed_point(self, order):
         # started from the pair the ascent ended on, it stops after one
         # sweep: the value and witness are the reference's from that start.
-        # A strided M reaches the ascent as the heuristic's C-ordered copy.
+        # A strided M reaches the ascent as the C-ordered copy that
+        # `core`'s input rule makes of it.
         rng = np.random.default_rng(12)
         for M in self.layouts(rng, order):
-            A = np.array(M, order="K")
+            A = np.ascontiguousarray(M)
             margin = cutnorm._rectangle_margin(*A.shape, max(A.max(), -A.min()))
             T0 = (rng.uniform(size=(A.shape[1], 6)) < 0.5).astype(float)
             for sign in (1.0, -1.0):

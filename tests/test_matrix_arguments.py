@@ -6,7 +6,9 @@ takes a nested list or a ProbMatrix exactly as it takes the equal array.
 The constructors and the other array and index arguments convert through
 `core._as_array` and `core._as_indices`, the scalars through `core._as_int`
 and `core._as_real`, and a value type must be that type (`core._expect`), so
-each malformed argument raises ValidationError.
+each malformed argument raises ValidationError.  Every array argument is
+read C-ordered, so a Fortran-ordered or strided view of the same values
+gives the same bits.
 """
 
 import numpy as np
@@ -207,6 +209,7 @@ BAD_ARGUMENTS = {
     "Kernel-string weights": lambda path: Kernel([[0.1]], "a", [1]),
     "StepGraphon-dict values": lambda path: StepGraphon({}, [1.0]),
     "StepGraphon-string weights": lambda path: StepGraphon([[0.5]], "a"),
+    "StepGraphon-0-d weights": lambda path: StepGraphon([[0.5]], 1.0),
     "format_stepgraphon-array": lambda path: format_stepgraphon(np.zeros((2, 2))),
     "save_stepgraphon-array": lambda path: save_stepgraphon(np.zeros((2, 2)), path),
     "LatentSample-nan": lambda path: LatentSample([_NAN, 0.2]),
@@ -249,6 +252,10 @@ BAD_ARGUMENTS = {
     "inf1_norm-float restarts": lambda path: inf1_norm(np.eye(13), restarts=2.5),
     "q_subset_upper_bound-float q": lambda path: q_subset_upper_bound(_K, 1.5),
     "Motif-float num_vertices": lambda path: Motif(2.5, ((0, 1),)),
+    "Motif-float endpoint": lambda path: Motif(2, ((0.5, 1),)),
+    "Motif-int edge": lambda path: Motif(2, (5,)),
+    "Motif-None edges": lambda path: Motif(2, None),
+    "common_refinement_m-float cap": lambda path: common_refinement_m(_W, _W, 2.5),
     "delta_upper-float restarts": lambda path: delta_upper(_W, _W, "l1", m=8, restarts=1.5),
     "delta_upper-float m": lambda path: delta_upper(_W, _W, m=2.5),
     "weak_regularity_approx-inf q0": lambda path: weak_regularity_approx(_W, float("inf")),
@@ -270,6 +277,9 @@ BAD_ARGUMENTS = {
         lambda path: ExperimentConfig(ns=(32,), ks=(2,), rhos=(1.0,), reps=2.5),
     "ExperimentConfig-float seed":
         lambda path: ExperimentConfig(ns=(32,), ks=(2,), rhos=(1.0,), seed=2.5),
+    "ExperimentConfig-int ns": lambda path: ExperimentConfig(ns=16, ks=(2,), rhos=(1.0,)),
+    "ExperimentConfig-None metrics":
+        lambda path: ExperimentConfig(ns=(16,), ks=(2,), rhos=(1.0,), metrics=None),
     "rate_formula-float n": lambda path: rate_formula("Cut", 100.5, 4, 1.0),
     "rate_formula-float k": lambda path: rate_formula("Cut", 100, 4.5, 1.0),
     "rate_formula-bool rho": lambda path: rate_formula("Cut", 100, 4, True),
@@ -324,6 +334,56 @@ def test_numpy_scalars_give_the_bytes_of_python_scalars():
     py_csv = format_csv(run_risk_experiment(ExperimentConfig(rhos=(0.5,), seed=1, **grid)))
     assert np_csv == py_csv
     assert format_csv(parse_csv(np_csv)) == py_csv
+
+
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=0)[::2],  # every other row of a larger array
+}
+
+
+def _layout_outcomes(M, layout):
+    """The outcome of each layout-sensitive entry point on `layout`'s view of
+    the square [-1, 1] matrix M, and the arrays its constructors store."""
+    n = M.shape[0]
+    P = np.abs(M + M.T) / 2  # symmetric, in [0, 1]
+    np.fill_diagonal(P, 0.0)
+    w = np.full(n, 1.0 / n)
+    view = layout(M)
+    heur = matrix_cut_norm_heuristic(view)
+    out = {"matrix_cut_norm_heuristic": heur, "inf1_norm": inf1_norm(view),
+           "l1_norm": l1_norm(view),
+           "matrix_witness_value": matrix_witness_value(view, heur.witness_s, heur.witness_t),
+           "empirical_graphon": empirical_graphon(layout(P)),
+           "ProbMatrix": ProbMatrix(layout(P)),
+           "Kernel": Kernel(view, layout(w), layout(w))}
+    if n <= 12:
+        out["matrix_cut_norm_exact"] = matrix_cut_norm_exact(view)
+        out["cut_norm_sandwich_check"] = cut_norm_sandwich_check(view)
+        out["step_kernel_cut_norm_exact"] = step_kernel_cut_norm_exact(out["Kernel"])
+    stored = [out["empirical_graphon"].values, out["empirical_graphon"].weights,
+              out["ProbMatrix"].values, out["Kernel"].values, out["Kernel"].row_weights,
+              out["Kernel"].col_weights]
+    return {name: repr(_outcome(r)) for name, r in out.items()}, stored
+
+
+@given(n=st.integers(1, 12) | st.integers(1, 100),
+       grid=st.sampled_from(["integer", "tenths", "uniform"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_no_value_depends_on_the_memory_layout(n, grid, seed):
+    # integer and tenths grids make ties; uniform values make every
+    # summation order count
+    rng = np.random.default_rng(seed)
+    if grid == "uniform":
+        M = rng.uniform(-1, 1, (n, n))
+    else:
+        M = rng.integers(-1, 2, (n, n)) if grid == "integer" else rng.integers(-10, 11, (n, n)) / 10
+    want, _ = _layout_outcomes(M.astype(float), LAYOUTS["C"])
+    for name in ("F", "strided"):
+        got, stored = _layout_outcomes(M.astype(float), LAYOUTS[name])
+        assert got == want, name
+        assert all(a.flags.c_contiguous for a in stored), name
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
