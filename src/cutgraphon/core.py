@@ -390,38 +390,34 @@ def empirical_graphon(mat) -> StepGraphon:
     return StepGraphon(a, weights)
 
 
-def blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:
+def blowup_counts(weights, m: int) -> np.ndarray:
     """Largest-remainder apportionment of m equal slots to the given weights.
 
-    Deterministic: remainders are ranked largest-first with ties broken by
-    lower index. Always sums to m; a step may receive 0 slots if its weight
-    is far below 1/m.
+    The weights are taken by the StepGraphon rule (`_normalize_weights`), so
+    a graphon's own come as they are, and m is an integer in [1,
+    DENSE_BUDGET].  Each step gets floor(w m) slots, and each of the
+    m - sum floor(w m) largest remainders one more, ties going to the lower
+    index.  Always sums to m; a step may receive 0 slots if its weight is
+    far below 1/m.
     """
-    w = _as_array(weights, "blow-up weights", 1)
+    w = _normalize_weights(weights, "blow-up weights")
+    m = _as_int(m, "blow-up target m", 1, DENSE_BUDGET)
     raw = w * m
-    base = np.floor(raw + 1e-12).astype(int)
-    short = m - int(base.sum())
-    if short < 0:
-        # the 1e-12 nudge rounded some near-integers up; take slots back from
-        # the entries with the smallest remainders
-        order = np.lexsort((np.arange(len(w)), raw - base))
-        take = [i for i in order if base[i] > 0][: -short]
-        base[take] -= 1
-    elif short > 0:
-        frac = raw - base
-        order = np.lexsort((np.arange(len(w)), -frac))
-        base[order[:short]] += 1
+    base = np.floor(raw).astype(int)
+    order = np.lexsort((np.arange(len(w)), base - raw))
+    base[order[: m - int(base.sum())]] += 1
     return base
 
 
 def blowup(W: StepGraphon, m: int) -> StepGraphon:
     """Refine W to m equal-length steps (largest-remainder rounding).
 
-    Exact whenever every m*weight is an integer; otherwise the closest
-    equal-partition approximation. Requires m >= k. A W that already has m
-    steps of weight exactly 1/m is its own blow-up and comes back as it is
-    (StepGraphon is immutable). An m x m blow-up above DENSE_BUDGET
-    elements raises BudgetError.
+    Step a gets blowup_counts(W.weights, m)[a] slots: exact whenever every
+    m*weight is an integer; otherwise the closest equal-partition
+    approximation. Requires m >= k. A W that already has m steps of weight
+    exactly 1/m is its own blow-up and comes back as it is (StepGraphon is
+    immutable). An m x m blow-up above DENSE_BUDGET elements raises
+    BudgetError.
     """
     m = _as_int(m, "blowup target m", _expect(W, StepGraphon, "W").k)
     if W.k == m and np.all(W.weights == 1.0 / m):

@@ -30,13 +30,14 @@ chunk of one permutation is gathered with `take`), each value bit for bit
 its permutation's alone.  Both enumerations run
 `_min_over_permutations`: one permutation per distinct arrangement of the
 second graphon's equal steps, a batched cut screen with a proven rounding
-margin, exact values of the survivors, and one loop that keeps the first
-optimum in lexicographic order, bit-identical to scoring all m! one by one.
-They reach it through one bounded memo (`_enumerated`), keyed by m, the
-metric and the bytes of both blow-ups, so a pair that goes through
-`delta_upper` (m <= 6) and then `delta_exact_tiny`, or the same pair
-twice, is enumerated once: the second call gets the first one's
-permutation and value, bit for bit, in a fresh copy.
+margin, exact values of the survivors, and one argmin that takes the first
+permutation, in lexicographic order, that reaches the least value,
+bit-identical to scoring all m! one by one.  They reach it through one
+bounded memo (`_enumerated`), keyed by m, the metric and the bytes of both
+blow-ups, so a pair that goes through `delta_upper` (m <= 6) and then
+`delta_exact_tiny`, or the same pair twice, is enumerated once: the second
+call gets the first one's permutation and value, bit for bit, in a fresh
+copy.
 """
 
 from __future__ import annotations
@@ -308,84 +309,53 @@ def _screen_margin(m: int) -> float:
     is at most the cut norm: the screen s and exact value e of one
     permutation have s <= e + (4m + 2) 1.01 u d.  fl(s - margin) rounds by
     at most u (d + margin), so fl(s - margin) >= bound gives
-    e >= bound + gamma, with gamma = margin - (4m + 4) 1.01 u.
-    `_min_over_permutations` needs gamma > 2e-18 m! at m <= 8.  The margin
-    8 (m + 2)^2 u gives gamma >= 763 u = 8.47e-14 > 8.07e-14 = 2e-18 * 8! at
-    m = 8, and over six times the need at every m <= 7.
+    e >= bound + gamma, with gamma = margin - (4m + 4) 1.01 u, which the
+    margin 8 (m + 2)^2 u keeps above 0 at every m.
     """
     return 8.0 * (m + 2) ** 2 * 2.0**-53
 
 
 def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
-    """Exact min over all m! permutations of ||D1 - P D2 P^T||; first optimum wins.
+    """Exact min over all m! permutations of ||D1 - P D2 P^T||: the first
+    permutation, in lexicographic order, that reaches the least value.
 
-    Returns the plain loop's permutation and value, bit for bit (m <= 8):
-    every permutation in lexicographic order, a value replacing the best
-    only if val < fl(best - 1e-18).  Only the first permutation of each
-    distinct arrangement of D2's equal steps is visited (`_arrangements`):
-    a later duplicate repeats an earlier value, which the best has since
-    only moved below.  l1 and l2 walk every arrangement's exact value
-    (`_norms`).  For cut, every arrangement is screened (`_screen`), the
-    exact value of the lowest screened one is a bound, and only the
-    survivors, whose screen less `_screen_margin` lies below it (about 50
-    of 720 at m = 6), get an exact value and are walked.
-
-    Why that is the plain loop's answer.  Every dropped value is at least
-    bound + gamma, with gamma > 2e-18 N for the N <= m! arrangements
-    (`_screen_margin`).  The values in [bound, bound + gamma) and the least
-    one at or above bound + gamma (if none, none was dropped) span gamma in
-    at most N - 1 steps, so two consecutive ones, a < b, lie more than
-    2e-18 apart.
-    Call values <= a low and values >= b high: the bound is low and every
-    dropped value is high, so every low value survives.  A low value
-    replaces any high best h: h - 1e-18 > a, so fl(h - 1e-18) >= a, and
-    equality needs h - 1e-18 within half a float spacing of a, which the
-    float b > a caps: (b - a)/2 >= h - 1e-18 - a >= b - 1e-18 - a, so
-    b - a <= 2e-18.  No high value replaces a low best, which is <= a < b.
-    So both walks take the first low arrangement, whatever high values came
-    before it, then hold the same best, see the same low values in the same
-    order and take no high one: they end on the same permutation and value.
+    Returns the plain loop's permutation and value, bit for bit: every
+    permutation in lexicographic order, a value replacing the best only if
+    it is strictly less.  Only the first permutation of each distinct
+    arrangement of D2's equal steps is scored (`_arrangements`): a later
+    duplicate repeats an earlier value.  l1 and l2 score every arrangement
+    exactly (`_norms`).  For cut, every arrangement is screened
+    (`_screen`), the exact value of the lowest screened one is a bound, and
+    only the survivors, whose screen less `_screen_margin` lies below it
+    (about 50 of 720 at m = 6), get an exact value.  A screened-out
+    arrangement has a value >= bound + gamma > bound >= the minimum
+    (`_screen_margin`), so every minimiser survives, in order, and argmin
+    takes the first.
     """
     perms = _arrangements(D2)
     if metric == "cut":
         lo = _screen(D1, D2, perms) - _screen_margin(D1.shape[0])
         bound = _norms(D1, D2, perms[[int(np.argmin(lo))]], metric, 0, 0)[0]
         perms = perms[lo < bound]
-    best_val, best = np.inf, None
-    for i, val in enumerate(_norms(D1, D2, perms, metric, 0, 0).tolist()):
-        if val < best_val - 1e-18:
-            best_val, best = val, i
-    return perms[best].astype(int), float(best_val)
-
-
-class _Pair(tuple):
-    """Memo key (m, metric, D1 bytes, D2 bytes) of one enumeration.
-
-    Keys are equal exactly when both blow-ups are the same bit for bit.  A
-    new key also carries the arrays it was made from, so that a miss
-    enumerates the caller's own arrays; `_enumerated` drops them once it
-    has used them.
-    """
-
-    def __new__(cls, D1: np.ndarray, D2: np.ndarray, metric: str):
-        key = super().__new__(cls, (D1.shape[0], metric, D1.tobytes(), D2.tobytes()))
-        key.arrays = (D1, D2)
-        return key
+    vals = _norms(D1, D2, perms, metric, 0, 0)
+    best = int(np.argmin(vals))
+    return perms[best].astype(int), float(vals[best])
 
 
 @functools.lru_cache(maxsize=_ENUMERATION_MEMO)
-def _enumerated(key: _Pair):
-    """`_min_over_permutations` of the key's arrays, with the permutation frozen."""
-    D1, D2 = key.arrays
-    del key.arrays
-    perm, val = _min_over_permutations(D1, D2, key[1])
+def _enumerated(m: int, metric: str, b1: bytes, b2: bytes):
+    """`_min_over_permutations` of the m x m blow-ups whose bytes are b1 and
+    b2, read back as read-only arrays, with the permutation frozen.  Keys
+    are equal exactly when both blow-ups are the same bit for bit."""
+    D1, D2 = (np.frombuffer(b).reshape(m, m) for b in (b1, b2))
+    perm, val = _min_over_permutations(D1, D2, metric)
     perm.setflags(write=False)
     return perm, val
 
 
 def _enumerate(D1: np.ndarray, D2: np.ndarray, metric: str):
     """`_min_over_permutations` through the memo; the permutation is the caller's own copy."""
-    perm, val = _enumerated(_Pair(D1, D2, metric))
+    perm, val = _enumerated(D1.shape[0], metric, D1.tobytes(), D2.tobytes())
     return perm.copy(), val
 
 
@@ -569,7 +539,8 @@ class DistanceEstimate:
 
     ``exact-enumeration`` (`delta_exact_tiny`), ``search`` (l1, l2) and
     ``search-exact-cut`` (cut, m <= EXACT_CUT_M) are certified upper bounds
-    for the m-step refinement, and the minimum over all m! permutations for
+    for the m-step refinement, and the least value over all m! permutations,
+    reached first by ``permutation`` in lexicographic order, for
     `delta_exact_tiny` and whenever m <= ENUMERATE_M; ``search-heuristic-cut``
     is not certified.  They bound delta itself when m refines both weight
     vectors exactly: `common_refinement_m(W1, W2)[1]` for the default m.
@@ -601,10 +572,11 @@ def delta_upper(
     """Search upper bound on delta_metric via blow-up + permutation search.
 
     With m <= ENUMERATE_M the enumeration is exact (`_min_over_permutations`:
-    first optimum, bit-identical to trying every permutation).  It goes
-    through the same memo as `delta_exact_tiny`, so on the same blow-ups the
-    two return one computation's permutation and value, and the second call
-    enumerates nothing; `restarts` and `seed` then play no part.  Otherwise
+    the first permutation that reaches the least value, bit-identical to
+    trying every permutation).  It goes through the same memo as
+    `delta_exact_tiny`, so on the same blow-ups the two return one
+    computation's permutation and value, and the second call enumerates
+    nothing; `restarts` and `seed` then play no part.  Otherwise
     the candidate alignments are: identity, row-mean rank matching, greedy
     row matching, plus `restarts` random permutations; when ``restarts > 0``
     the most promising candidates then get pairwise-swap local descent, and
@@ -634,14 +606,15 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     """Enumerate all m! permutations of the smallest exact common refinement.
 
     Requires both weight vectors to refine exactly into m <= 8 equal steps.
-    First optimum, bit-identical to trying every permutation
+    The first permutation, in lexicographic order, that reaches the least
+    value, bit-identical to trying every permutation
     (`_min_over_permutations`): one permutation per distinct arrangement of
     W2's equal steps is scored, and for cut only those that a screen with a
     proven margin leaves below the bound.  A pair already enumerated, by
     `delta_upper` at m <= ENUMERATE_M or by an earlier call, is read from
     their shared memo instead: the same permutation and value, bit for bit.
-    ``upper`` is the exact minimum over permutations of that refinement,
-    which bounds delta_metric from above.
+    ``upper`` is the least value computed over the permutations of that
+    refinement, which bounds delta_metric from above.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")

@@ -101,8 +101,9 @@ class BlockFit:
     """A k-block fit: node labels, block value matrix, squared error.
 
     ``objective`` is the off-diagonal squared error
-    sum_{i != j} (A_ij - Q[z_i, z_j])^2.  The labels are nonempty, in range(k);
-    the block values are checked and stored by `ProbMatrix`'s rule for entries.
+    sum_{i != j} (A_ij - Q[z_i, z_j])^2.  The labels are nonempty, in range(k),
+    and stored as a frozen copy, so the caller's array stays as it was; the
+    block values are checked and stored by `ProbMatrix`'s rule for entries.
     """
 
     labels: np.ndarray
@@ -114,7 +115,7 @@ class BlockFit:
         z = _as_indices(self.labels, Q.shape[0], "BlockFit labels")
         if z.size == 0:
             raise ValidationError("BlockFit labels must be nonempty")
-        object.__setattr__(self, "labels", _freeze(z))
+        object.__setattr__(self, "labels", _freeze(z.copy()))
         object.__setattr__(self, "block_values", _freeze(Q))
 
     @property
@@ -279,7 +280,7 @@ def estimate_restricted_ls(
             Q = _block_means(sT, counts, z, rho)
         obj = _objective(M, z, Q)
         if best is None or obj < best.objective - 1e-12:
-            best = BlockFit(z.copy(), Q, obj)
+            best = BlockFit(z, Q, obj)
     return best
 
 

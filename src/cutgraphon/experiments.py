@@ -11,7 +11,8 @@ chosen by the config's ``level``:
   adjacency estimator this is exactly the empirical graphon) and compared
   to the scaled truth with a permutation-search distance upper bound at
   m = n; SEARCH_RESTARTS = 0 keeps only the deterministic alignment
-  candidates.  ``frobenius`` and ``l1`` stay matrix quantities: the
+  candidates.  The config rejects a grid where some k does not divide some
+  n: that truth would be rounded to n steps.  ``frobenius`` and ``l1`` stay matrix quantities: the
   graphon-level ``l1`` row is |Phat - Theta| with the matrix ``L1``
   envelope.  delta_1 through `delta_upper` at ``restarts=0`` mostly
   measures how weak those candidates are (0.459 against 0.180 for
@@ -112,6 +113,13 @@ class ExperimentConfig:
             if len(set(grid)) != len(grid):
                 raise ValidationError(f"repeated {axis} in {grid}; each value "
                                       "makes its own rows, so list it once")
+        # default_model(k) has weights 1/k, so its truth refines into n equal
+        # steps, as delta_upper at m = n takes it, exactly when k divides n
+        rounded = [(n, k) for n in self.ns for k in self.ks if n % k]
+        if self.level == "graphon" and rounded:
+            raise ValidationError(f"level=graphon needs every k to divide every n; "
+                                  f"(n, k) = {rounded[0]} would measure against "
+                                  "a rounded truth")
 
 
 _INT_KEYS = {"reps", "seed"}

@@ -359,6 +359,15 @@ class TestRiskAndSlope:
         path.write_text("n=16\nk=2\nrho=2.5\n")
         assert run(capsys, "risk", "--config", str(path))[0] == 2
 
+    def test_graphon_level_with_k_not_dividing_n_exits_2(self, tmp_path, capsys):
+        # k = 8 does not divide n = 50, so the truth would be rounded to 50 steps
+        path = tmp_path / "rounded.cfg"
+        path.write_text("n=48\nn=50\nk=8\nrho=1.0\nlevel=graphon\n")
+        code, _, err = run(capsys, "risk", "--config", str(path))
+        assert code == 2 and "invalid input" in err and "(50, 8)" in err
+        path.write_text("n=48\nn=56\nk=8\nrho=1.0\nreps=1\nlevel=graphon\n")
+        assert run(capsys, "risk", "--config", str(path), "--out", str(tmp_path / "ok"))[0] == 0
+
     def test_outdir_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "old.cfg"
         path.write_text(f"n=16\nk=2\nrho=1.0\noutdir={tmp_path / 'x'}\n")

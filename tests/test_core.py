@@ -16,6 +16,7 @@ from cutgraphon import (
 )
 from cutgraphon.core import (
     _SYM_TOL,
+    _as_array,
     _check_symmetric,
     blowup_counts,
     format_matrix,
@@ -23,6 +24,46 @@ from cutgraphon.core import (
     parse_matrix,
     parse_stepgraphon,
 )
+
+
+def nudged_blowup_counts(weights: np.ndarray, m: int) -> np.ndarray:
+    """The earlier apportionment rule, kept verbatim as a reference: floors
+    nudged up by 1e-12, then slots taken back from the smallest remainders
+    or given to the largest."""
+    w = _as_array(weights, "blow-up weights", 1)
+    raw = w * m
+    base = np.floor(raw + 1e-12).astype(int)
+    short = m - int(base.sum())
+    if short < 0:
+        # the 1e-12 nudge rounded some near-integers up; take slots back from
+        # the entries with the smallest remainders
+        order = np.lexsort((np.arange(len(w)), raw - base))
+        take = [i for i in order if base[i] > 0][: -short]
+        base[take] -= 1
+    elif short > 0:
+        frac = raw - base
+        order = np.lexsort((np.arange(len(w)), -frac))
+        base[order[:short]] += 1
+    return base
+
+
+def graphon_weights(rng, kind):
+    """(weights, m): StepGraphon weights on k <= 39 steps and a target m <= 8192.
+
+    ``dirichlet`` draws them, ``multiples`` takes exact multiples of 1/m, and
+    ``nudged`` moves each multiple by up to 2e-12, so that w*m sits just
+    below or above an integer.
+    """
+    k = int(rng.integers(1, 40))
+    m = int(rng.integers(k, 8193)) if rng.random() < 0.5 else int(rng.integers(k, 4 * k + 2))
+    if kind == "dirichlet":
+        w = np.maximum(rng.dirichlet(np.full(k, rng.choice([0.3, 1.0, 5.0]))), 1e-6)
+        w /= w.sum()
+    else:
+        w = (rng.multinomial(m - k, np.full(k, 1.0 / k)) + 1) / m
+        if kind == "nudged":
+            w = w + rng.uniform(-2e-12, 2e-12, k)
+    return StepGraphon(np.zeros((k, k)), w).weights, m
 
 
 def brute_weighted_l1(q, w):
@@ -255,6 +296,17 @@ class TestEmpiricalAndBlowup:
     def test_largest_remainder_ties_go_to_lower_index(self):
         counts = blowup_counts(np.array([0.5, 0.5]), 3)
         assert counts.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "multiples", "nudged"])
+    def test_blowup_counts_are_the_nudged_rule(self, kind):
+        # plain floors and largest remainders give the counts the 1e-12
+        # nudge gave: a floor it lifted has the largest remainder instead
+        rng = np.random.default_rng(["dirichlet", "multiples", "nudged"].index(kind))
+        for _ in range(1500):
+            w, m = graphon_weights(rng, kind)
+            want = nudged_blowup_counts(w, m)
+            got = blowup_counts(w, m)
+            assert got.tolist() == want.tolist(), (w.tolist(), m)
 
     @given(st.integers(2, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -100,13 +100,14 @@ def scalar_norm(D, metric):
 
 
 def reference_min_over_permutations(D1, D2, metric):
-    """The plain enumeration loop: every permutation scored, first optimum wins."""
+    """The plain enumeration loop: every permutation scored, a value replacing
+    the best only if it is strictly less."""
     m = D1.shape[0]
     best_val, best_perm = np.inf, None
     for p in itertools.permutations(range(m)):
         perm = np.array(p, dtype=int)
         val = scalar_norm(D1 - D2[np.ix_(perm, perm)], metric)
-        if val < best_val - 1e-18:
+        if val < best_val:
             best_val, best_perm = val, perm
     return best_perm, best_val
 
@@ -169,7 +170,7 @@ def enumeration_cases(draw):
     if pair == "identical":
         D2 = D1.copy()  # W1 == W2: every automorphism ties with the identity
     elif pair == "near":
-        # values far below 2**-6, where best - 1e-18 no longer rounds back to best
+        # a near-identical pair: the least values lie near 1e-9, far below 2**-6
         N = rng.uniform(-1e-9, 1e-9, (m, m))
         D2 = np.clip(D1 + np.triu(N) + np.triu(N, 1).T, 0.0, 1.0)
     else:
@@ -635,20 +636,34 @@ class TestScreenedEnumeration:
             assert repr(est.upper) == upper == repr(ref_val)
 
     @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
-    @pytest.mark.parametrize("s, perm", [(1e-19, [0, 1]), (2e-18, [1, 0])],
-                             ids=["within", "beyond"])
-    def test_first_optimum_within_1e18(self, metric, s, perm):
+    @pytest.mark.parametrize("s, perm", [(0.0, [0, 1]), (1e-19, [1, 0]), (2e-18, [1, 0])],
+                             ids=["s=0", "s=1e-19", "s=2e-18"])
+    def test_the_least_computed_value_wins(self, metric, s, perm):
         # the identity leaves diag(8s, -4s) and the later swap diag(4s, 0),
         # which reads lower on every metric: by s for cut, 2s for l1 and
-        # about 2.5s for l2.  At s = 1e-19 that is under 1e-18, so the first
-        # optimum, the identity, stays; at s = 2e-18 the swap replaces it
+        # about 2.5s for l2.  However small s > 0 is, the swap wins; at s = 0
+        # every value ties and the first permutation, the identity, stays
         W1 = StepGraphon(np.diag([8 * s, 0.0]), [0.5, 0.5])
         W2 = StepGraphon(np.diag([0.0, 4 * s]), [0.5, 0.5])
         ident, swap = (permuted_difference_norm(W1, W2, p, 2, metric) for p in ([0, 1], [1, 0]))
-        assert swap < ident
+        assert swap < ident if s else swap == ident
         est = delta_exact_tiny(W1, W2, metric)
         assert est.permutation.tolist() == perm
-        assert est.upper == (ident if perm == [0, 1] else swap)
+        assert est.upper == min(ident, swap)
+
+    @pytest.mark.parametrize("metric", ["cut", "l1", "l2"])
+    @given(st.integers(3, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_upper_is_the_least_replayed_value(self, metric, m, seed):
+        # every permutation replayed on its own: upper is the least of those
+        # values, bit for bit, and the permutation the first to reach it
+        rng = np.random.default_rng(seed)
+        W1, W2 = random_refinable(rng, m), random_refinable(rng, m)
+        est = delta_exact_tiny(W1, W2, metric)
+        perms = list(itertools.permutations(range(est.m)))
+        vals = [permuted_difference_norm(W1, W2, p, est.m, metric) for p in perms]
+        assert repr(est.upper) == repr(min(vals))
+        assert tuple(est.permutation.tolist()) == perms[vals.index(min(vals))]
 
     def test_permutation_table_is_read_only(self):
         table = distance._permutation_table(5)
@@ -756,10 +771,13 @@ class TestEnumerationMemo:
         W1, W2 = six_step_pair(12)
         up = delta_upper(W1, W2, "cut", seed=3)
         ex = delta_exact_tiny(W1, W2, "cut")
-        # the enumeration ran once, on the caller's own blow-ups (a graphon
-        # of six equal steps is its own blow-up)
+        # the enumeration ran once, on read-only arrays equal to the blow-ups
+        # (a graphon of six equal steps is its own blow-up)
         assert len(calls) == 1
-        assert calls[0][0] is W1.values and calls[0][1] is W2.values and calls[0][2] == "cut"
+        for got, want in zip(calls[0][:2], (W1.values, W2.values)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable
+        assert calls[0][2] == "cut"
         assert np.array_equal(up.permutation, ex.permutation) and up.upper == ex.upper
         assert up.permutation is not ex.permutation
         # another metric is another key

@@ -1,10 +1,12 @@
-"""Every module under src/cutgraphon uses each name it imports and converts
+"""Every module under src/cutgraphon imports only the standard library,
+numpy and the package itself, uses each name it imports and converts
 arguments only through core's checked coercions (arrays through `_as_array`
 and `_as_indices`, scalars through `_as_int` and `_as_real`), and every name
 the benchmark's tracer rebinds exists."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,33 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str):
+    """(line, module) of each import from outside the standard library,
+    numpy and the package itself (relative imports)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    return found
+
+
+def test_checker_flags_a_foreign_import():
+    src = ("import os\nimport numpy as np\nimport scipy.linalg\nfrom . import core\n\n"
+           "def f():\n    from pandas import DataFrame\n    from numpy.linalg import eigvalsh\n")
+    assert foreign_imports(src) == [(3, "scipy.linalg"), (7, "pandas")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 # the checked coercions: every other conversion of an argument goes through them

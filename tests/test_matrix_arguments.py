@@ -70,7 +70,8 @@ from cutgraphon import (
     varshamov_gilbert_code,
     weak_regularity_approx,
 )
-from cutgraphon.core import format_matrix, format_stepgraphon, parse_matrix, parse_stepgraphon
+from cutgraphon.core import (blowup_counts, format_matrix, format_stepgraphon, parse_matrix,
+                             parse_stepgraphon)
 from cutgraphon.cutnorm import (CutNormResult, SandwichResult, kernel_witness_value,
                                 matrix_witness_value)
 from cutgraphon.distance import EDGE, common_refinement_m
@@ -178,6 +179,20 @@ FORMS = [(entry, form) for entry in sorted(ENTRY_POINTS) + ["l1_norm"]
 FORMS += [(name, "nested list") for name in sorted(CONSTRUCTORS)]
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_leave_the_callers_arrays_alone(name):
+    # each stores a frozen array of its own: the caller's stays writable and unshared
+    make, args = CONSTRUCTORS[name]
+    given = [np.array(a) for a in args]
+    obj = make(*given)
+    stored = [v for v in (getattr(obj, f, None) for f in dir(obj) if not f.startswith("_"))
+              if isinstance(v, np.ndarray)]
+    assert stored
+    for a in given:
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, v) for v in stored)
+
+
 @pytest.mark.parametrize("entry, form", FORMS)
 def test_other_forms_are_the_equal_array(entry, form, tmp_path):
     if entry in CONSTRUCTORS:
@@ -222,6 +237,7 @@ BAD_ARGUMENTS = {
     "theta_from_labels-empty": lambda path: theta_from_labels(_SPEC, []),
     "theta_from_labels-2d": lambda path: theta_from_labels(_SPEC, [[0, 1]]),
     "theta_from_labels-string": lambda path: theta_from_labels(_SPEC, "ab"),
+    "theta_from_labels-ragged": lambda path: theta_from_labels(_SPEC, [[0, 1], [0]]),
     "sample_theta-empty": lambda path: sample_theta(_SPEC, LatentSample([])),
     "ModelSpec-string rho": lambda path: ModelSpec(_W, "a"),
     "ModelSpec-array graphon": lambda path: ModelSpec(np.eye(2)),
@@ -231,9 +247,12 @@ BAD_ARGUMENTS = {
     "BlockFit-label 5": lambda path: BlockFit(np.array([0, 5]), 0.5 * np.eye(2), 0.0),
     "BlockFit-float labels": lambda path: BlockFit(np.array([0.0, 1.0]), _PAIR, 0.0),
     "BlockFit-value 2": lambda path: BlockFit(np.array([0, 1]), 4 * _PAIR, 0.0),
+    "BlockFit-empty labels": lambda path: BlockFit([], [[0.5]], 0.0),
+    "blowup_counts-weights summing to 5": lambda path: blowup_counts([2.0, 3.0], 4),
     # scalars: an integer or a finite real in the parameter's interval
     "stream-float seed": lambda path: sample_latents(5, seed=2.5),
     "blowup-float m": lambda path: blowup(_W, 4.5),
+    "blowup_counts-float m": lambda path: blowup_counts([0.5, 0.5], 2.5),
     "ModelSpec-bool rho": lambda path: ModelSpec(_W, True),
     "sbm_spec-float k": lambda path: sbm_spec(2.5, 0.5, 0.1),
     "sbm_spec-string p_in": lambda path: sbm_spec(2, "0.5", 0.1),
@@ -280,6 +299,9 @@ BAD_ARGUMENTS = {
     "ExperimentConfig-int ns": lambda path: ExperimentConfig(ns=16, ks=(2,), rhos=(1.0,)),
     "ExperimentConfig-None metrics":
         lambda path: ExperimentConfig(ns=(16,), ks=(2,), rhos=(1.0,), metrics=None),
+    # a graphon-level cell measures against the truth refined into n steps
+    "ExperimentConfig-graphon k not dividing n":
+        lambda path: ExperimentConfig(ns=(50,), ks=(8,), rhos=(1.0,), reps=2, level="graphon"),
     "rate_formula-float n": lambda path: rate_formula("Cut", 100.5, 4, 1.0),
     "rate_formula-float k": lambda path: rate_formula("Cut", 100, 4.5, 1.0),
     "rate_formula-bool rho": lambda path: rate_formula("Cut", 100, 4, True),
