@@ -12,12 +12,13 @@ chosen by the config's ``level``:
   to the scaled truth with a permutation-search distance upper bound at
   m = n; SEARCH_RESTARTS = 0 keeps only the deterministic alignment
   candidates.  The config rejects a grid where some k does not divide some
-  n: that truth would be rounded to n steps.  ``frobenius`` and ``l1`` stay matrix quantities: the
-  graphon-level ``l1`` row is |Phat - Theta| with the matrix ``L1``
-  envelope.  delta_1 through `delta_upper` at ``restarts=0`` mostly
-  measures how weak those candidates are (0.459 against 0.180 for
-  |Phat - Theta| at n=32, k=4, seed 3), so wiring it and the ``L1graphon``
-  envelope waits on the latent-order coupling (ROADMAP item 4).
+  n: that truth would be rounded to n steps.  ``frobenius`` and ``l1`` stay
+  matrix quantities: the graphon-level ``l1`` row is |Phat - Theta| with
+  the matrix ``L1`` envelope.  delta_1 through `delta_upper` at
+  ``restarts=0`` mostly measures how weak those candidates are (0.459
+  against 0.180 for |Phat - Theta| at n=32, k=4, seed 3), so wiring it and
+  the ``L1graphon`` envelope waits on the latent-order coupling (ROADMAP
+  item 4).
 
 The model behind every grid cell is a fixed banded two-value kernel
 (contrast 0.8, equal weights); k=1 degenerates to the constant 1/2.
