@@ -400,8 +400,12 @@ def blowup_counts(weights, m: int) -> np.ndarray:
     index.  Always sums to m; a step may receive 0 slots if its weight is
     far below 1/m.
     """
-    w = _normalize_weights(weights, "blow-up weights")
-    m = _as_int(m, "blow-up target m", 1, DENSE_BUDGET)
+    return _largest_remainder(_normalize_weights(weights, "blow-up weights"),
+                              _as_int(m, "blow-up target m", 1, DENSE_BUDGET))
+
+
+def _largest_remainder(w: np.ndarray, m: int) -> np.ndarray:
+    """`blowup_counts` of checked weights w and a checked m, unchecked."""
     raw = w * m
     base = np.floor(raw).astype(int)
     order = np.lexsort((np.arange(len(w)), base - raw))
@@ -423,8 +427,8 @@ def blowup(W: StepGraphon, m: int) -> StepGraphon:
     if W.k == m and np.all(W.weights == 1.0 / m):
         return W
     _check_dense(m)
-    counts = blowup_counts(W.weights, m)
-    idx = np.repeat(np.arange(W.k), counts)
+    # W's weights passed its constructor's checks, and m is bounded above
+    idx = np.repeat(np.arange(W.k), _largest_remainder(W.weights, m))
     # a fresh gather of W's checked values: symmetric, finite and in range
     q = W.values.take(idx, axis=0).take(idx, axis=1)
     return StepGraphon._owning(q, _step_weights(np.full(m, 1.0 / m), m))

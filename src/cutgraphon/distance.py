@@ -26,25 +26,25 @@ where rearrangements become permutations of [m]:
 
 `_norms` alone forms and measures aligned differences D1 - P D2 P^T, a
 chunked stack at a time (`_aligned`, which also feeds the cut screen; a
-chunk of one permutation is gathered with `take`), each value bit for bit
-its permutation's alone.  Both enumerations run
-`_min_over_permutations`: one permutation per distinct arrangement of the
-second graphon's equal steps, a batched cut screen with a proven rounding
-margin, exact values of the survivors, and one argmin that takes the first
-permutation, in lexicographic order, that reaches the least value,
-bit-identical to scoring all m! one by one.  They reach it through one
-bounded memo (`_enumerated`), keyed by m, the metric and the bytes of both
-blow-ups, so a pair that goes through `delta_upper` (m <= 6) and then
-`delta_exact_tiny`, or the same pair twice, is enumerated once: the second
-call gets the first one's permutation and value, bit for bit, in a fresh
-copy.
+chunk of one permutation is gathered with `take` along each axis, a stack
+with one flat `take`), each value bit for bit its permutation's alone.
+Both enumerations run `_min_over_permutations`: one permutation per
+distinct arrangement of the second graphon's equal steps, from a table
+built once per tuple of run lengths (`_arrangement_table`), a batched cut
+screen with a proven rounding margin, exact values of the survivors, and
+one argmin that takes the first permutation, in lexicographic order, that
+reaches the least value, bit-identical to scoring all m! one by one.  They
+reach it through one bounded memo (`_enumerated`), keyed by m, the metric
+and the bytes of both blow-ups, so a pair that goes through `delta_upper`
+(m <= 6) and then `delta_exact_tiny`, or the same pair twice, is
+enumerated once: the second call gets the first one's permutation and
+value, bit for bit, in a fresh copy.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,7 +64,10 @@ ENUMERATE_M = 6   # up to here delta_upper enumerates all m! permutations
 _ENUMERATION_MEMO = 128  # enumerated pairs kept by `_enumerated` (about 0.2 MB at m = 8)
 COST_BUDGET = 2**31  # elements of u1 x u2 x m behind the search's row cost
 _COST_BLOCK = 2**15  # elements per temporary while the row cost is filled
-_SCREEN_BLOCK = 2**16  # elements per temporary while permutations are screened or scored
+# elements per temporary while permutations are screened or scored: 128 KiB,
+# glibc malloc's default mmap threshold.  Temporaries four times larger get
+# fresh pages on every call, which took a third of an m = 6 enumeration.
+_SCREEN_BLOCK = 2**14
 # Swap descent picks its branch by size.  Up to FULL_SWEEP_M steps it makes at
 # most FULL_SWEEPS lexicographic sweeps over all pairs and stops after a sweep
 # that improves nothing: at most 12*C(16,2) = 1440 objective calls, 336 at
@@ -196,16 +199,29 @@ def permuted_difference_norm(
 
 
 @functools.cache
-def _permutation_table(m: int) -> np.ndarray:
-    """All m! permutations of range(m), one per row in lexicographic order.
+def _arrangement_table(lengths: tuple) -> np.ndarray:
+    """The lexicographically first permutation of each distinct arrangement of
+    runs of the given lengths, one per row, in lexicographic order.
 
-    Built once per m and shared, so it is read-only; the enumerations take
-    m <= 8, so at most eight tables (0.3 MB at m = 8) are kept.
+    Run r holds the next lengths[r] indices after the runs before it.  The
+    rows grow one position at a time: each row is extended by every run that
+    has indices left, in run order, with that run's next unused index.  So
+    the rows stay in lexicographic order and keep each run's indices
+    increasing, and no permutation outside the table is ever built.  Built
+    once per tuple and shared, so it is read-only; the enumerations take
+    m <= 8, so at most 255 tables (every composition of every m <= 8,
+    4.7 MB in all) are kept.
     """
-    table = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(m))),
-        dtype=np.int8, count=math.factorial(m) * m,
-    ).reshape(-1, m)
+    sizes = np.array(lengths)
+    start = np.cumsum(sizes) - sizes
+    table = np.empty((1, 0), dtype=np.int8)
+    left = sizes[None]  # indices each row has left in each run
+    for _ in range(int(sizes.sum())):
+        row, run = np.nonzero(left > 0)  # row-major: by row, then run
+        nxt = start[run] + sizes[run] - left[row, run]
+        table = np.hstack((table[row], nxt[:, None].astype(np.int8)))
+        left = left[row]
+        left[np.arange(len(row)), run] -= 1
     table.setflags(write=False)
     return table
 
@@ -217,15 +233,12 @@ def _arrangements(D2: np.ndarray) -> np.ndarray:
     is exactly symmetric and so equal rows are equal columns: permutations
     that differ only within runs give a bit-identical D2[p][:, p].  Among
     them the lexicographically first keeps each run's indices in
-    increasing order.  Returns a table with one permutation per row, in
+    increasing order.  Returns the shared, read-only table of D2's run
+    lengths (`_arrangement_table`), one permutation per row, in
     lexicographic order.
     """
-    table = _permutation_table(D2.shape[0])
     _, runs = _row_runs(D2)
-    keep = np.ones(len(table), dtype=bool)
-    for i in np.flatnonzero(runs[1:] == runs[:-1]).tolist():
-        keep &= (table == i).argmax(axis=1) < (table == i + 1).argmax(axis=1)
-    return table[keep]
+    return _arrangement_table(tuple(np.bincount(runs).tolist()))
 
 
 def _aligned(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, per: int, measure) -> np.ndarray:
@@ -233,12 +246,15 @@ def _aligned(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, per: int, measur
     about _SCREEN_BLOCK // per permutations at a time; measure returns one
     value per difference of its stack, which is C-ordered.
 
-    A chunk of one permutation gathers with `take` along rows, then columns,
-    and subtracts into that fresh gather: every chunk of m x m differences
-    from m = 182 up (the search's candidates and second evaluation there),
-    every replay and every swap-descent objective.  The stacked chunks of
-    the small enumerations gather by broadcast indexing.  Both gathers copy
-    the same entries, so the differences are the same bit for bit."""
+    A chunk of one permutation gathers with `take` along rows, then columns:
+    every chunk of m x m differences from m = 91 up (the search's
+    candidates and second evaluation there), every replay and every
+    swap-descent objective.  The stacked chunks of the small enumerations
+    gather with one flat `take` from D2's m*m entries, at the intp indices
+    P[i] * m + P[j].  Both gathers copy the same entries, and the difference
+    is subtracted into that fresh gather, so the differences are the same
+    bit for bit."""
+    m = D2.shape[0]
     out = np.empty(len(perms))
     step = max(1, _SCREEN_BLOCK // per)
     for a in range(0, len(perms), step):
@@ -247,7 +263,9 @@ def _aligned(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, per: int, measur
             G = D2.take(P[0], axis=0).take(P[0], axis=1)
             out[a] = measure(np.subtract(D1, G, out=G)[None])[0]
         else:
-            out[a : a + step] = measure(D1 - D2[P[:, :, None], P[:, None, :]])
+            P = P.astype(np.intp)
+            G = D2.reshape(-1).take(P[:, :, None] * m + P[:, None, :])
+            out[a : a + step] = measure(np.subtract(D1, G, out=G))
     return out
 
 
@@ -322,15 +340,15 @@ def _min_over_permutations(D1: np.ndarray, D2: np.ndarray, metric: str):
     Returns the plain loop's permutation and value, bit for bit: every
     permutation in lexicographic order, a value replacing the best only if
     it is strictly less.  Only the first permutation of each distinct
-    arrangement of D2's equal steps is scored (`_arrangements`): a later
-    duplicate repeats an earlier value.  l1 and l2 score every arrangement
-    exactly (`_norms`).  For cut, every arrangement is screened
-    (`_screen`), the exact value of the lowest screened one is a bound, and
-    only the survivors, whose screen less `_screen_margin` lies below it
-    (about 50 of 720 at m = 6), get an exact value.  A screened-out
-    arrangement has a value >= bound + gamma > bound >= the minimum
-    (`_screen_margin`), so every minimiser survives, in order, and argmin
-    takes the first.
+    arrangement of D2's equal steps is scored (`_arrangements`, which
+    builds those alone, never the m! table): a later duplicate repeats an
+    earlier value.  l1 and l2 score every arrangement exactly (`_norms`).
+    For cut, every arrangement is screened (`_screen`), the exact value of
+    the lowest screened one is a bound, and only the survivors, whose
+    screen less `_screen_margin` lies below it (about 50 of 720 at m = 6),
+    get an exact value.  A screened-out arrangement has a value >= bound +
+    gamma > bound >= the minimum (`_screen_margin`), so every minimiser
+    survives, in order, and argmin takes the first.
     """
     perms = _arrangements(D2)
     if metric == "cut":

@@ -34,7 +34,8 @@ from .core import (
     parse_stepgraphon,
 )
 from .cutnorm import matrix_cut_norm_heuristic
-from .distance import _motif_bound, _motif_densities, delta_cut_lower, delta_exact_tiny
+from .distance import (_motif_bound, _motif_densities, _row_runs, delta_cut_lower,
+                       delta_exact_tiny)
 from .errors import BudgetError, ValidationError
 
 ETA0 = 1.0 / 16.0   # matched-row fraction in the block-matrix spot check
@@ -132,6 +133,16 @@ def _row_set_size(k1: int) -> int:
     return s
 
 
+def _column_classes(BY: np.ndarray):
+    """The distinct columns of BY and how many columns each class holds, in
+    lexicographic order of the columns (row 0 first), as numpy's `unique`
+    along axis 1 with its counts returns them: from one `np.lexsort` of the
+    columns and a scan for the runs of equal sorted columns (`_row_runs`),
+    for any number of rows."""
+    reps, runs = _row_runs(BY.T[np.lexsort(BY[::-1])])
+    return reps.T, np.bincount(runs)
+
+
 def _mixing_deviation(B: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
                       rng: np.random.Generator) -> float:
     """T = sum_a sum_{b in Z} |B[X_a, b] - (omega B[Y_a])_b| for one random omega.
@@ -141,10 +152,12 @@ def _mixing_deviation(B: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
     only the draws landing in each class of identical columns of B[Y]
     matter; merging the cells of a multinomial gives a multinomial over the
     classes with the summed probabilities, so drawing the class counts
-    directly gives T exactly the law of the per-column draw.
+    directly gives T exactly the law of the per-column draw.  The classes
+    come in the lexicographic order of their columns (`_column_classes`),
+    which fixes how the draw consumes ``rng``.
     """
     mk = B.shape[1]
-    signs, sizes = np.unique(B[Y], axis=1, return_counts=True)
+    signs, sizes = _column_classes(B[Y])
     counts = rng.multinomial(8 * mk, sizes / mk, size=len(Z))
     approx = signs @ counts.T / (8.0 * mk)     # s x |Z|
     return float(np.abs(B[X][:, Z] - approx).sum())
@@ -156,14 +169,19 @@ def spot_check_property_ii(B: np.ndarray, samples: int, seed: int = 0) -> Tuple[
     For disjoint row sets X, Y of size s = eta0*k1, a column subset Z of
     size >= eta1*mk, and a stochastic matrix omega on the 1/(8*mk) grid,
     the aggregate deviation T (see `_mixing_deviation`, which draws omega
-    per class of identical columns of B[Y]) must exceed s*|Z|/4.  Returns
-    (passed, total).
+    per class of identical columns of B[Y]) must exceed s*|Z|/4.  B is a
+    k1 x mk matrix of +-1 entries and ``samples`` an integer >= 0, else
+    ValidationError.  Returns (passed, total).
 
     This is a sanity count, not evidence of property (ii): the sampled
     omega are near-uniform, so omega B[Y_a] is near 0 and T is close to
     s*|Z|, four times the threshold, for any sign matrix whose rows are
     balanced, including one whose rows are all equal.
     """
+    B = _as_array(B, "B", 2)
+    if not np.all(np.abs(B) == 1.0):
+        raise ValidationError("B must hold +-1 entries only")
+    samples = _as_int(samples, "samples", 0)
     k1, mk = B.shape
     rng = stream(seed, "hadamard-ii")
     s = _row_set_size(k1)

@@ -131,6 +131,24 @@ def _counts(W, m):
     return c
 
 
+def compositions(m):
+    """Every tuple of positive run lengths summing to m."""
+    if m == 0:
+        return [()]
+    return [(f,) + rest for f in range(1, m + 1) for rest in compositions(m - f)]
+
+
+def filtered_permutation_table(lengths):
+    """All m! permutations in lexicographic order, filtered to the first one of
+    each distinct arrangement of the runs: the rows that keep every run's
+    indices increasing."""
+    m = sum(lengths)
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.int8).reshape(-1, m)
+    runs = np.repeat(np.arange(len(lengths)), lengths)
+    _, first = np.unique(runs[table], axis=0, return_index=True)
+    return table[np.sort(first)]
+
+
 def random_refinable(rng, m=6):
     """Random step graphon whose weights are multiples of 1/m."""
     k = int(rng.integers(1, 4))
@@ -665,11 +683,43 @@ class TestScreenedEnumeration:
         assert repr(est.upper) == repr(min(vals))
         assert tuple(est.permutation.tolist()) == perms[vals.index(min(vals))]
 
-    def test_permutation_table_is_read_only(self):
-        table = distance._permutation_table(5)
-        assert distance._permutation_table(5) is table
+    def test_arrangement_table_is_read_only(self):
+        # one table per tuple of run lengths, shared by every caller
+        table = distance._arrangement_table((2, 1, 2))
+        assert distance._arrangement_table((2, 1, 2)) is table
+        assert table.dtype == np.int8
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+    def test_arrangement_table_is_the_filtered_permutation_table(self):
+        # every run structure up to m = 7, and three at m = 8
+        for lengths in [c for m in range(1, 8) for c in compositions(m)] + [
+                (1,) * 8, (3, 5), (2, 2, 2, 2)]:
+            assert np.array_equal(distance._arrangement_table(lengths),
+                                  filtered_permutation_table(lengths)), lengths
+
+    def test_flat_gather_is_broadcast_indexing(self):
+        # the stacked chunks of `_aligned` against the broadcast gather, bit for bit
+        rng = np.random.default_rng(5)
+        for m in range(1, 9):
+            D1, D2 = rng.uniform(-1, 1, (2, m, m))
+            perms = np.array([rng.permutation(m) for _ in range(50)], dtype=np.int8)
+            seen = []
+            distance._aligned(D1, D2, perms, 1, lambda D: seen.append(D) or np.zeros(len(D)))
+            assert len(seen) == 1
+            want = D1 - D2[perms[:, :, None], perms[:, None, :]]
+            assert seen[0].flags.c_contiguous and seen[0].tobytes() == want.tobytes()
+
+    def test_two_step_packing_builds_only_its_table(self):
+        # the k = 2 packing enumerates one m = 8 pair whose second blow-up has
+        # runs of 3 and 5 steps: one table of C(8, 3) = 56 rows, no 8! table
+        distance._enumerated.cache_clear()
+        distance._arrangement_table.cache_clear()
+        graphon_packing(2, 256)
+        info = distance._arrangement_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert len(distance._arrangement_table((3, 5))) == 56
+        assert distance._arrangement_table.cache_info().hits == info.hits + 1
 
     @given(st.integers(1, 7), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

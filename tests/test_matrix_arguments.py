@@ -76,6 +76,7 @@ from cutgraphon.cutnorm import (CutNormResult, SandwichResult, kernel_witness_va
                                 matrix_witness_value)
 from cutgraphon.distance import EDGE, common_refinement_m
 from cutgraphon.experiments import format_csv, parse_csv
+from cutgraphon.packing import spot_check_property_ii
 from cutgraphon.sampling import theta_from_labels
 
 
@@ -174,9 +175,15 @@ CONSTRUCTORS = {
     "LatentSample": (LatentSample, [[0.1, 0.7, 0.0]]),
     "BlockFit": (lambda z, q: BlockFit(z, q, 0.0), [[0, 1, 1], [[0.5, 0.2], [0.2, 0.1]]]),
 }
+_SIGNS = np.where(np.random.default_rng(0).random((16, 64)) < 0.5, -1.0, 1.0)
+# functions that are not constructors, with their array arguments as nested lists
+LIST_ARGUMENTS = {
+    **CONSTRUCTORS,
+    "spot_check_property_ii": (lambda B: spot_check_property_ii(B, 3), [_SIGNS.tolist()]),
+}
 FORMS = [(entry, form) for entry in sorted(ENTRY_POINTS) + ["l1_norm"]
          for form in ("ProbMatrix", "nested list")]
-FORMS += [(name, "nested list") for name in sorted(CONSTRUCTORS)]
+FORMS += [(name, "nested list") for name in sorted(LIST_ARGUMENTS)]
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
@@ -195,8 +202,8 @@ def test_constructors_leave_the_callers_arrays_alone(name):
 
 @pytest.mark.parametrize("entry, form", FORMS)
 def test_other_forms_are_the_equal_array(entry, form, tmp_path):
-    if entry in CONSTRUCTORS:
-        make, args = CONSTRUCTORS[entry]
+    if entry in LIST_ARGUMENTS:
+        make, args = LIST_ARGUMENTS[entry]
         assert _outcome(make(*args)) == _outcome(make(*map(np.array, args)))
         return
     rows = [[0.0, 0.3, 0.2], [0.3, 0.0, 0.5], [0.2, 0.5, 0.0]]
@@ -281,6 +288,11 @@ BAD_ARGUMENTS = {
     "varshamov_gilbert_code-float k1": lambda path: varshamov_gilbert_code(8.0),
     "rademacher_block_matrix-float k1": lambda path: rademacher_block_matrix(8.5, 16),
     "rademacher_block_matrix-float mk": lambda path: rademacher_block_matrix(8, 8.5),
+    "spot_check_property_ii-1-d B": lambda path: spot_check_property_ii(np.ones(16), 1),
+    "spot_check_property_ii-zero B": lambda path: spot_check_property_ii(np.zeros((16, 64)), 3),
+    "spot_check_property_ii-float samples": lambda path: spot_check_property_ii(_SIGNS, 2.5),
+    "spot_check_property_ii-negative samples":
+        lambda path: spot_check_property_ii(_SIGNS, -1),
     "matrix_packing-float n": lambda path: matrix_packing(16.0, 1.0),
     "matrix_packing-string rho": lambda path: matrix_packing(16, "a"),
     "kl_bound-negative n": lambda path: kl_bound(_EPS, -_EPS, -3, 0.05),

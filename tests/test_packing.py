@@ -2,11 +2,14 @@
 
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutgraphon import distance, packing
 from cutgraphon._rng import stream
@@ -185,6 +188,58 @@ class TestPropertyIiDraw:
         assert abs(old.mean() - new.mean()) < 4 * se
         assert 0.8 < new.std(ddof=1) / old.std(ddof=1) < 1.25
         assert old.min() > 1 and new.min() > 1
+
+
+def _unique_class_deviation(B, X, Y, Z, rng):
+    """`_mixing_deviation` with the classes from ``np.unique``, its oracle."""
+    mk = B.shape[1]
+    signs, sizes = np.unique(B[Y], axis=1, return_counts=True)
+    counts = rng.multinomial(8 * mk, sizes / mk, size=len(Z))
+    return float(np.abs(B[X][:, Z] - signs @ counts.T / (8.0 * mk)).sum())
+
+
+class TestColumnClasses:
+    @given(st.integers(1, 12), st.integers(8, 600), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_are_uniques(self, s, mk, seed):
+        BY = np.where(np.random.default_rng(seed).random((s, mk)) < 0.5, -1.0, 1.0)
+        signs, sizes = packing._column_classes(BY)
+        want_signs, want_sizes = np.unique(BY, axis=1, return_counts=True)
+        assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
+        assert sizes.dtype == want_sizes.dtype and np.array_equal(sizes, want_sizes)
+
+    @pytest.mark.parametrize("k1, mk", [(16, 64), (32, 533), (128, 40)])
+    def test_deviation_is_the_unique_routes(self, k1, mk):
+        # equal-seeded generators: the same class order gives the same draws,
+        # so T is the same bit for bit (s = 1, 2 and 8 rows per class key)
+        B = np.where(np.random.default_rng(k1).random((k1, mk)) < 0.5, -1.0, 1.0)
+        s = packing._row_set_size(k1)
+        zlen = int(np.ceil(packing.ETA1 * mk))
+        pick = np.random.default_rng(mk)
+        for seed in range(10):
+            perm = pick.permutation(k1)
+            X, Y, Z = perm[:s], perm[s:2 * s], pick.permutation(mk)[:zlen]
+            got = packing._mixing_deviation(B, X, Y, Z, np.random.default_rng(seed))
+            want = _unique_class_deviation(B, X, Y, Z, np.random.default_rng(seed))
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed, separation, t_sum", [
+        (0, 1.9073807250413743e-05, 93384.367260788),
+        (2, 8.975909294217654e-06, 93406.9765478424),
+        (3, 2.2439773235127802e-06, 93408.58724202626),
+    ])
+    def test_sixty_four_step_packing_is_pinned(self, monkeypatch, seed, separation, t_sum):
+        # the certified separation, the spot check's count and the exact sum
+        # of its 100 deviations T, as the class draw over np.unique's order
+        # gave them
+        seen = []
+        plain = packing._mixing_deviation
+        monkeypatch.setattr(packing, "_mixing_deviation",
+                            lambda *args: seen.append(plain(*args)) or seen[-1])
+        fam = graphon_packing(64, 256, seed=seed)
+        assert repr(fam.separation_lower) == repr(separation)
+        assert fam.meta["property_ii_passed"] == fam.meta["property_ii_total"] == 100
+        assert repr(math.fsum(seen)) == repr(t_sum)
 
 
 class TestMatrixPacking:
