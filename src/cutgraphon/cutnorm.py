@@ -234,10 +234,11 @@ def _rectangle_margin(n1: int, n2: int, mx: float) -> float:
     return 4.0 * (N + n1 + n2 + 2) * N * mx * 2.0**-53
 
 
-def _alternate_max(M: np.ndarray, T0: np.ndarray, sign: float, margin: float):
+def _alternate_max(M: np.ndarray, T0: np.ndarray, MT0: np.ndarray, sign: float, margin: float):
     """Maximize sign * s^T M t over {0,1} vectors by alternating greedy updates.
 
-    T0 holds starting t-vectors as columns (at least two); all restarts are
+    T0 holds starting t-vectors as columns (at least two) and MT0 is M @ T0,
+    the first product, which both signs' ascents share; all restarts are
     advanced in lock-step.  Monotone in the objective, so it terminates at a
     fixed point.  Returns (value, rows, cols) of the first restart whose
     signed rectangle sum is largest.  sign = -1.0 is the ascent on -M without
@@ -260,7 +261,7 @@ def _alternate_max(M: np.ndarray, T0: np.ndarray, sign: float, margin: float):
     above = np.greater if sign > 0 else np.less
     T, S = T0, None
     for _ in range(HEURISTIC_ITERS):
-        S_new = above(M @ T, 0.0).astype(float)
+        S_new = above(MT0 if S is None else M @ T, 0.0).astype(float)
         if S is not None and np.array_equal(S_new, S):
             break
         S = S_new
@@ -292,9 +293,10 @@ def _max_rectangle_sum_heuristic(M: np.ndarray, restarts: int, seed: int):
     csign = (M.sum(axis=0) > 0).astype(float)[:, None]
     T0 = np.hstack([ones, csign] + ([rand] if rand.size else []))
     margin = _rectangle_margin(M.shape[0], k2, max(M.max(), -M.min()))
+    MT0 = M @ T0
     best = (0.0, np.array([], dtype=int), np.array([], dtype=int))
     for sign in (1.0, -1.0):
-        val, rows, cols = _alternate_max(M, T0, sign, margin)
+        val, rows, cols = _alternate_max(M, T0, MT0, sign, margin)
         if val > best[0]:
             best = (val, rows, cols)
     return best

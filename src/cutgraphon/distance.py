@@ -20,9 +20,13 @@ where rearrangements become permutations of [m]:
   the counting lemma |t(F,W1) - t(F,W2)| <= e(F) delta_cut under the set
   cut norm used here (Lovasz, Large Networks and Graph Limits, Lemma 10.23;
   the factor 4 belongs to the infinity-to-one norm).  Its four default
-  densities come from the degree vector d = Qw and one symmetric product
-  Q diag(w) Q (`_motif_densities`); `homomorphism_density` is the general
-  einsum route for any motif, and the fast path's oracle.
+  densities come from `_family_densities`, which takes a sequence of
+  graphons: edge and cherry from the degree vector d = Qw, triangle and
+  square from one Gram G = Q[:, c] Q[:, c]^T over the steps c that share a
+  weight held by more than half of them, which every graphon of the call
+  with the same values and the same c shares, or else from the symmetric
+  product Q diag(w) Q.  `homomorphism_density` is the general einsum route
+  for any motif, and the fast path's oracle.
 
 `_norms` alone forms and measures aligned differences D1 - P D2 P^T, a
 chunked stack at a time (`_aligned`, which also feeds the cut screen; a
@@ -382,10 +386,13 @@ def _enumerate(D1: np.ndarray, D2: np.ndarray, metric: str):
 
 
 def _row_runs(D: np.ndarray):
-    """Runs of adjacent equal rows: one representative row per run, and each row's run."""
+    """Runs of adjacent equal rows: one representative row per run, and each row's run.
+
+    When every row starts a run, the representatives are D itself, not a copy."""
     new_run = np.any(D[1:] != D[:-1], axis=1)
     starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    return D[starts], np.cumsum(np.concatenate(([0], new_run)))
+    reps = D if len(starts) == len(D) else D[starts]
+    return reps, np.cumsum(np.concatenate(([0], new_run)))
 
 
 def _row_cost(D1: np.ndarray, D2: np.ndarray):
@@ -645,33 +652,138 @@ def delta_exact_tiny(W1: StepGraphon, W2: StepGraphon, metric: str = "cut") -> D
     return DistanceEstimate(best_val, metric, best_perm, m, "exact-enumeration")
 
 
-def _motif_densities(W: StepGraphon) -> list[float]:
-    """t(F, W) for each F in DEFAULT_MOTIFS, in that order, from the degree
-    vector d = Qw and one symmetric product X = Q diag(w) Q.
+def _majority(w: np.ndarray):
+    """(a, c): the weight a that more than half of the steps hold, equal bit
+    for bit, and the mask c of those steps; None when no weight is held by
+    more than half (a tie at exactly half included).  Such a value fills
+    more than half of the sorted weights, so it is their median."""
+    k = len(w)
+    a = np.partition(w, k // 2)[k // 2]
+    c = w == a
+    return (a, c) if 2 * np.count_nonzero(c) > k else None
 
-    edge = w.d, cherry = w.d^2, triangle = w'(Q o X)w and square =
-    w'(X o X)w, because X is symmetric whenever Q is.  X is built as B B'
-    with B = Q diag(sqrt(w)), which numpy hands to BLAS syrk (half a gemm).
-    B is not read again once X exists, so Q o X and then X o X are written
-    into B's buffer: besides Q, at most the two k x k arrays B and X are
-    alive.  Each density is looked up by its motif's name, so a motif added
-    to DEFAULT_MOTIFS without a formula here raises KeyError.
-    `homomorphism_density` is the general route and this one's test oracle.
-    """
-    _check_contraction(_expect(W, StepGraphon, "W"), "motif densities")
-    Q, w = W.values, W.weights
-    d = Q @ w
+
+def _cycles_plain(Q: np.ndarray, w: np.ndarray):
+    """(triangle, square) = (w'(Q o X)w, w'(X o X)w) from X = Q diag(w) Q.
+
+    X is symmetric whenever Q is, and built as B B' with B = Q diag(sqrt(w)),
+    which numpy hands to BLAS syrk (half a gemm).  B is not read again once
+    X exists, so Q o X and then X o X are written into B's buffer: besides
+    Q, at most the two k x k arrays B and X are alive."""
     B = Q * np.sqrt(w)
     X = B @ B.T
-    triangle = w @ np.multiply(Q, X, out=B) @ w
-    square = w @ np.multiply(X, X, out=B) @ w
-    by_name = {
-        "edge": w @ d,
-        "cherry": w @ d**2,
-        "triangle": triangle,
-        "square": square,
-    }
-    return [float(by_name[f.name]) for f in DEFAULT_MOTIFS]
+    return w @ np.multiply(Q, X, out=B) @ w, w @ np.multiply(X, X, out=B) @ w
+
+
+def _shared_sums(Q: np.ndarray, c: np.ndarray):
+    """The sums that every graphon with values Q and majority steps c
+    shares, whatever its weights, from one Gram G = Q[:, c] Q[:, c]':
+    (s_Q, v_Q, s_G, v_G, Q_rr, G_rr, Z_rr).  For A = Q and A = G, s_A is
+    the sum of A o G over c x c and v_A its sums over c in the rows r of
+    the other steps; Q_rr and G_rr are the r x r blocks, and
+    Z_rr = G[r, c] Q[c, r].
+
+    G is the one product of order k^2 |c|.  Each c-block sum is a
+    whole-row sum less its r part, so once G exists only k x |r| arrays
+    join it and Q; k x k gathers such as Q[c][:, c] would add more.  In a
+    packing Q holds {0, 1/2, 1}, so every entry of G is a multiple of 1/4
+    below k and every sum here is exact, in any order.
+    """
+    r = np.flatnonzero(~c)
+    Qc = Q.take(np.flatnonzero(c), axis=1)
+    G = Qc @ Qc.T  # BLAS syrk
+    del Qc
+    Qr, Gr = Q.take(r, axis=1), G.take(r, axis=1)
+    sums = []
+    for A, Ar in ((Q, Qr), (G, Gr)):
+        row = np.einsum("ij,ij->i", A, G) - np.einsum("ij,ij->i", Ar, Gr)  # (A o G) 1_c
+        sums += [row[c].sum(), row[r]]
+    Z_rr = Gr.T @ (Qr * c[:, None])
+    return (*sums, Qr[r], Gr[r], Z_rr)
+
+
+def _cycles_majority(w: np.ndarray, a: float, c: np.ndarray, sums):
+    """(triangle, square) of a graphon whose majority steps c hold weight a,
+    from the sums its values share (`_shared_sums`): O(|r|^3) work for the
+    steps r outside c.
+
+    With W = diag(w), X = Q W Q = a G + Q[:, r] W_r Q[r, :] and
+    y_l = w o Q[:, l]:
+        triangle = w'(Q o X)w = a w'(Q o G)w + sum_{l in r} w_l y_l' Q y_l,
+        square   = w'(X o X)w = a^2 w'(G o G)w + 2a sum_{l in r} w_l y_l' G y_l
+                   + ||W_r^(1/2) (a G_rr + X_r) W_r^(1/2)||_F^2,
+    where X_r = Q_rr W_r Q_rr.  Every k-sized sum splits into its c and r
+    blocks, with w = a on c; for A = Q and A = G, with Z_Q = G_rr and
+    Z_G = Z_rr:
+        w'(A o G)w           = a^2 s_A + 2a v_A.w_r + w_r'(A_rr o G_rr)w_r,
+        sum_l w_l y_l' A y_l = a^2 v_A.w_r + 2a w_r'(Q_rr o Z_A)w_r
+                               + w_r'(A_rr o X_r)w_r.
+    """
+    sQ, vQ, sG, vG, Q_rr, G_rr, Z_rr = sums
+    wr = w[~c]
+    X_r = (Q_rr * wr) @ Q_rr
+
+    def quad(M):
+        return wr @ M @ wr
+
+    def gram_form(s, v, M):  # w'(A o G)w
+        return a * a * s + 2 * a * (v @ wr) + quad(M)
+
+    def light_sum(v, Z, A_rr):  # sum_{l in r} w_l y_l' A y_l
+        return a * a * (v @ wr) + 2 * a * quad(Q_rr * Z) + quad(A_rr * X_r)
+
+    h = np.sqrt(wr)
+    Y = h[:, None] * (a * G_rr + X_r) * h
+    triangle = a * gram_form(sQ, vQ, Q_rr * G_rr) + light_sum(vQ, G_rr, Q_rr)
+    square = (a * a * gram_form(sG, vG, G_rr * G_rr) + 2 * a * light_sum(vG, Z_rr, G_rr)
+              + np.sum(Y * Y))
+    return triangle, square
+
+
+def _family_densities(Ws: Sequence[StepGraphon]) -> list[list[float]]:
+    """t(F, W) for each F in DEFAULT_MOTIFS, in that order, for each W in Ws.
+
+    edge = w.d and cherry = w.d^2 from the degree vector d = Qw.  Triangle
+    and square are w'(Q o X)w and w'(X o X)w with X = Q diag(w) Q.  When a
+    weight a is held by more than half of W's steps (c; the rest are r),
+    they come from one Gram G = Q[:, c] Q[:, c]' (`_cycles_majority`), and
+    the graphons of the call with the same values array and the same c
+    share one G (`_shared_sums`): a k = 64 packing's checked members, 533
+    of whose 565 weights are equal, share one.  Otherwise X itself is formed
+    (`_cycles_plain`).  A graphon's densities do not depend on the others in
+    the call: shared sums are the sums it would take alone, bit for bit.
+    Every graphon's contraction budget is checked before any product.
+    Each density is looked up by its motif's name, so a motif added to
+    DEFAULT_MOTIFS without a formula here raises KeyError.
+    `homomorphism_density` is the general route and this one's test oracle.
+    """
+    for W in Ws:
+        _check_contraction(_expect(W, StepGraphon, "W"), "motif densities")
+    cycles = [None] * len(Ws)
+    families = {}
+    for i, W in enumerate(Ws):
+        major = _majority(W.weights)
+        if major is None:
+            cycles[i] = _cycles_plain(W.values, W.weights)
+        else:
+            a, c = major
+            families.setdefault((id(W.values), c.tobytes()), (c, []))[1].append((i, a))
+    for c, members in families.values():
+        sums = _shared_sums(Ws[members[0][0]].values, c)
+        for i, a in members:
+            cycles[i] = _cycles_majority(Ws[i].weights, a, c, sums)
+    out = []
+    for W, (triangle, square) in zip(Ws, cycles):
+        w = W.weights
+        d = W.values @ w
+        by_name = {"edge": w @ d, "cherry": w @ d**2, "triangle": triangle, "square": square}
+        out.append([float(by_name[f.name]) for f in DEFAULT_MOTIFS])
+    return out
+
+
+def _motif_densities(W: StepGraphon) -> list[float]:
+    """`_family_densities` of W alone."""
+    return _family_densities((W,))[0]
 
 
 def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> CutNormResult:
@@ -688,8 +800,9 @@ def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> CutNormResul
 def delta_cut_lower(W1: StepGraphon, W2: StepGraphon) -> CutNormResult:
     """Best counting-lemma bound over DEFAULT_MOTIFS: max_F |t(F,W1)-t(F,W2)| / e(F).
 
-    Each graphon's densities come from its degree vector d = Qw and one
-    symmetric product Q diag(w) Q (`_motif_densities`), as `graphon_packing`
-    takes them, so its certificate replays here bit for bit.
+    Both graphons' densities come from one `_family_densities` call, which
+    gives each graphon the same bits alone or beside others, as
+    `graphon_packing` takes them; so its certificate replays here bit for
+    bit.
     """
-    return _motif_bound(_motif_densities(W1), _motif_densities(W2))
+    return _motif_bound(*_family_densities((W1, W2)))

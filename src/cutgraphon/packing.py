@@ -34,7 +34,7 @@ from .core import (
     parse_stepgraphon,
 )
 from .cutnorm import matrix_cut_norm_heuristic
-from .distance import (_motif_bound, _motif_densities, _row_runs, delta_cut_lower,
+from .distance import (_family_densities, _motif_bound, _row_runs, delta_cut_lower,
                        delta_exact_tiny)
 from .errors import BudgetError, ValidationError
 
@@ -397,9 +397,11 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     the Fano condition wants, so fano_ready stays False at the stated
     constants; separation is certified through motif-density lower bounds
     on GRAPHON_PAIRS_TO_CHECK random pairs (their minimum is
-    separation_lower), with each checked element's motif densities taken
-    once.  The sign block's property (ii) is spot-checked on
-    PROPERTY_II_SAMPLES tuples, a sanity count only (see
+    separation_lower).  The checked members' motif densities come from one
+    `_family_densities` call: their mk heavy steps share one weight, so they
+    share one Gram of the values' heavy columns, and each member adds only
+    the cost of its k1 light steps.  The sign block's property (ii) is
+    spot-checked on PROPERTY_II_SAMPLES tuples, a sanity count only (see
     `spot_check_property_ii`).
 
     k=2 is the two-element special case (values [[1,1],[1,0]], weights
@@ -428,7 +430,8 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     kl = kl_bound(eps * code.vectors[0], eps * code.vectors[1], n, eps)
     pairs = _draw_pairs(stream(seed, "graphon-pack-check"), code.size,
                         GRAPHON_PAIRS_TO_CHECK)
-    dens = {e: _motif_densities(elements[e]) for e in {e for pair in pairs for e in pair}}
+    members = sorted({e for pair in pairs for e in pair})
+    dens = dict(zip(members, _family_densities([elements[e] for e in members])))
     lowers = [_motif_bound(dens[i], dens[j]).value for i, j in pairs]
     meta = {
         "k1": k1, "mk": mk,

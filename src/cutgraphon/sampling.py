@@ -79,7 +79,8 @@ def theta_from_labels(spec: ModelSpec, labels: np.ndarray, clip: bool = False) -
         raise ValidationError("labels must be nonempty")
     _check_dense(z.size)
     Q = spec.graphon.values
-    T = spec.rho * Q.take(z, axis=0).take(z, axis=1)
+    T = Q.take(z, axis=0).take(z, axis=1)
+    T *= spec.rho
     if not clip and spec.max_scaled_value > 1.0 + 1e-12:
         raise ValidationError(
             f"rho * max(W) = {spec.max_scaled_value:.6g} exceeds 1; "

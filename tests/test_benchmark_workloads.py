@@ -50,6 +50,21 @@ def test_one_small_cycle_passes_its_checks(monkeypatch, name):
     assert items and problems == []
 
 
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+@pytest.mark.parametrize("k", [2, 64])
+def test_full_size_packing_items_pass_their_checks(monkeypatch, seed, k):
+    # a certify cycle's packing items at full size (the k = 64 family has
+    # 565-step members at n = 256), at three workload seeds: the small
+    # cycle above runs seed 0 only
+    workloads, tracer = load(monkeypatch, "workloads"), load(monkeypatch, "tracer")
+    wl = workloads.workload("certify")
+    index = (wl.cycle_len - 2) // 2 if k == 2 else wl.cycle_len - 1
+    item = workloads.make_item(wl, seed, index)
+    assert (item.kind, item.k) == ("packing", k)
+    out = workloads.run_item(item, tracer.Hooks(spans=False).api)
+    assert workloads.check_item(item, out, [], seed, []).problems == []
+
 def test_traced_certify_sees_exact_cut_passes(monkeypatch):
     # the enumeration measures its candidates through `distance._max_rectangle_sum`,
     # the name the tracer rebinds, so the pairs' exact cut passes are counted

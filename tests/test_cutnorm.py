@@ -497,7 +497,7 @@ class TestHeuristic:
                 vals, S, T = reference_alternate_max(sign * M, T_end)
                 assert np.array_equal(S, S_end) and np.array_equal(T, T_end)
                 r = int(np.argmax(vals))
-                val, rows, cols = cutnorm._alternate_max(A, T_end, sign, margin)
+                val, rows, cols = cutnorm._alternate_max(A, T_end, A @ T_end, sign, margin)
                 assert val == vals[r]
                 assert np.array_equal(rows, np.flatnonzero(S[:, r]))
                 assert np.array_equal(cols, np.flatnonzero(T[:, r]))

@@ -1022,3 +1022,106 @@ class TestCountingLowerBound:
         # separation; a spare factor 4 in the counting bound reads 0.0625
         lb = delta_cut_lower(*graphon_packing(2, 256).elements)
         assert lb.value == 0.25 and lb.method == "motif-edge"
+
+
+# ---------------------------------------------------------------------------
+# motif densities of graphons with a majority weight
+
+
+def plain_densities(W):
+    """The four densities as the route without a majority weight forms them."""
+    Q, w = W.values, W.weights
+    d = Q @ w
+    B = Q * np.sqrt(w)
+    X = B @ B.T
+    return [float(t) for t in (w @ d, w @ d**2, w @ (Q * X) @ w, w @ (X * X) @ w)]
+
+
+def majority_case(k, seed, shape, light):
+    """A k-step graphon on which more than half of the steps, `k - light` of
+    them at shuffled positions, share one weight; values as in
+    `TestCountingLowerBound.density_case`."""
+    rng = np.random.default_rng(seed)
+    V = TestCountingLowerBound.density_case(k, seed, shape).values
+    w = np.concatenate([np.full(k - light, rng.uniform(0.01, 1.0)),
+                        rng.uniform(0.01, 1.0, light)])
+    return StepGraphon(V, w[rng.permutation(k)] / w.sum())
+
+
+def packing_family(k, seed, members):
+    """Reweightings of one k-step packing-shaped value matrix, each with
+    ceil((k + 1) / 2) equal heavy weights first and random light ones."""
+    rng = np.random.default_rng(seed)
+    base = TestCountingLowerBound.density_case(k, seed, "packing")
+    light = k - (k // 2 + 1)
+    out = []
+    for _ in range(members):
+        w = np.concatenate([rng.uniform(0.01, 1.0, light), np.full(k - light, 0.5)])
+        out.append(base.reweighted(w / w.sum()))
+    return out
+
+
+class TestMajorityDensities:
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(["random", "packing"]),
+           st.data())
+    @example(1, 0, "random", None)
+    @example(40, 3, "packing", None)
+    @settings(max_examples=120, deadline=None)
+    def test_match_einsum(self, k, seed, shape, data):
+        # every light count a strict majority leaves, 0 (all weights equal,
+        # no r steps) included; the examples take that one
+        light = 0 if data is None else data.draw(st.integers(0, (k - 1) // 2))
+        W = majority_case(k, seed, shape, light)
+        assert distance._majority(W.weights) is not None
+        got = distance._motif_densities(W)
+        np.testing.assert_allclose(
+            got, [homomorphism_density(f, W) for f in DEFAULT_MOTIFS], rtol=1e-12, atol=0)
+        # edge and cherry keep the plain route's bits
+        assert got[:2] == plain_densities(W)[:2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_alone_and_in_a_family_agree_bit_for_bit(self, seed):
+        # members sharing one value matrix, a graphon with other values of
+        # the same shape, and one without a majority weight, in any order
+        rng = np.random.default_rng(seed)
+        family = packing_family(23, seed, 4)
+        other = majority_case(23, seed + 1, "packing", 11)
+        plain = TestCountingLowerBound.density_case(23, seed, "random")
+        Ws = family + [other, plain]
+        alone = [distance._motif_densities(W) for W in Ws]
+        for _ in range(3):
+            order = rng.permutation(len(Ws))
+            got = distance._family_densities([Ws[i] for i in order])
+            assert got == [alone[i] for i in order]
+        assert distance._family_densities(Ws + Ws) == alone + alone
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (8, 1), (24, 2), (40, 3)])
+    def test_without_a_strict_majority_keep_the_plain_bits(self, k, seed):
+        # exactly half of the steps share a weight: a tie, not a majority
+        rng = np.random.default_rng(seed)
+        w = np.concatenate([np.full(k // 2, 0.3), rng.uniform(0.31, 1.0, k // 2)])
+        W = StepGraphon(TestCountingLowerBound.density_case(k, seed, "random").values,
+                        w[rng.permutation(k)] / w.sum())
+        assert distance._majority(W.weights) is None
+        assert distance._motif_densities(W) == plain_densities(W)
+
+    def test_one_gram_per_packing(self, monkeypatch):
+        shared = distance._shared_sums
+        grams = []
+        monkeypatch.setattr(distance, "_shared_sums",
+                            lambda Q, c: grams.append(np.count_nonzero(c)) or shared(Q, c))
+        fam = graphon_packing(64, 256, seed=0)
+        # one Gram, of the mk heavy columns that every checked member shares
+        assert grams == [fam.meta["mk"]]
+
+    def test_packing_member_stays_under_two_products(self):
+        W = graphon_packing(64, 256, seed=0).elements[0]
+        k = W.k
+        assert (k, distance._majority(W.weights) is not None) == (565, True)
+        tracemalloc.start()
+        try:
+            distance._motif_densities(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * k * k * 8

@@ -391,10 +391,10 @@ class TestGraphonPacking:
     def test_kl_budget_and_separation(self, monkeypatch):
         monkeypatch.setattr(packing, "PROPERTY_II_SAMPLES", 0)
         monkeypatch.setattr(packing, "GRAPHON_PAIRS_TO_CHECK", 4)
-        densities = packing._motif_densities
+        densities = packing._family_densities
         calls = []
-        monkeypatch.setattr(packing, "_motif_densities",
-                            lambda W: calls.append(id(W)) or densities(W))
+        monkeypatch.setattr(packing, "_family_densities",
+                            lambda Ws: calls.append([id(W) for W in Ws]) or densities(Ws))
         fam = graphon_packing(64, 64, seed=1)
         monkeypatch.undo()
         assert fam.kl_budget == pytest.approx(32 / 128)    # k1/128
@@ -407,10 +407,12 @@ class TestGraphonPacking:
         checked = [pairs[t] for t in idx]
         assert fam.separation_lower == min(
             delta_cut_lower(fam.elements[i], fam.elements[j]).value for i, j in checked)
-        # motif densities are taken once per element of the checked pairs
+        # motif densities come from one call over exactly the elements of
+        # the checked pairs, each once
         members = {id(fam.elements[e]) for pair in checked for e in pair}
-        assert len(calls) == len(members)
-        assert set(calls) == members
+        assert len(calls) == 1
+        assert len(calls[0]) == len(members)
+        assert set(calls[0]) == members
         same = delta_cut_lower(fam.elements[0], fam.elements[0])
         assert same.value == 0.0
 
