@@ -309,7 +309,8 @@ def matrix_cut_norm_heuristic(B, restarts: int = 16, seed: int = 0) -> CutNormRe
     """
     a = _as_matrix(B)
     n = a.shape[0]
-    raw, rows, cols = _max_rectangle_sum_heuristic(a, _as_int(restarts, "restarts", 1), seed)
+    restarts, seed = _as_int(restarts, "restarts", 1), _as_int(seed, "seed", 0)
+    raw, rows, cols = _max_rectangle_sum_heuristic(a, restarts, seed)
     return CutNormResult(raw / n**2, rows, cols, "heuristic")
 
 
@@ -322,11 +323,13 @@ def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
 
     Exact by enumerating g (with g_1 fixed: f^T B g is even in (f,g)) when
     n <= INF1_EXACT_BUDGET; above it a lower bound from the alternating
-    signs heuristic, which needs restarts >= 1. Witnesses are the sign
-    vectors (f, g).
+    signs heuristic, which needs restarts >= 1 (the exact route takes 0).
+    Witnesses are the sign vectors (f, g).
     """
     a = _as_matrix(B)
     n = a.shape[0]
+    restarts = _as_int(restarts, "restarts", 0 if n <= INF1_EXACT_BUDGET else 1)
+    seed = _as_int(seed, "seed", 0)
     if n <= INF1_EXACT_BUDGET:
         idx = np.arange(1 << (n - 1), dtype=np.int64)
         G = np.hstack([np.ones((idx.size, 1)),
@@ -337,7 +340,7 @@ def inf1_norm(B, restarts: int = 32, seed: int = 0) -> CutNormResult:
         f = np.where(a @ g >= 0, 1.0, -1.0)
         return CutNormResult(float(rowvals[j]) / n**2, f, g, "exact")
     best_val, best_f, best_g = -np.inf, None, None
-    for r in range(_as_int(restarts, "restarts", 1)):
+    for r in range(restarts):
         rng = stream(seed, "inf1", r)
         g = 1.0 - 2.0 * rng.integers(0, 2, size=n)
         for _ in range(HEURISTIC_ITERS):
@@ -368,7 +371,7 @@ def cut_norm_sandwich_check(B, seed: int = 0, restarts: int = 32) -> SandwichRes
     """
     a = _as_matrix(B)
     n = a.shape[0]
-    # first, so that restarts=0 on the heuristic route fails before any enumeration
+    # first, so that a bad restarts or seed fails before any enumeration
     inf1 = inf1_norm(a, seed=seed, restarts=restarts)
     if n <= EXACT_BUDGET:
         cut = matrix_cut_norm_exact(a)

@@ -197,6 +197,7 @@ def permuted_difference_norm(
     p = _distinct_indices(perm, m, "perm")
     if p.size != m:
         raise ValidationError(f"perm must be a permutation of range({m}), got {p.size} entries")
+    restarts, seed = _as_int(restarts, "restarts", 0), _as_int(seed, "seed", 0)
     D1 = blowup(W1, m).values
     D2 = blowup(W2, m).values
     return float(_norms(D1, D2, p[None], metric, restarts, seed)[0])
@@ -613,7 +614,7 @@ def delta_upper(
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")
-    restarts = _as_int(restarts, "restarts", 0)
+    restarts, seed = _as_int(restarts, "restarts", 0), _as_int(seed, "seed", 0)
     if m is None:
         m = common_refinement_m(W1, W2)[0]
     m = _as_int(m, "m", max(_expect(W1, StepGraphon, "W1").k, _expect(W2, StepGraphon, "W2").k))
@@ -779,11 +780,6 @@ def _family_densities(Ws: Sequence[StepGraphon]) -> list[list[float]]:
         by_name = {"edge": w @ d, "cherry": w @ d**2, "triangle": triangle, "square": square}
         out.append([float(by_name[f.name]) for f in DEFAULT_MOTIFS])
     return out
-
-
-def _motif_densities(W: StepGraphon) -> list[float]:
-    """`_family_densities` of W alone."""
-    return _family_densities((W,))[0]
 
 
 def _motif_bound(dens1: Sequence[float], dens2: Sequence[float]) -> CutNormResult:

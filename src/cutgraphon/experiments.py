@@ -25,13 +25,13 @@ The model behind every grid cell is a fixed banded two-value kernel
 The harness returns a report and writes nothing; `emit` writes it to the
 path its caller chooses (``cutgraphon risk --out``).
 
-With ``rls`` in the config and more than one usable CPU, each replicate's
-rls fit runs on one worker thread while the calling thread fits and
-measures the other estimators in config order; rls's label sweeps hold the
-interpreter lock, while svt's ``eigh`` and the heuristic cut's products
-release it.  The rows and the CSV bytes do not depend on it: the fit is the
-same call on the same inputs, and every other call runs on the caller's
-thread in the order it takes without the worker.
+With ``rls`` in the config, each replicate's rls fit runs on one worker
+thread while the calling thread fits and measures the other estimators in
+config order; rls's label sweeps hold the interpreter lock, while svt's
+``eigh`` and the heuristic cut's products release it.  The rows and the
+CSV bytes do not depend on it: the fit is the same call on the same
+inputs, and every other call runs on the caller's thread in the order it
+would take with the fit made inline.
 """
 
 from __future__ import annotations
@@ -235,15 +235,9 @@ def _subseed(seed: int, n: int, k: int, rho: float, rep: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _fit_rls(A, k: int, rho: float, seed: int):
-    # reads the module-level name at call time, so a rebinding wrapper
-    # sees the call on whichever thread makes it
-    return estimate_restricted_ls(A, k, rho=rho, restarts=4, seed=seed)
-
-
-def _run_estimator(name: str, A, k: int, rho: float, seed: int, rls_fit):
+def _run_estimator(name: str, A, rls_fit):
     """Phat for estimator `name`; rls takes its fit from the `rls_fit` future
-    when one was submitted for this replicate."""
+    submitted for this replicate."""
     if name == "adjacency":
         return estimate_adjacency(A)
     if name == "mean":
@@ -251,8 +245,7 @@ def _run_estimator(name: str, A, k: int, rho: float, seed: int, rls_fit):
     if name == "svt":
         return estimate_svt(A).prob
     # rls: the config admits no other name
-    fit = rls_fit.result() if rls_fit is not None else _fit_rls(A, k, rho, seed)
-    return fit_to_prob_matrix(fit)
+    return fit_to_prob_matrix(rls_fit.result())
 
 
 def _reads_difference(metric: str, level: str) -> bool:
@@ -280,21 +273,14 @@ def _risk(metric: str, phat, D: Optional[np.ndarray], truth: StepGraphon,
     return float(est.upper)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
     """Sample, estimate and measure every grid cell; failures don't abort.
 
-    With rls in the config and more than one usable CPU, each replicate's
-    rls fit runs on one worker thread while this thread fits and measures
-    the other estimators; the worker lives only for this call.
+    With rls in the config, each replicate's rls fit runs on one worker
+    thread while this thread fits and measures the other estimators; the
+    worker lives only for this call.
     """
-    if "rls" in _expect(config, ExperimentConfig, "config").estimators and _usable_cpus() > 1:
+    if "rls" in _expect(config, ExperimentConfig, "config").estimators:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as pool:
             return _run_cells(config, pool)
@@ -320,11 +306,13 @@ def _run_cells(config: ExperimentConfig, pool) -> RiskReport:
             except Exception as e:  # noqa: BLE001
                 failures.append(f"n={n},k={k},rho={rho},rep={rep}: sample: {e}")
                 continue
-            # rls's turn in the loop below reads this future, exception included
-            rls_fit = pool.submit(_fit_rls, A, k, rho, s) if pool is not None else None
+            # rls's turn in the loop below reads this future, exception included;
+            # the module-level name is read here, so a rebinding wrapper sees every fit
+            rls_fit = (pool.submit(estimate_restricted_ls, A, k, rho=rho, restarts=4, seed=s)
+                       if pool is not None else None)
             for est in config.estimators:
                 try:
-                    phat = _run_estimator(est, A, k, rho, s, rls_fit)
+                    phat = _run_estimator(est, A, rls_fit)
                     D = phat.values - theta.values if reads_D else None
                     for met in config.metrics:
                         values[(est, met)].append(_risk(met, phat, D, truth, config, s))

@@ -314,7 +314,7 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
         "code_reached": code.reached,
         "effective_c2": eps / (np.sqrt(rho) * min(1.0 / np.sqrt(n), np.sqrt(rho))),
         "checked_pairs": len(pairs),
-        "checked_cut_min": float(min(checked)) if checked else float("nan"),
+        "checked_cut_min": float(min(checked)),
     }
     return PackingFamily("matrix", tuple(elements), float(eps), float(eps / 14.0),
                          float(kl), n, 2, fano, meta)
@@ -413,6 +413,7 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
     Both cases build dense (rho = 1) families and take no sparsity
     parameter; `matrix_packing` is the family that scales with rho.
     """
+    seed = _as_int(seed, "seed", 0)
     if _as_int(k, "k", 2) == 2:
         return _graphon_packing_two(_as_int(n, "n", 1))
     if k < 64 or k % 32 != 0:
@@ -444,8 +445,7 @@ def graphon_packing(k: int, n: int, seed: int = 0) -> PackingFamily:
         "property_ii_total": block.property_ii_total,
         "checked_pairs": len(pairs),
     }
-    return PackingFamily("graphon", elements, float(eps),
-                         float(min(lowers)) if lowers else 0.0,
+    return PackingFamily("graphon", elements, float(eps), float(min(lowers)),
                          float(kl), n, k, False, meta)
 
 

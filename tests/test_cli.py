@@ -16,6 +16,7 @@ from cutgraphon.core import (
     save_stepgraphon,
 )
 from cutgraphon.experiments import RiskReport, RiskRow, format_csv
+from cutgraphon.packing import graphon_packing, load_packing_family
 
 
 def run(capsys, *argv):
@@ -105,10 +106,13 @@ def graph_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "sample --n 10", "estimate --estimator rls --input {A}", "cutnorm --input {A}"],
-    ids=["sample", "estimate", "cutnorm"])
-def test_negative_seed_exits_2(argv, graph_file, capsys):
-    code, _, err = run(capsys, *argv.format(A=graph_file).split(), "--seed", "-1")
+    "sample --n 10", "estimate --estimator rls --input {A}", "cutnorm --input {A}",
+    "distance --a {W} --b {W}", "packing --kind graphon --k 2 --n 16"],
+    ids=["sample", "estimate", "cutnorm", "distance", "packing-graphon"])
+def test_negative_seed_exits_2(argv, graph_file, tmp_path, capsys):
+    W = tmp_path / "w.txt"
+    save_stepgraphon(StepGraphon(np.array([[0.8, 0.2], [0.2, 0.8]]), np.full(2, 0.5)), W)
+    code, _, err = run(capsys, *argv.format(A=graph_file, W=W).split(), "--seed", "-1")
     assert code == 2 and "invalid input" in err
 
 
@@ -291,6 +295,18 @@ class TestPacking:
         assert "fanoReady=True" in text
         assert (out / "metadata.txt").exists()
 
+    def test_graphon_family_saved(self, tmp_path, capsys):
+        out = tmp_path / "fam"
+        code, text, _ = run(capsys, "packing", "--kind", "graphon", "--k", "2", "--n", "16",
+                            "--out", str(out))
+        assert code == 0 and text.startswith("kind=graphon count=2 ")
+        back, fam = load_packing_family(out), graphon_packing(2, 16)
+        assert (back.kind, back.n, back.k, back.separation_lower) == (
+            "graphon", 16, 2, fam.separation_lower)
+        for a, b in zip(back.elements, fam.elements, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+
     def test_bad_n_exits_2(self, capsys):
         code, _, _ = run(capsys, "packing", "--kind", "matrix", "--n", "7")
         assert code == 2
@@ -350,6 +366,15 @@ class TestRiskAndSlope:
         code, _, err = run(capsys, "slope", "--input", str(path), "--varying", "k",
                            "--transform", "k-over-logk")
         assert code == 2 and "invalid input" in err and "k=1" in err
+
+    def test_failed_cell_reported_on_stderr(self, tmp_path, capsys):
+        # rls cannot fit 5 blocks to 4 nodes
+        path = tmp_path / "rls.cfg"
+        path.write_text("n=4\nk=5\nrho=1.0\nestimator=rls\nreps=1\n")
+        code, out, err = run(capsys, "risk", "--config", str(path),
+                             "--out", str(tmp_path / "run"))
+        assert code == 0 and "rows=0 failures=1" in out
+        assert err.startswith("cell failed: n=4,k=5,rho=1.0,rep=0,estimator=rls: ")
 
     def test_risk_without_config_exits_2(self, capsys):
         assert run(capsys, "risk")[0] == 2

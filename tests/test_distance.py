@@ -957,7 +957,7 @@ class TestCountingLowerBound:
         w = rng.uniform(0.01, 1.0, k)
         W = StepGraphon(V, w / w.sum())
         np.testing.assert_allclose(
-            distance._motif_densities(W),
+            distance._family_densities((W,))[0],
             [homomorphism_density(f, W) for f in DEFAULT_MOTIFS], rtol=1e-12, atol=1e-15)
 
     @staticmethod
@@ -985,7 +985,7 @@ class TestCountingLowerBound:
         B = Q * np.sqrt(w)
         X = B @ B.T
         fresh = [w @ d, w @ d**2, w @ (Q * X) @ w, w @ (X * X) @ w]
-        assert distance._motif_densities(W) == [float(t) for t in fresh]
+        assert distance._family_densities((W,))[0] == [float(t) for t in fresh]
 
     def test_densities_hold_two_products(self):
         # a k = 64 packing member's size: besides the values, only B = Q diag(sqrt w)
@@ -994,7 +994,7 @@ class TestCountingLowerBound:
         W = self.density_case(k, 0, "packing")
         tracemalloc.start()
         try:
-            distance._motif_densities(W)
+            distance._family_densities((W,))[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1004,7 +1004,7 @@ class TestCountingLowerBound:
         # broadcast values: a 4097-step graphon without its 134 MB
         k = 4097
         W = StepGraphon._owning(np.broadcast_to(0.5, (k, k)), np.full(k, 1.0 / k))
-        for route in (lambda: distance._motif_densities(W),
+        for route in (lambda: distance._family_densities((W,))[0],
                       lambda: homomorphism_density(EDGE, W),
                       lambda: delta_cut_lower(W, W)):
             with pytest.raises(BudgetError, match="contraction budget"):
@@ -1015,7 +1015,7 @@ class TestCountingLowerBound:
         monkeypatch.setattr(distance, "DEFAULT_MOTIFS", DEFAULT_MOTIFS + (star,))
         W = StepGraphon(np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(KeyError, match="star"):
-            distance._motif_densities(W)
+            distance._family_densities((W,))[0]
 
     def test_two_element_packing_is_pinned(self):
         # the edge densities differ by 0.25, which is also the pair's exact
@@ -1073,7 +1073,7 @@ class TestMajorityDensities:
         light = 0 if data is None else data.draw(st.integers(0, (k - 1) // 2))
         W = majority_case(k, seed, shape, light)
         assert distance._majority(W.weights) is not None
-        got = distance._motif_densities(W)
+        got = distance._family_densities((W,))[0]
         np.testing.assert_allclose(
             got, [homomorphism_density(f, W) for f in DEFAULT_MOTIFS], rtol=1e-12, atol=0)
         # edge and cherry keep the plain route's bits
@@ -1088,7 +1088,7 @@ class TestMajorityDensities:
         other = majority_case(23, seed + 1, "packing", 11)
         plain = TestCountingLowerBound.density_case(23, seed, "random")
         Ws = family + [other, plain]
-        alone = [distance._motif_densities(W) for W in Ws]
+        alone = [distance._family_densities((W,))[0] for W in Ws]
         for _ in range(3):
             order = rng.permutation(len(Ws))
             got = distance._family_densities([Ws[i] for i in order])
@@ -1103,7 +1103,7 @@ class TestMajorityDensities:
         W = StepGraphon(TestCountingLowerBound.density_case(k, seed, "random").values,
                         w[rng.permutation(k)] / w.sum())
         assert distance._majority(W.weights) is None
-        assert distance._motif_densities(W) == plain_densities(W)
+        assert distance._family_densities((W,))[0] == plain_densities(W)
 
     def test_one_gram_per_packing(self, monkeypatch):
         shared = distance._shared_sums
@@ -1120,7 +1120,7 @@ class TestMajorityDensities:
         assert (k, distance._majority(W.weights) is not None) == (565, True)
         tracemalloc.start()
         try:
-            distance._motif_densities(W)
+            distance._family_densities((W,))[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

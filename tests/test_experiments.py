@@ -2,14 +2,13 @@
 
 import concurrent.futures
 import math
-import os
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cutgraphon import core, experiments
+from cutgraphon import core
 from cutgraphon.errors import ValidationError
 from cutgraphon.experiments import (
     CSV_HEADER,
@@ -229,18 +228,39 @@ class TestHarness:
         assert not any(r.estimator == "rls" for r in rep.rows)
 
 
-def run_counting_workers(monkeypatch, cfg, cpus):
-    """(report, executors created) with `cpus` usable CPUs; checks that no
-    thread outlives the call."""
+class SameThread:
+    """An executor that runs each submitted call at once, on the caller's
+    thread, and hands back a completed future with its result or exception."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as e:  # noqa: BLE001 - the future holds it, as a worker's would
+            future.set_exception(e)
+        return future
+
+
+def run_counting_workers(monkeypatch, cfg, executor=concurrent.futures.ThreadPoolExecutor):
+    """(report, executors created) with `executor` in place of
+    ThreadPoolExecutor; checks that no thread outlives the call."""
     made = []
 
-    class Counting(concurrent.futures.ThreadPoolExecutor):
+    class Counting(executor):
         def __init__(self, *args, **kwargs):
             made.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     before = threading.active_count()
     report = run_risk_experiment(cfg)
     assert threading.active_count() == before
@@ -248,7 +268,8 @@ def run_counting_workers(monkeypatch, cfg, cpus):
 
 
 class TestRlsWorker:
-    """The rls fit on a worker thread against the same fit made inline."""
+    """The rls fit on a worker thread against the same fit made inline, on
+    the calling thread at submit time."""
 
     @pytest.mark.parametrize("kwargs", [
         dict(estimators=("rls", "adjacency", "svt")),
@@ -265,9 +286,9 @@ class TestRlsWorker:
         cfg = ExperimentConfig(**{**dict(ns=(16,), ks=(2,), rhos=(1.0,),
                                          metrics=("cut", "l1", "frobenius"),
                                          reps=1, seed=7), **kwargs})
-        threaded, made = run_counting_workers(monkeypatch, cfg, cpus=2)
-        inline, made_inline = run_counting_workers(monkeypatch, cfg, cpus=1)
-        assert (made, made_inline) == (1, 0)
+        threaded, made = run_counting_workers(monkeypatch, cfg)
+        inline, made_inline = run_counting_workers(monkeypatch, cfg, SameThread)
+        assert (made, made_inline) == (1, 1)
         assert format_csv(threaded) == format_csv(inline)
         assert threaded.failures == inline.failures
         if cfg.ks == (5,):
@@ -284,7 +305,7 @@ class TestRlsWorker:
                                estimators=("adjacency", "rls"), reps=2)
         tracemalloc.start()
         try:
-            report, made = run_counting_workers(monkeypatch, cfg, cpus=2)
+            report, made = run_counting_workers(monkeypatch, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,12 +319,8 @@ class TestRlsWorker:
     def test_no_worker_without_rls(self, monkeypatch):
         cfg = ExperimentConfig(ns=(16,), ks=(2,), rhos=(1.0,),
                                estimators=("adjacency", "svt"), reps=1, seed=7)
-        report, made = run_counting_workers(monkeypatch, cfg, cpus=2)
+        report, made = run_counting_workers(monkeypatch, cfg)
         assert made == 0 and len(report.rows) == 2
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert experiments._usable_cpus() == (os.cpu_count() or 1)
 
 
 def synthetic_report(risks, axis="n", values=(32, 64, 128, 256)):

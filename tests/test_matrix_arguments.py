@@ -74,7 +74,7 @@ from cutgraphon.core import (blowup_counts, format_matrix, format_stepgraphon, p
                              parse_stepgraphon)
 from cutgraphon.cutnorm import (CutNormResult, SandwichResult, kernel_witness_value,
                                 matrix_witness_value)
-from cutgraphon.distance import EDGE, common_refinement_m
+from cutgraphon.distance import EDGE, common_refinement_m, permuted_difference_norm
 from cutgraphon.experiments import format_csv, parse_csv
 from cutgraphon.packing import spot_check_property_ii
 from cutgraphon.sampling import theta_from_labels
@@ -276,6 +276,29 @@ BAD_ARGUMENTS = {
     "matrix_cut_norm_heuristic-float restarts":
         lambda path: matrix_cut_norm_heuristic(_PAIR, restarts=2.5),
     "inf1_norm-float restarts": lambda path: inf1_norm(np.eye(13), restarts=2.5),
+    # routes that draw no stream check restarts and seed all the same
+    "matrix_cut_norm_heuristic-negative seed at 2 restarts":
+        lambda path: matrix_cut_norm_heuristic(_PAIR, restarts=2, seed=-1),
+    "inf1_norm-exact string restarts": lambda path: inf1_norm(_PAIR, restarts="abc"),
+    "inf1_norm-exact negative restarts": lambda path: inf1_norm(_PAIR, restarts=-5),
+    "inf1_norm-exact negative seed": lambda path: inf1_norm(_PAIR, seed=-1),
+    "cut_norm_sandwich_check-exact string restarts":
+        lambda path: cut_norm_sandwich_check(_PAIR, restarts="abc"),
+    "cut_norm_sandwich_check-exact negative restarts":
+        lambda path: cut_norm_sandwich_check(_PAIR, restarts=-5),
+    "cut_norm_sandwich_check-exact negative seed":
+        lambda path: cut_norm_sandwich_check(_PAIR, seed=-1),
+    "delta_upper-enumerated negative seed": lambda path: delta_upper(_W, _W, m=4, seed=-1),
+    "delta_upper-exact cut negative seed at 0 restarts":
+        lambda path: delta_upper(_W, _W, m=8, restarts=0, seed=-1),
+    "permuted_difference_norm-l1 string restarts":
+        lambda path: permuted_difference_norm(_W, _W, [0, 1, 2, 3], 4, "l1", restarts="abc"),
+    "permuted_difference_norm-exact cut negative restarts":
+        lambda path: permuted_difference_norm(_W, _W, [0, 1, 2, 3], 4, "cut", restarts=-5),
+    "permuted_difference_norm-heuristic cut negative restarts":
+        lambda path: permuted_difference_norm(_W, _W, list(range(14)), 14, "cut", restarts=-5),
+    "permuted_difference_norm-l2 negative seed":
+        lambda path: permuted_difference_norm(_W, _W, [0, 1, 2, 3], 4, "l2", seed=-1),
     "q_subset_upper_bound-float q": lambda path: q_subset_upper_bound(_K, 1.5),
     "Motif-float num_vertices": lambda path: Motif(2.5, ((0, 1),)),
     "Motif-float endpoint": lambda path: Motif(2, ((0.5, 1),)),
@@ -284,6 +307,10 @@ BAD_ARGUMENTS = {
     "common_refinement_m-float cap": lambda path: common_refinement_m(_W, _W, 2.5),
     "delta_upper-float restarts": lambda path: delta_upper(_W, _W, "l1", m=8, restarts=1.5),
     "delta_upper-float m": lambda path: delta_upper(_W, _W, m=2.5),
+    "delta_upper-unknown metric": lambda path: delta_upper(_W, _W, "l3"),
+    "delta_exact_tiny-unknown metric": lambda path: delta_exact_tiny(_W, _W, "l3"),
+    "permuted_difference_norm-unknown metric":
+        lambda path: permuted_difference_norm(_W, _W, [0, 1], 2, "l3"),
     "weak_regularity_approx-inf q0": lambda path: weak_regularity_approx(_W, float("inf")),
     "varshamov_gilbert_code-float k1": lambda path: varshamov_gilbert_code(8.0),
     "rademacher_block_matrix-float k1": lambda path: rademacher_block_matrix(8.5, 16),
@@ -298,9 +325,12 @@ BAD_ARGUMENTS = {
     "kl_bound-negative n": lambda path: kl_bound(_EPS, -_EPS, -3, 0.05),
     "kl_bound-nan eps": lambda path: kl_bound(_EPS, -_EPS, 10, _NAN),
     "latent_kl_exact-negative n": lambda path: latent_kl_exact(_EPS, -_EPS, -3),
+    "latent_kl_exact-label probability below 0":
+        lambda path: latent_kl_exact([0.3, -0.3], _EPS, 10),
     "graphon_packing-float k": lambda path: graphon_packing(2.0, 64),
     "graphon_packing-negative n": lambda path: graphon_packing(2, -3),
     "graphon_packing-float n": lambda path: graphon_packing(64, 64.5),
+    "graphon_packing-negative seed at k=2": lambda path: graphon_packing(2, 16, seed=-1),
     "ExperimentConfig-float n": lambda path: ExperimentConfig(ns=(32.5,), ks=(2,), rhos=(1.0,)),
     "ExperimentConfig-float k": lambda path: ExperimentConfig(ns=(32,), ks=(2.5,), rhos=(1.0,)),
     "ExperimentConfig-bool rho": lambda path: ExperimentConfig(ns=(32,), ks=(2,), rhos=(True,)),

@@ -36,6 +36,8 @@ class TestVgCode:
             varshamov_gilbert_code(7)
         with pytest.raises(ValidationError):
             varshamov_gilbert_code(6)
+        with pytest.raises(ValidationError):
+            varshamov_gilbert_code(9)
 
     def test_balance_and_separation_certified(self):
         code = varshamov_gilbert_code(16, seed=3)
@@ -508,6 +510,15 @@ class TestSerialization:
         text = (tmp_path / "fam" / "metadata.txt").read_text()
         for key in ("epsilon=", "klBudget=", "separationLower=", "fanoReady="):
             assert key in text
+
+    def test_blank_sidecar_lines_are_skipped(self, tmp_path):
+        fam = graphon_packing(2, 64)
+        save_packing_family(fam, tmp_path / "fam")
+        meta = tmp_path / "fam" / "metadata.txt"
+        meta.write_text(meta.read_text().replace("\n", "\n\n", 1))
+        back = load_packing_family(tmp_path / "fam")
+        assert (back.size, back.epsilon, back.separation_lower, back.k) == (
+            fam.size, fam.epsilon, fam.separation_lower, fam.k)
 
     def test_missing_metadata_key(self, tmp_path):
         fam = graphon_packing(2, 64)
