@@ -486,6 +486,31 @@ def parse_matrix(text: str) -> np.ndarray:
     return _parse_record(text, "matrix", 0)
 
 
+def _key_values(text: str, what: str, keys, repeatable=()) -> dict:
+    """The key=value lines of `text` as {key: [its values in line order]}.
+
+    '#' starts a comment, and lines left blank are skipped.  A line without
+    '=', with an empty key or value, with a key outside `keys`, or with a
+    second value for a key outside `repeatable` raises ValidationError
+    naming `what` and the line number.
+    """
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not sep or not key or not val:
+            raise ValidationError(f"{what} line {lineno}: expected key=value, got {raw!r}")
+        if key not in keys:
+            raise ValidationError(f"{what} line {lineno}: unknown key {key!r}")
+        if key in out and key not in repeatable:
+            raise ValidationError(f"{what} line {lineno}: duplicate key {key!r}")
+        out.setdefault(key, []).append(val)
+    return out
+
+
 def save_stepgraphon(W: StepGraphon, path) -> None:
     text = format_stepgraphon(W)  # before opening: a rejected W leaves the file as it was
     with open(path, "w") as fh:

@@ -80,15 +80,11 @@ def matrix_witness_value(B, S, T) -> float:
     a = _as_matrix(B)
     n = a.shape[0]
     S, T = _distinct_indices(S, n, "S"), _distinct_indices(T, n, "T")
-    if len(S) == 0 or len(T) == 0:
-        return 0.0
     return abs(float(a[np.ix_(S, T)].sum())) / n**2
 
 
 def kernel_witness_value(K: Kernel, S, T) -> float:
     S, T = _distinct_indices(S, _expect(K, Kernel, "K").q1, "S"), _distinct_indices(T, K.q2, "T")
-    if len(S) == 0 or len(T) == 0:
-        return 0.0
     sub = K.values[np.ix_(S, T)]
     return abs(float(K.row_weights[S] @ sub @ K.col_weights[T]))
 

@@ -29,9 +29,9 @@ where rearrangements become permutations of [m]:
   for any motif, and the fast path's oracle.
 
 `_norms` alone forms and measures aligned differences D1 - P D2 P^T, a
-chunked stack at a time (`_aligned`, which also feeds the cut screen; a
-chunk of one permutation is gathered with `take` along each axis, a stack
-with one flat `take`), each value bit for bit its permutation's alone.
+chunked stack at a time (`_aligned`, which also feeds the cut screen and
+gathers every chunk with one flat `take`), each value bit for bit its
+permutation's alone.
 Both enumerations run `_min_over_permutations`: one permutation per
 distinct arrangement of the second graphon's equal steps, from a table
 built once per tuple of run lengths (`_arrangement_table`), a batched cut
@@ -251,26 +251,19 @@ def _aligned(D1: np.ndarray, D2: np.ndarray, perms: np.ndarray, per: int, measur
     about _SCREEN_BLOCK // per permutations at a time; measure returns one
     value per difference of its stack, which is C-ordered.
 
-    A chunk of one permutation gathers with `take` along rows, then columns:
-    every chunk of m x m differences from m = 91 up (the search's
-    candidates and second evaluation there), every replay and every
-    swap-descent objective.  The stacked chunks of the small enumerations
-    gather with one flat `take` from D2's m*m entries, at the intp indices
-    P[i] * m + P[j].  Both gathers copy the same entries, and the difference
-    is subtracted into that fresh gather, so the differences are the same
-    bit for bit."""
+    Every chunk gathers with one flat `take` from D2's m*m entries, at the
+    intp indices P[i] * m + P[j], and the difference is subtracted into that
+    fresh gather, so besides D1 and D2 a chunk holds two temporaries of its
+    size: the indices and the differences.  Every replay and swap-descent
+    objective is a chunk of one permutation, as is every chunk of m x m
+    differences from m = 91 up."""
     m = D2.shape[0]
     out = np.empty(len(perms))
     step = max(1, _SCREEN_BLOCK // per)
     for a in range(0, len(perms), step):
-        P = perms[a : a + step]
-        if len(P) == 1:
-            G = D2.take(P[0], axis=0).take(P[0], axis=1)
-            out[a] = measure(np.subtract(D1, G, out=G)[None])[0]
-        else:
-            P = P.astype(np.intp)
-            G = D2.reshape(-1).take(P[:, :, None] * m + P[:, None, :])
-            out[a : a + step] = measure(np.subtract(D1, G, out=G))
+        P = perms[a : a + step].astype(np.intp)
+        G = D2.reshape(-1).take(P[:, :, None] * m + P[:, None, :])
+        out[a : a + step] = measure(np.subtract(D1, G, out=G))
     return out
 
 
@@ -518,8 +511,9 @@ def _swap_descent(perm, objective, rng):
 
 
 def _search(D1, D2, metric: str, restarts: int, seed: int):
-    """Candidate alignments, swap descent on the best, then (heuristic cut
-    only) the smaller of that value and a second evaluation."""
+    """The best-scored candidate alignment, then, when ``restarts > 0``,
+    swap descent from the best few, and (heuristic cut only) the smaller
+    of that value and a second evaluation."""
     m = D1.shape[0]
     # the row cost stays on runs of equal rows (u1 x u2, never m x m), and
     # the greedy match runs on the run classes
@@ -527,25 +521,19 @@ def _search(D1, D2, metric: str, restarts: int, seed: int):
     cands = [np.arange(m), _rank_match(D1, D2), _greedy_match(cu, l1, l2)]
     for r in range(restarts):
         cands.append(stream(seed, "delta-restart", r).permutation(m))
-    # candidates can coincide: each distinct permutation is scored once, in
-    # one stack, and `scored` keeps one entry per candidate for the descent
-    distinct = {p.tobytes(): p for p in cands}
-    values = dict(zip(distinct, _norms(D1, D2, np.array(list(distinct.values())),
-                                       metric, 4, seed).tolist()))
-    scored = [(values[p.tobytes()], idx) for idx, p in enumerate(cands)]
-    scored.sort(key=lambda t: (t[0], t[1]))
-    if restarts == 0:
-        # budget mode: deterministic alignment candidates only, no local
-        # search (used by the risk harness where m equals the sample size)
-        best_perm, best_val = cands[scored[0][1]], scored[0][0]
-    else:
+    # one stack in list order, ranked stably: a repeated candidate scores
+    # what its twin scores and ranks after it
+    values = _norms(D1, D2, np.array(cands), metric, 4, seed)
+    ranked = np.argsort(values, kind="stable")
+    best_perm, best_val = cands[ranked[0]], float(values[ranked[0]])
+    if restarts > 0:
         rng = stream(seed, "delta-upper")
 
         def objective(perm):
             return float(_norms(D1, D2, perm[None], metric, 4, seed)[0])
 
-        best_perm, best_val = None, np.inf
-        for _, idx in scored[: (len(cands) if m <= 8 else 3)]:
+        # a descent that finds nothing better returns its start and value
+        for idx in ranked[: (len(cands) if m <= 8 else 3)]:
             q, val = _swap_descent(cands[idx], objective, rng)
             if val < best_val:
                 best_perm, best_val = q, val
@@ -609,8 +597,7 @@ def delta_upper(
     ``restarts=0`` returns the best candidate as it is.  The
     greedy matching runs on the runs of equal rows in the two blow-ups, u1 and
     u2 of them: a run pair at a time, on their u1 x u2 row cost.  That cost
-    raises BudgetError when u1 * u2 * m > COST_BUDGET.  Candidates that
-    coincide are scored once.
+    raises BudgetError when u1 * u2 * m > COST_BUDGET.
     """
     if metric not in METRICS:
         raise ValidationError(f"unknown metric {metric!r}")

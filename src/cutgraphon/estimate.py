@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from ._rng import stream
-from .core import (AdjacencyMatrix, ProbMatrix, _as_indices, _as_int, _as_real, _expect,
-                   _freeze, _prob_values)
+from .core import (AdjacencyMatrix, ProbMatrix, _as_array, _as_indices, _as_int, _as_real,
+                   _expect, _freeze, _frozen, _prob_values)
 from .errors import BudgetError, ValidationError
 
 ENUM_BUDGET = 2_000_000
@@ -63,12 +63,12 @@ def edge_density(A: AdjacencyMatrix) -> float:
 @dataclass(frozen=True)
 class SvtEstimate:
     prob: ProbMatrix          # clipped to [0,1], zero diagonal
-    raw: np.ndarray           # truncated eigenexpansion before clipping
+    raw: np.ndarray           # truncated eigenexpansion before clipping, a frozen copy
     threshold: float
     kept: int
 
     def __post_init__(self):
-        self.raw.setflags(write=False)
+        object.__setattr__(self, "raw", _frozen(_as_array(self.raw, "SvtEstimate raw", 2)))
 
 
 def estimate_svt(A: AdjacencyMatrix, threshold: Optional[float] = None) -> SvtEstimate:

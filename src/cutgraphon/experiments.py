@@ -45,7 +45,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import StepGraphon, _as_int, _as_real, _as_tuple, _expect, empirical_graphon
+from .core import (StepGraphon, _as_int, _as_real, _as_tuple, _expect, _key_values,
+                   empirical_graphon)
 from .cutnorm import matrix_cut_norm_heuristic
 from .distance import delta_upper
 from .errors import ValidationError
@@ -128,40 +129,18 @@ _STR_KEYS = {"level"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Plain key=value lines; grid keys repeat, one value per line."""
-    grids = {"n": [], "k": [], "rho": [], "estimator": [], "metric": []}
-    scalars = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not sep or not key or not val:
-            raise ValidationError(f"config line {lineno}: expected key=value, got {raw!r}")
-        if key in grids:
-            grids[key].append(val)
-        elif key in _INT_KEYS or key in _STR_KEYS:
-            if key in scalars:
-                raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
-            scalars[key] = val
-        else:
-            raise ValidationError(f"config line {lineno}: unknown key {key!r}")
+    """Plain key=value lines (`core._key_values`); grid keys repeat, one value per line."""
+    grids = ("n", "k", "rho", "estimator", "metric")
+    lines = _key_values(text, "config", (*grids, *_INT_KEYS, *_STR_KEYS), grids)
     try:
-        ns = tuple(int(v) for v in grids["n"])
-        ks = tuple(int(v) for v in grids["k"])
-        rhos = tuple(float(v) for v in grids["rho"])
-        ints = {k: int(v) for k, v in scalars.items() if k in _INT_KEYS}
+        ns, ks = (tuple(int(v) for v in lines.get(key, [])) for key in ("n", "k"))
+        rhos = tuple(float(v) for v in lines.get("rho", []))
+        ints = {key: int(vals[0]) for key, vals in lines.items() if key in _INT_KEYS}
     except ValueError as e:
         raise ValidationError(f"bad numeric value in config: {e}") from None
     kwargs = dict(ns=ns, ks=ks, rhos=rhos, **ints)
-    if grids["estimator"]:
-        kwargs["estimators"] = tuple(grids["estimator"])
-    if grids["metric"]:
-        kwargs["metrics"] = tuple(grids["metric"])
-    for key in _STR_KEYS:
-        if key in scalars:
-            kwargs[key] = scalars[key]
+    kwargs.update((key + "s", tuple(lines[key])) for key in ("estimator", "metric") if key in lines)
+    kwargs.update((key, lines[key][0]) for key in _STR_KEYS if key in lines)
     return ExperimentConfig(**kwargs)
 
 

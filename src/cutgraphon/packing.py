@@ -27,6 +27,8 @@ from .core import (
     _as_int,
     _as_real,
     _expect,
+    _frozen,
+    _key_values,
     _step_weights,
     format_matrix,
     format_stepgraphon,
@@ -57,14 +59,17 @@ VG_TARGET_BUDGET = 4096
 
 @dataclass(frozen=True)
 class VgCode:
-    """Balanced sign vectors with certified pairwise Hamming separation."""
+    """Balanced sign vectors with certified pairwise Hamming separation.
+
+    ``vectors`` is stored as a frozen float copy, so the caller's array
+    stays as it was."""
 
     vectors: np.ndarray          # M x k1, entries +-1
     separation: int              # certified min pairwise Hamming distance
     reached: bool
 
     def __post_init__(self):
-        self.vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", _frozen(_as_array(self.vectors, "VgCode vectors", 2)))
 
     @property
     def size(self) -> int:
@@ -105,7 +110,7 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> V
         size += 1
         if size >= target:
             break
-    return VgCode(kept[:size].copy(), sep, size >= target)
+    return VgCode(kept[:size], sep, size >= target)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +119,8 @@ def varshamov_gilbert_code(k1: int, seed: int = 0, two_sided: bool = False) -> V
 
 @dataclass(frozen=True)
 class RademacherBlockMatrix:
-    """Sign matrix whose rows are nearly orthogonal (certified)."""
+    """Sign matrix whose rows are nearly orthogonal (certified), stored as a
+    frozen copy."""
 
     values: np.ndarray           # k1 x mk, entries +-1
     tries: int
@@ -122,7 +128,8 @@ class RademacherBlockMatrix:
     property_ii_total: int
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        values = _as_array(self.values, "RademacherBlockMatrix values", 2)
+        object.__setattr__(self, "values", _frozen(values))
 
 
 def _row_set_size(k1: int) -> int:
@@ -283,8 +290,10 @@ def matrix_packing(n: int, rho: float, seed: int = 0) -> PackingFamily:
     eps is set as large as the Fano budget allows against the achieved
     code size (capped at rho/4 to keep entries inside
     [rho/4, 3*rho/4]).  The code is sampled two-sided because u and -u
-    give the same matrix.  Pairwise cut norms are spot-checked against
-    the proven eps/14 bound.
+    give the same matrix.  The least heuristic cut norm over
+    MATRIX_PAIRS_TO_CHECK random pairs is recorded in
+    meta["checked_cut_min"]; nothing here compares it with the proven
+    eps/14 bound (criterion 09 does).
     """
     rho = _as_real(rho, "rho", 0, 1, lo_open=True)
     if _as_int(n, "n", 8) % 2 != 0:
@@ -486,28 +495,25 @@ def save_packing_family(family: PackingFamily, directory) -> None:
 
 
 def load_packing_family(directory) -> PackingFamily:
-    meta = {}
+    """Read back what `save_packing_family` wrote: a sidecar that holds each of
+    its eight keys once (`core._key_values`), with the values it writes."""
+    ints, reals = ("count", "n", "k"), ("epsilon", "klBudget", "separationLower")
+    keys = ("kind", *ints, *reals, "fanoReady")
     with open(os.path.join(directory, "metadata.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            meta[key] = val
+        meta = {key: vals[0] for key, vals in
+                _key_values(fh.read(), "metadata sidecar", keys).items()}
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise ValidationError(f"metadata sidecar missing key {missing[0]!r}")
+    if meta["fanoReady"] not in ("true", "false"):
+        raise ValidationError(f"metadata sidecar fanoReady must be true or false, "
+                              f"got {meta['fanoReady']!r}")
     try:
-        kind = meta["kind"]
-        count = int(meta["count"])
-        eps = float(meta["epsilon"])
-        kl = float(meta["klBudget"])
-        sep = float(meta["separationLower"])
-        fano = meta["fanoReady"] == "true"
-        n = int(meta["n"])
-        k = int(meta["k"])
-    except KeyError as e:
-        raise ValidationError(f"metadata sidecar missing key {e}") from None
+        count, n, k = (_as_int(int(meta[key]), f"metadata sidecar {key}", 1) for key in ints)
+        eps, kl, sep = (_as_real(float(meta[key]), f"metadata sidecar {key}", 0) for key in reals)
     except ValueError as e:
         raise ValidationError(f"bad metadata sidecar value: {e}") from None
-    count = _as_int(count, "metadata sidecar count", 1)
+    kind, fano = meta["kind"], meta["fanoReady"] == "true"
     elements = []
     for i in range(count):
         path = os.path.join(directory, f"element_{i:04d}.txt")

@@ -19,13 +19,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import Kernel, StepGraphon, _as_real, _expect
+from .core import Kernel, StepGraphon, _as_indices, _as_real, _expect, _freeze
 from .cutnorm import step_kernel_cut_norm_exact
 
 
 @dataclass(frozen=True)
 class RegularityTerm:
-    """One greedy round: subtract `coefficient` on rows x cols."""
+    """One greedy round: subtract `coefficient` on rows x cols, step
+    indices stored as frozen copies."""
 
     coefficient: float
     rows: np.ndarray
@@ -35,8 +36,9 @@ class RegularityTerm:
     energy_after: float
 
     def __post_init__(self):
-        self.rows.setflags(write=False)
-        self.cols.setflags(write=False)
+        for side in ("rows", "cols"):
+            idx = _as_indices(getattr(self, side), np.inf, f"RegularityTerm {side}")
+            object.__setattr__(self, side, _freeze(idx.copy()))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,11 @@ from cutgraphon import (
     ModelSpec,
     Motif,
     ProbMatrix,
+    RegularityTerm,
     StepGraphon,
+    SvtEstimate,
     ValidationError,
+    VgCode,
     blowup,
     cut_norm_sandwich_check,
     default_model,
@@ -76,7 +79,7 @@ from cutgraphon.cutnorm import (CutNormResult, SandwichResult, kernel_witness_va
                                 matrix_witness_value)
 from cutgraphon.distance import EDGE, common_refinement_m, permuted_difference_norm
 from cutgraphon.experiments import format_csv, parse_csv
-from cutgraphon.packing import spot_check_property_ii
+from cutgraphon.packing import RademacherBlockMatrix, spot_check_property_ii
 from cutgraphon.sampling import theta_from_labels
 
 
@@ -131,6 +134,9 @@ def _outcome(result):
         return result.positions.tobytes()
     if isinstance(result, BlockFit):
         return (result.labels.dtype, result.labels.tobytes(), result.block_values.tobytes())
+    if isinstance(result, (RademacherBlockMatrix, RegularityTerm, SvtEstimate, VgCode)):
+        return tuple((v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else _outcome(v)
+                     for v in vars(result).values())
     return result
 
 
@@ -174,6 +180,14 @@ CONSTRUCTORS = {
     "Kernel": (Kernel, [[[0.5, -0.5]], [1.0], [0.25, 0.5]]),
     "LatentSample": (LatentSample, [[0.1, 0.7, 0.0]]),
     "BlockFit": (lambda z, q: BlockFit(z, q, 0.0), [[0, 1, 1], [[0.5, 0.2], [0.2, 0.1]]]),
+    # result types, each freezing the caller's array before it kept a copy
+    "RademacherBlockMatrix": (lambda B: RademacherBlockMatrix(B, 1, 0, 0),
+                              [[[1.0, -1.0], [-1.0, 1.0]]]),
+    "RegularityTerm": (lambda rows, cols: RegularityTerm(0.25, rows, cols, 0.5, 1.0, 0.75),
+                       [[0, 2], [1]]),
+    "SvtEstimate": (lambda raw: SvtEstimate(ProbMatrix([[0.0, 0.3], [0.3, 0.0]]), raw, 0.5, 1),
+                    [[[0.1, 0.3], [0.3, 0.2]]]),
+    "VgCode": (lambda v: VgCode(v, 2, True), [[[1, -1], [-1, 1]]]),
 }
 _SIGNS = np.where(np.random.default_rng(0).random((16, 64)) < 0.5, -1.0, 1.0)
 # functions that are not constructors, with their array arguments as nested lists
@@ -255,6 +269,10 @@ BAD_ARGUMENTS = {
     "BlockFit-float labels": lambda path: BlockFit(np.array([0.0, 1.0]), _PAIR, 0.0),
     "BlockFit-value 2": lambda path: BlockFit(np.array([0, 1]), 4 * _PAIR, 0.0),
     "BlockFit-empty labels": lambda path: BlockFit([], [[0.5]], 0.0),
+    "VgCode-nan": lambda path: VgCode([[1.0, _NAN]], 2, True),
+    "RegularityTerm-negative row": lambda path: RegularityTerm(0.5, [-1], [0], 0.5, 1.0, 0.75),
+    "SvtEstimate-1-d raw":
+        lambda path: SvtEstimate(ProbMatrix([[0.0, 0.3], [0.3, 0.0]]), [0.5], 0.5, 1),
     "blowup_counts-weights summing to 5": lambda path: blowup_counts([2.0, 3.0], 4),
     # scalars: an integer or a finite real in the parameter's interval
     "stream-float seed": lambda path: sample_latents(5, seed=2.5),

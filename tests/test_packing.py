@@ -529,7 +529,9 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_packing_family(tmp_path / "fam")
 
-    @pytest.mark.parametrize("line", ["count=abc", "count=-3", "epsilon=x", "n=1.5"])
+    @pytest.mark.parametrize("line", ["count=abc", "count=-3", "epsilon=x", "n=1.5",
+                                      "fanoReady=maybe", "epsilon=nan", "klBudget=-0.5",
+                                      "separationLower=inf", "k=-3", "n=0"])
     def test_malformed_metadata_value(self, tmp_path, line):
         fam = graphon_packing(2, 64)
         save_packing_family(fam, tmp_path / "fam")
@@ -538,6 +540,18 @@ class TestSerialization:
         lines = [line if l.startswith(key) else l for l in meta.read_text().splitlines()]
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="metadata"):
+            load_packing_family(tmp_path / "fam")
+
+    @pytest.mark.parametrize("line", ["bogus", "kind=matrix", "epsilon=0.125", "colour=red",
+                                      "=3", "n="])
+    def test_malformed_metadata_line(self, tmp_path, line):
+        # an extra line: no '=', a second value for a key (even an equal
+        # one), an unknown key, an empty key or value
+        fam = graphon_packing(2, 64)
+        save_packing_family(fam, tmp_path / "fam")
+        meta = tmp_path / "fam" / "metadata.txt"
+        meta.write_text(meta.read_text() + line + "\n")
+        with pytest.raises(ValidationError, match="metadata sidecar line 9"):
             load_packing_family(tmp_path / "fam")
 
     def test_count_beyond_element_files(self, tmp_path):
